@@ -8,15 +8,18 @@ thread-blind schemes — any memory-side engine — collapse.
 
 from __future__ import annotations
 
-from repro.experiments import extension_cmp
+from repro.experiments.from_spec import run_experiment
 
 from conftest import publish
 
 
 def test_extension_cmp(benchmark, bench_records, bench_seed, bench_policy):
     result = benchmark.pedantic(
-        lambda: extension_cmp.run(
-            records=min(bench_records, 200_000), seed=bench_seed, policy=bench_policy
+        lambda: run_experiment(
+            "extension_cmp",
+            records=min(bench_records, 200_000),
+            seed=bench_seed,
+            policy=bench_policy,
         ),
         rounds=1,
         iterations=1,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import figure5
+from repro.experiments.from_spec import run_experiment
 from repro.workloads.registry import COMMERCIAL_WORKLOADS
 
 from conftest import publish
@@ -10,7 +10,9 @@ from conftest import publish
 
 def test_figure5(benchmark, bench_records, bench_seed, bench_policy):
     result = benchmark.pedantic(
-        lambda: figure5.run(records=bench_records, seed=bench_seed, policy=bench_policy),
+        lambda: run_experiment(
+            "figure5", records=bench_records, seed=bench_seed, policy=bench_policy
+        ),
         rounds=1,
         iterations=1,
     )

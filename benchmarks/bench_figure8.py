@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from repro.experiments import figure8
+from repro.experiments.from_spec import run_experiment
 
 from conftest import publish
 
 
 def test_figure8(benchmark, bench_records, bench_seed, bench_policy):
     result = benchmark.pedantic(
-        lambda: figure8.run(records=bench_records, seed=bench_seed, policy=bench_policy),
+        lambda: run_experiment(
+            "figure8", records=bench_records, seed=bench_seed, policy=bench_policy
+        ),
         rounds=1,
         iterations=1,
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import figure9
+from repro.experiments.from_spec import run_experiment
 from repro.workloads.registry import COMMERCIAL_WORKLOADS
 
 from conftest import publish
@@ -10,7 +10,9 @@ from conftest import publish
 
 def test_figure9(benchmark, bench_records, bench_seed, bench_policy):
     result = benchmark.pedantic(
-        lambda: figure9.run(records=bench_records, seed=bench_seed, policy=bench_policy),
+        lambda: run_experiment(
+            "figure9", records=bench_records, seed=bench_seed, policy=bench_policy
+        ),
         rounds=1,
         iterations=1,
     )
@@ -18,7 +20,7 @@ def test_figure9(benchmark, bench_records, bench_seed, bench_policy):
     for workload in COMMERCIAL_WORKLOADS:
         ebcp = result.value(workload, "ebcp")
         # The headline: EBCP significantly outperforms every other scheme.
-        for scheme in figure9.SCHEMES:
+        for scheme in result.x_values:
             if scheme != "ebcp":
                 assert ebcp >= result.value(workload, scheme), (workload, scheme)
         # Skipping the un-prefetchable next epoch matters.

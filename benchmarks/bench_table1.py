@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from repro.analysis.calibration import TABLE1_TARGETS, check_baseline
-from repro.experiments import table1
+from repro.experiments.from_spec import run_experiment
 
 from conftest import publish
 
 
 def test_table1(benchmark, bench_records, bench_seed, bench_policy):
     result = benchmark.pedantic(
-        lambda: table1.run(records=bench_records, seed=bench_seed, policy=bench_policy),
+        lambda: run_experiment(
+            "table1", records=bench_records, seed=bench_seed, policy=bench_policy
+        ),
         rounds=1,
         iterations=1,
     )

@@ -37,11 +37,6 @@ def bench_seed() -> int:
 
 
 @pytest.fixture(scope="session")
-def bench_jobs() -> "int | None":
-    return BENCH_JOBS
-
-
-@pytest.fixture(scope="session")
 def bench_policy():
     """The execution policy the bench experiments run under.
 

@@ -17,13 +17,12 @@ from .metrics import (
     miss_rate_split,
 )
 from .reporting import banner, format_percent, format_series, format_table
-from .sweep import SweepPoint, SweepRunner
+from .sweep import SweepPoint
 
 __all__ = [
     "CalibrationReport",
     "ComparisonRow",
     "SweepPoint",
-    "SweepRunner",
     "TABLE1_TARGETS",
     "Table1Targets",
     "banner",

@@ -1,29 +1,20 @@
-"""Parameter-sweep runner.
+"""One point of a (workload x configuration) sweep grid.
 
 The design-space figures (4-8) are sweeps of one or two parameters over
 the four commercial workloads with the no-prefetching baseline held
-fixed.  :class:`SweepRunner` owns the mechanical part: workload traces
-are built once (the registry memoises them), each workload's baseline is
-simulated once per processor configuration, and candidate points reuse
-both.
+fixed.  Sweeps run as declarative specs through
+:func:`repro.spec.run_spec`; :meth:`repro.spec.SweepResult.grid`
+presents a result as ``{workload: [SweepPoint, ...]}``, the shape the
+figure assembly steps consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
 
-from ..engine.config import ProcessorConfig
-from ..engine.simulator import EpochSimulator
 from ..engine.stats import SimulationResult
-from ..prefetchers.base import Prefetcher
-from ..workloads.registry import COMMERCIAL_WORKLOADS, make_workload
-from ..workloads.trace import Trace
 
-if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle at runtime
-    from ..resilience.policy import ExecutionPolicy
-
-__all__ = ["SweepPoint", "SweepRunner"]
+__all__ = ["SweepPoint"]
 
 
 @dataclass(frozen=True)
@@ -42,113 +33,3 @@ class SweepPoint:
     @property
     def epi_reduction(self) -> float:
         return self.result.epi_reduction_over(self.baseline)
-
-
-@dataclass
-class SweepRunner:
-    """Runs (workload x configuration) grids against shared baselines."""
-
-    records: int = 280_000
-    seed: int = 7
-    workloads: tuple[str, ...] = COMMERCIAL_WORKLOADS
-    #: Compressed execution over precomputed L1 filter planes; ``None``
-    #: defers to ``$REPRO_COMPRESSED`` (on by default).  Because planes
-    #: are memoised per (trace, L1 geometry), a sweep of many L2 /
-    #: prefetcher configurations filters each workload exactly once.
-    compressed: bool | None = None
-    _baselines: dict[tuple[str, tuple], SimulationResult] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def trace(self, workload: str) -> Trace:
-        return make_workload(workload, records=self.records, seed=self.seed)
-
-    def _timing_kwargs(self, trace: Trace) -> dict[str, float]:
-        return {"cpi_perf": trace.meta.cpi_perf, "overlap": trace.meta.overlap}
-
-    def baseline(self, workload: str, config: ProcessorConfig) -> SimulationResult:
-        """Simulate (and cache) the no-prefetching baseline."""
-        # fingerprint() is exact and stable across processes; hash() is
-        # neither (collisions, per-process randomisation) and once silently
-        # served a colliding config's baseline.
-        key = (workload, config.fingerprint())
-        cached = self._baselines.get(key)
-        if cached is not None:
-            return cached
-        trace = self.trace(workload)
-        result = EpochSimulator(config, None, **self._timing_kwargs(trace)).run(
-            trace, compressed=self.compressed
-        )
-        self._baselines[key] = result
-        return result
-
-    def run_point(
-        self,
-        workload: str,
-        config: ProcessorConfig,
-        prefetcher: Prefetcher,
-        label: str,
-    ) -> SweepPoint:
-        """Simulate one candidate configuration for one workload."""
-        trace = self.trace(workload)
-        result = EpochSimulator(config, prefetcher, **self._timing_kwargs(trace)).run(
-            trace, compressed=self.compressed
-        )
-        return SweepPoint(
-            workload=workload,
-            label=label,
-            result=result,
-            baseline=self.baseline(workload, config),
-        )
-
-    # ------------------------------------------------------------------
-    def sweep(
-        self,
-        labels: list[str],
-        prefetcher_factory: Callable[[str], Prefetcher],
-        config_factory: Callable[[str], ProcessorConfig] | None = None,
-        config: ProcessorConfig | None = None,
-        jobs: int | None = None,
-        policy: "ExecutionPolicy | None" = None,
-    ) -> dict[str, list[SweepPoint]]:
-        """Run every (workload, label) combination.
-
-        ``prefetcher_factory(label)`` builds a fresh prefetcher per point
-        (prefetcher state is never shared between runs).  Either a fixed
-        ``config`` or a per-label ``config_factory`` must be given.
-
-        ``policy`` routes the grid through the fault-tolerant executor
-        (worker fan-out, retries, timeouts, checkpoint resume — see
-        :class:`repro.resilience.ExecutionPolicy`); results stay
-        bit-identical to this runner's sequential path.  ``jobs`` is the
-        legacy one-knob spelling: > 1 fans out over worker processes,
-        ``None`` defers to ``$REPRO_JOBS``.
-
-        Returns ``{workload: [SweepPoint per label, in label order]}``.
-        """
-        if (config is None) == (config_factory is None):
-            raise ValueError("provide exactly one of config / config_factory")
-        from ..parallel import ParallelSweepRunner, resolve_jobs  # lazy: import cycle
-
-        if policy is not None or resolve_jobs(jobs) > 1:
-            runner = ParallelSweepRunner(
-                records=self.records,
-                seed=self.seed,
-                workloads=self.workloads,
-                jobs=jobs,
-                compressed=self.compressed,
-                policy=policy,
-                baseline_memo=self._baselines,
-            )
-            return runner.sweep(
-                labels, prefetcher_factory, config_factory=config_factory, config=config
-            )
-        grid: dict[str, list[SweepPoint]] = {}
-        for workload in self.workloads:
-            points = []
-            for label in labels:
-                point_config = config if config is not None else config_factory(label)  # type: ignore[misc]
-                points.append(
-                    self.run_point(workload, point_config, prefetcher_factory(label), label)
-                )
-            grid[workload] = points
-        return grid

@@ -21,24 +21,22 @@ Prefetchers
     :func:`make_ebcp`
 Execution
     :class:`ExecutionPolicy` (timeouts, retries, checkpoints, fault
-    injection), :class:`JobSpec`, :func:`run_jobs`,
-    :class:`SweepRunner`, :class:`ParallelSweepRunner`,
-    :class:`SweepPoint`
+    injection), :class:`JobSpec`, :func:`run_jobs`
 Sweep specs (the declarative surface)
     :class:`SweepSpec` with :func:`load_spec` / :func:`loads_spec` /
     :func:`dump_spec`, executed by :func:`run_spec` (local) or
     :func:`submit_spec` (streamed through a service); :func:`expand`
     lowers a spec to its job grid, :class:`SweepResult` carries the
-    results, :class:`SpecError` / :class:`SpecVersionError` are the
-    typed validation failures, :data:`SPEC_VERSION` is the schema
-    version this build reads and writes
+    results (:meth:`SweepResult.grid` as :class:`SweepPoint` lists),
+    :class:`SpecError` / :class:`SpecVersionError` are the typed
+    validation failures, :data:`SPEC_VERSION` is the schema version
+    this build reads and writes
 Experiments
     :func:`run_experiment` regenerates one paper table/figure from its
-    committed ``specs/*.toml`` file; :data:`EXPERIMENTS` (experiment
-    id -> module) remains for enumeration and for the deprecated
-    imperative ``module.run()`` entry points, which now warn and
-    delegate to :func:`run_experiment`.  :class:`FigureResult` and
-    :class:`TableResult` are the rendered shapes experiments return.
+    committed ``specs/*.toml`` file; :data:`EXPERIMENTS` maps each
+    experiment id to its module (spec file plus assembly step).
+    :class:`FigureResult` and :class:`TableResult` are the rendered
+    shapes experiments return.
 Observability
     :class:`EventBus`, :class:`MetricsRegistry`, and the tracing
     vocabulary :class:`TraceContext` / :class:`SpanRecorder` /
@@ -55,15 +53,6 @@ Service
     :func:`routing_key` consistent-hash routing, and the typed client
     errors :class:`ServiceError` / :class:`ServiceBusyError`
 
-Deprecation plan
-----------------
-``EXPERIMENTS[name].run()`` warns ``DeprecationWarning`` since the spec
-redesign and will be removed in the release after next; call
-:func:`run_experiment` (same results, same signature past the name) or
-``repro sweep run specs/<name>.toml`` instead.  ``SweepRunner`` /
-``ParallelSweepRunner`` remain supported as the imperative layer under
-:func:`run_spec` but new sweeps should be written as spec files.
-
 >>> from repro import api
 >>> spec = api.load_spec("specs/table1.toml")
 >>> result = api.run_spec(spec, policy=api.ExecutionPolicy(jobs=2))
@@ -72,7 +61,7 @@ redesign and will be removed in the release after next; call
 
 from __future__ import annotations
 
-from .analysis.sweep import SweepPoint, SweepRunner
+from .analysis.sweep import SweepPoint
 from .core import make_ebcp
 from .engine import (
     CacheConfig,
@@ -92,7 +81,7 @@ from .obs import (
     TraceContext,
     render_prometheus,
 )
-from .parallel import JobSpec, ParallelSweepRunner, run_jobs
+from .parallel import JobSpec, run_jobs
 from .prefetchers import PREFETCHERS, Prefetcher, build_prefetcher
 from .resilience import ExecutionPolicy
 from .service import (
@@ -143,7 +132,6 @@ __all__ = [
     "MetricsRegistry",
     "PREFETCHERS",
     "PROTOCOL_VERSION",
-    "ParallelSweepRunner",
     "Prefetcher",
     "ProcessorConfig",
     "ResultCache",
@@ -163,7 +151,6 @@ __all__ = [
     "SweepFrame",
     "SweepPoint",
     "SweepResult",
-    "SweepRunner",
     "SweepSpec",
     "TableResult",
     "TelemetrySink",

@@ -90,9 +90,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment '{args.experiment}'", file=sys.stderr)
         return 2
-    # Straight to the spec-driven path: the committed specs/*.toml file
-    # is the experiment definition; the imperative module.run() entry
-    # points are deprecated shims over the same call.
     from .experiments.from_spec import run_experiment
 
     started = time.time()
@@ -1041,8 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sr = sweep_sub.add_parser(
         "run",
-        help="expand a spec and run it locally (bit-identical to the "
-        "imperative runners)",
+        help="expand a spec and run it locally (bit-identical at any "
+        "job count)",
     )
     p_sr.add_argument("spec", metavar="SPEC", help="spec file (.toml or .json)")
     p_sr.add_argument(

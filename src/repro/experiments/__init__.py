@@ -1,9 +1,12 @@
 """One module per table/figure of the paper's evaluation (Section 5).
 
-Each module exposes ``run(records=..., seed=...)`` returning a rich
-result object with a ``render()`` method that prints the same rows or
-series the paper reports.  The benches under ``benchmarks/`` are thin
-wrappers over these.
+Each module names its committed spec (``SPEC_FILE`` under ``specs/``)
+and owns the ``assemble(spec, result)`` step that turns the executed
+sweep into a rich result object with a ``render()`` method printing the
+same rows or series the paper reports.
+:func:`~repro.experiments.from_spec.run_experiment` runs one of them by
+id; the CLI's ``run`` command and the benches under ``benchmarks/`` are
+thin wrappers over it.
 """
 
 from . import extension_cmp, figure4, figure5, figure6, figure7, figure8, figure9, table1
@@ -24,7 +27,7 @@ __all__ = [
     "table1",
 ]
 
-#: Registry used by the CLI: experiment id -> module.
+#: Experiment id -> module: the one list of the paper's experiments.
 EXPERIMENTS = {
     "table1": table1,
     "extension_cmp": extension_cmp,

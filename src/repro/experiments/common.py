@@ -1,41 +1,31 @@
 """Shared infrastructure for the per-figure experiment modules.
 
 Every module in :mod:`repro.experiments` regenerates one table or figure
-of the paper's evaluation (Section 5).  They share:
+of the paper's evaluation (Section 5) from its committed ``specs/*.toml``
+file.  They share:
 
 * the default run length (``DEFAULT_RECORDS`` trace records, ~30 % warm-up
   inside the simulator — the scaled equivalent of the paper's 150 M + 100 M
   instruction protocol),
-* the evaluation processor configurations (Section 4.4 defaults, the
-  idealized design-space starting point of Section 5.2, and the
-  bandwidth-sensitivity variants of Section 5.2.4),
+* the rendered result shapes (:class:`FigureResult`, :class:`TableResult`),
 * a process-level memo so that e.g. Figures 4 and 5 — two views of the
   same sweep — simulate it once.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.reporting import format_series, format_table
-from ..analysis.sweep import SweepPoint, SweepRunner
-from ..core.prefetcher import EBCPConfig, EpochBasedCorrelationPrefetcher
-from ..engine.config import ProcessorConfig
-from ..workloads.registry import COMMERCIAL_WORKLOADS
+from ..analysis.sweep import SweepPoint
 
 __all__ = [
     "DEFAULT_RECORDS",
     "DEFAULT_SEED",
     "FigureResult",
     "TableResult",
-    "default_config",
-    "idealized_config",
-    "bandwidth_config",
-    "make_sweep_ebcp",
     "memoized",
-    "warn_spec_deprecation",
 ]
 
 #: Default trace length for experiment runs.  The paper warms for 150 M
@@ -44,46 +34,6 @@ __all__ = [
 #: several full passes over every workload's transaction pool.
 DEFAULT_RECORDS = 280_000
 DEFAULT_SEED = 7
-
-
-def default_config(**overrides: Any) -> ProcessorConfig:
-    """The Section 4.4 default configuration (scaled, see DESIGN.md)."""
-    return ProcessorConfig.scaled().replace(**overrides) if overrides else ProcessorConfig.scaled()
-
-
-def idealized_config(**overrides: Any) -> ProcessorConfig:
-    """Section 5.2's idealized starting point: a 1024-entry prefetch buffer."""
-    base = ProcessorConfig.scaled().replace(prefetch_buffer_entries=1024)
-    return base.replace(**overrides) if overrides else base
-
-
-def bandwidth_config(read_gbps: float, write_gbps: float, **overrides: Any) -> ProcessorConfig:
-    """Section 5.2.4's bandwidth variants (prefetch buffer stays idealized)."""
-    base = ProcessorConfig.scaled().replace(
-        prefetch_buffer_entries=1024, read_bw_gbps=read_gbps, write_bw_gbps=write_gbps
-    )
-    return base.replace(**overrides) if overrides else base
-
-
-def make_sweep_ebcp(
-    degree: int,
-    table_entries: int = 1024 * 1024,
-    addrs_per_entry: int = 32,
-) -> EpochBasedCorrelationPrefetcher:
-    """An EBCP for the design-space sweeps.
-
-    Defaults to the idealized predictor of Section 5.2: a table scaled
-    from the paper's eight million entries, 32 prefetch addresses per
-    entry, with only the issue degree limited.
-    """
-    return EpochBasedCorrelationPrefetcher(
-        EBCPConfig(
-            prefetch_degree=degree,
-            table_entries=table_entries,
-            addrs_per_entry=addrs_per_entry,
-            entry_bytes=64 if addrs_per_entry <= 8 else 256,
-        )
-    )
 
 
 # ----------------------------------------------------------------------
@@ -163,24 +113,3 @@ def memoized(key: tuple, compute: Callable[[], Any]) -> Any:
         _MEMO[key] = compute()
     return _MEMO[key]
 
-
-def new_runner(records: int, seed: int) -> SweepRunner:
-    return SweepRunner(records=records, seed=seed, workloads=COMMERCIAL_WORKLOADS)
-
-
-def warn_spec_deprecation(name: str, spec_file: str) -> None:
-    """Warn that an imperative ``run()`` entry point is spec-backed now.
-
-    The imperative entry points remain for one release cycle; the
-    committed spec under ``specs/`` is the source of truth (see
-    EXPERIMENTS.md for the migration table).
-    """
-    warnings.warn(
-        f"repro.experiments.{name}.run() is deprecated; the experiment is "
-        f"driven by specs/{spec_file} now. Use "
-        f"repro.experiments.from_spec.run_experiment({name!r}, ...) or "
-        f"`repro sweep run specs/{spec_file}`. The imperative entry point "
-        f"will be removed in the release after next.",
-        DeprecationWarning,
-        stacklevel=3,
-    )

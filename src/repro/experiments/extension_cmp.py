@@ -26,44 +26,16 @@ gain as threads are added; the thread-blind variants decay toward zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
-from ..core.cmp import CMPEBCPConfig, InterleavedStreamEBCP, PerThreadEpochPrefetcher
-from ..core.prefetcher import EBCPConfig
-from ..engine.config import ProcessorConfig
-from ..engine.simulator import EpochSimulator
-from ..prefetchers.base import Prefetcher
-from ..prefetchers.ghb import make_ghb_large
-from ..prefetchers.solihin import make_solihin_6_1
-from ..workloads.multithread import make_cmp_workload
-from .common import DEFAULT_SEED, FigureResult, warn_spec_deprecation
+from .common import FigureResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = [
-    "SCHEMES",
-    "THREAD_COUNTS",
-    "ExtensionCMPResult",
-    "assemble",
-    "run",
-    "run_legacy",
-]
+__all__ = ["SPEC_FILE", "ExtensionCMPResult", "assemble"]
 
-SCHEMES: tuple[str, ...] = ("ebcp_cmp", "ebcp_interleaved", "solihin_6_1", "ghb_large")
-THREAD_COUNTS: tuple[int, ...] = (1, 2, 4)
-
-
-def _build(scheme: str) -> Prefetcher:
-    if scheme == "ebcp_cmp":
-        return PerThreadEpochPrefetcher(CMPEBCPConfig(EBCPConfig(prefetch_degree=8)))
-    if scheme == "ebcp_interleaved":
-        return InterleavedStreamEBCP(CMPEBCPConfig(EBCPConfig(prefetch_degree=8)))
-    if scheme == "solihin_6_1":
-        return make_solihin_6_1(degree=8)
-    if scheme == "ghb_large":
-        return make_ghb_large(degree=8)
-    raise KeyError(scheme)
+SPEC_FILE = "extension_cmp.toml"
 
 
 @dataclass
@@ -87,116 +59,25 @@ class ExtensionCMPResult:
         }
 
 
-def run_legacy(
-    records: int = 140_000,
-    seed: int = DEFAULT_SEED,
-    workloads: Sequence[str] = ("database", "specjbb2005"),
-    thread_counts: Sequence[int] = THREAD_COUNTS,
-    policy: "ExecutionPolicy | None" = None,
-) -> ExtensionCMPResult:
-    """Run the CMP interleaving experiment (historical imperative path).
-
-    ``records`` is the *total* interleaved trace length per point, so the
-    comparison across thread counts holds work constant.
-    """
-    from ..parallel import JobSpec, resolve_jobs, run_jobs
-
-    config = ProcessorConfig.scaled()
-
-    if policy is not None or resolve_jobs(None) > 1:
-        # Fan every (workload, threads, scheme-or-baseline) point out as a
-        # job; workers rebuild the interleaved trace from its parameters.
-        points = [(w, n) for w in workloads for n in thread_counts]
-        specs = []
-        for w, n in points:
-            per_thread = max(20_000, records // n)
-            for scheme in (None, *SCHEMES):
-                specs.append(
-                    JobSpec(
-                        workload=w,
-                        records=per_thread,
-                        seed=seed,
-                        config=config,
-                        prefetcher=None if scheme is None else _build(scheme),
-                        label=scheme or "baseline",
-                        n_threads=n,
-                    )
-                )
-        results = run_jobs(specs, policy=policy)
-        panels = {}
-        stride = 1 + len(SCHEMES)
-        for w in workloads:
-            series = {scheme: [] for scheme in SCHEMES}
-            for n in thread_counts:
-                base = stride * points.index((w, n))
-                baseline = results[base]
-                for offset, scheme in enumerate(SCHEMES, start=1):
-                    series[scheme].append(
-                        results[base + offset].improvement_over(baseline)
-                    )
-            panels[w] = _panel(w, series, thread_counts)
-        return ExtensionCMPResult(panels=panels)
-
-    panels: dict[str, FigureResult] = {}
-    for workload in workloads:
-        series: dict[str, list[float]] = {scheme: [] for scheme in SCHEMES}
-        for n_threads in thread_counts:
-            trace = make_cmp_workload(
-                workload,
-                n_threads=n_threads,
-                records_per_thread=max(20_000, records // n_threads),
-                seed=seed,
-            )
-            timing = {"cpi_perf": trace.meta.cpi_perf, "overlap": trace.meta.overlap}
-            baseline = EpochSimulator(config, None, **timing).run(trace)
-            for scheme in SCHEMES:
-                result = EpochSimulator(config, _build(scheme), **timing).run(trace)
-                series[scheme].append(result.improvement_over(baseline))
-        panels[workload] = _panel(workload, series, thread_counts)
-    return ExtensionCMPResult(panels=panels)
-
-
-def _panel(
-    workload: str, series: "dict[str, list[float]]", thread_counts: Sequence[int]
-) -> FigureResult:
-    return FigureResult(
-        figure_id=f"Extension E1 ({workload})",
-        title="CMP interleaving: per-thread vs thread-blind prefetching",
-        x_label="threads",
-        x_values=tuple(thread_counts),
-        series=series,
-    )
-
-
-def assemble(
-    series_by_workload: "Mapping[str, dict[str, list[float]]]",
-    thread_counts: Sequence[int],
-) -> ExtensionCMPResult:
-    """Build the E1 panels from per-workload improvement series."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> ExtensionCMPResult:
+    """Build one improvement-vs-threads panel per workload."""
+    thread_counts = tuple(tp.n_threads for tp in spec.grid.threads)
+    series_by_workload: dict = {
+        w: {pf.effective_label: [] for pf in spec.prefetchers} for w in spec.workloads
+    }
+    for meta, res in result.candidates():
+        series_by_workload[meta.workload][meta.label].append(
+            res.improvement_over(result.baseline_result(meta))
+        )
     return ExtensionCMPResult(
         panels={
-            workload: _panel(workload, series, thread_counts)
+            workload: FigureResult(
+                figure_id=f"Extension E1 ({workload})",
+                title="CMP interleaving: per-thread vs thread-blind prefetching",
+                x_label="threads",
+                x_values=thread_counts,
+                series=series,
+            )
             for workload, series in series_by_workload.items()
         }
-    )
-
-
-def run(
-    records: int = 140_000,
-    seed: int = DEFAULT_SEED,
-    workloads: Sequence[str] = ("database", "specjbb2005"),
-    thread_counts: Sequence[int] = THREAD_COUNTS,
-    policy: "ExecutionPolicy | None" = None,
-) -> ExtensionCMPResult:
-    """Deprecated: the experiment is driven by specs/extension_cmp.toml now."""
-    warn_spec_deprecation("extension_cmp", "extension_cmp.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment(
-        "extension_cmp",
-        records=records,
-        seed=seed,
-        policy=policy,
-        workloads=workloads,
-        thread_counts=thread_counts,
     )

@@ -7,61 +7,30 @@ reporting the overall performance improvement over the no-prefetching
 baseline.  Performance keeps improving with degree at the default
 9.6 GB/s read bandwidth.
 
-This module runs the same sweep (table scaled with the rest of the
-configuration, DESIGN.md Section 2) and exposes the full sweep points so
-Figure 5 can present its secondary metrics without re-simulating.
+This module assembles the same sweep (table scaled with the rest of the
+configuration, DESIGN.md Section 2) from ``specs/figure4.toml`` and keeps
+the full sweep points; Figure 5 reads the same spec, so it presents its
+secondary metrics without re-simulating.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .common import (
-    DEFAULT_RECORDS,
-    DEFAULT_SEED,
-    FigureResult,
-    idealized_config,
-    make_sweep_ebcp,
-    memoized,
-    new_runner,
-    warn_spec_deprecation,
-)
+from .common import FigureResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["DEGREES", "assemble", "run", "run_legacy", "sweep_points"]
+__all__ = ["DEGREES", "SPEC_FILE", "assemble"]
 
+SPEC_FILE = "figure4.toml"
 DEGREES: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
 
-def sweep_points(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-):
-    """The degree sweep grid, memoised for sharing with Figure 5.
-
-    ``policy`` only affects *how* the grid executes (fan-out, retries,
-    checkpointing — results are bit-identical), so it is deliberately
-    not part of the memo key.
-    """
-
-    def compute():
-        runner = new_runner(records, seed)
-        config = idealized_config()
-        return runner.sweep(
-            labels=[str(d) for d in DEGREES],
-            prefetcher_factory=lambda label: make_sweep_ebcp(degree=int(label)),
-            config=config,
-            policy=policy,
-        )
-
-    return memoized(("degree_sweep", records, seed), compute)
-
-
-def assemble(grid) -> FigureResult:
-    """Build the Figure 4 result from a degree-sweep grid."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> FigureResult:
+    """Build the Figure 4 result from the degree sweep."""
+    grid = result.grid()
     series = {
         workload: [point.improvement for point in points]
         for workload, points in grid.items()
@@ -74,24 +43,3 @@ def assemble(grid) -> FigureResult:
         series=series,
         points=grid,
     )
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """The historical imperative path; kept for equivalence testing."""
-    return assemble(sweep_points(records, seed, policy=policy))
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """Deprecated: the experiment is driven by specs/figure4.toml now."""
-    warn_spec_deprecation("figure4", "figure4.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("figure4", records=records, seed=seed, policy=policy)

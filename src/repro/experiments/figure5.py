@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..memory.request import AccessKind
-from .common import DEFAULT_RECORDS, DEFAULT_SEED, FigureResult, warn_spec_deprecation
-from .figure4 import DEGREES, sweep_points
+from .common import FigureResult
+# Figure 5 reads Figure 4's spec: its panels are views of that sweep.
+from .figure4 import DEGREES, SPEC_FILE
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["Figure5Result", "assemble", "run", "run_legacy"]
+__all__ = ["Figure5Result", "SPEC_FILE", "assemble"]
 
 
 @dataclass
@@ -77,8 +78,9 @@ def _panel(
     )
 
 
-def assemble(grid) -> Figure5Result:
-    """Build the five Figure 5 panels from a degree-sweep grid."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> Figure5Result:
+    """Build the five Figure 5 panels from the degree sweep."""
+    grid = result.grid()
     return Figure5Result(
         epi_reduction=_panel(
             grid, "Figure 5a", "Reduction in epochs per instruction", lambda p: p.epi_reduction
@@ -108,24 +110,3 @@ def assemble(grid) -> Figure5Result:
             grid, "Figure 5e", "Prefetch accuracy", lambda p: p.result.accuracy, ".1%"
         ),
     )
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> Figure5Result:
-    """The historical imperative path; kept for equivalence testing."""
-    return assemble(sweep_points(records, seed, policy=policy))
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> Figure5Result:
-    """Deprecated: the experiment is driven by specs/figure4.toml now."""
-    warn_spec_deprecation("figure5", "figure4.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("figure5", records=records, seed=seed, policy=policy)

@@ -14,21 +14,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.prefetcher import EBCPConfig, EpochBasedCorrelationPrefetcher
-from .common import (
-    DEFAULT_RECORDS,
-    DEFAULT_SEED,
-    FigureResult,
-    default_config,
-    new_runner,
-    warn_spec_deprecation,
-)
+from .common import FigureResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["TABLE_ENTRIES", "assemble", "run", "run_legacy"]
+__all__ = ["SPEC_FILE", "TABLE_ENTRIES", "assemble"]
 
+SPEC_FILE = "figure6.toml"
 TABLE_ENTRIES: tuple[int, ...] = (
     1024,
     4 * 1024,
@@ -39,8 +32,9 @@ TABLE_ENTRIES: tuple[int, ...] = (
 )
 
 
-def assemble(grid) -> FigureResult:
-    """Build the Figure 6 result from a table-entries sweep grid."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> FigureResult:
+    """Build the Figure 6 result from the table-entries sweep."""
+    grid = result.grid()
     series = {w: [p.improvement for p in points] for w, points in grid.items()}
     return FigureResult(
         figure_id="Figure 6",
@@ -51,38 +45,3 @@ def assemble(grid) -> FigureResult:
         series=series,
         points=grid,
     )
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """The historical imperative path; kept for equivalence testing."""
-    runner = new_runner(records, seed)
-    config = default_config()
-
-    def factory(label: str) -> EpochBasedCorrelationPrefetcher:
-        return EpochBasedCorrelationPrefetcher(
-            EBCPConfig(prefetch_degree=8, table_entries=int(label))
-        )
-
-    grid = runner.sweep(
-        labels=[str(n) for n in TABLE_ENTRIES],
-        prefetcher_factory=factory,
-        config=config,
-        policy=policy,
-    )
-    return assemble(grid)
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """Deprecated: the experiment is driven by specs/figure6.toml now."""
-    warn_spec_deprecation("figure6", "figure6.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("figure6", records=records, seed=seed, policy=policy)

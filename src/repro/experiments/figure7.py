@@ -12,26 +12,33 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.prefetcher import EBCPConfig, EpochBasedCorrelationPrefetcher
-from .common import (
-    DEFAULT_RECORDS,
-    DEFAULT_SEED,
-    FigureResult,
-    default_config,
-    new_runner,
-    warn_spec_deprecation,
-)
+from ..analysis.sweep import SweepPoint
+from .common import FigureResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["BUFFER_ENTRIES", "assemble", "run", "run_legacy"]
+__all__ = ["BUFFER_ENTRIES", "SPEC_FILE", "assemble"]
 
+SPEC_FILE = "figure7.toml"
 BUFFER_ENTRIES: tuple[int, ...] = (16, 32, 64, 128, 256, 1024)
 
 
-def assemble(grid) -> FigureResult:
-    """Build the Figure 7 result from a buffer-entries sweep grid."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> FigureResult:
+    """Build the Figure 7 result from the buffer-entries sweep.
+
+    A config-axis sweep: one point per config variant, labelled by it.
+    """
+    grid: dict = {w: [] for w in spec.workloads}
+    for meta, res in result.candidates():
+        grid[meta.workload].append(
+            SweepPoint(
+                workload=meta.workload,
+                label=meta.config_label,
+                result=res,
+                baseline=result.baseline_result(meta),
+            )
+        )
     series = {w: [p.improvement for p in points] for w, points in grid.items()}
     return FigureResult(
         figure_id="Figure 7",
@@ -42,35 +49,3 @@ def assemble(grid) -> FigureResult:
         series=series,
         points=grid,
     )
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """The historical imperative path; kept for equivalence testing."""
-    runner = new_runner(records, seed)
-
-    def factory(label: str) -> EpochBasedCorrelationPrefetcher:
-        return EpochBasedCorrelationPrefetcher(EBCPConfig(prefetch_degree=8))
-
-    grid = runner.sweep(
-        labels=[str(n) for n in BUFFER_ENTRIES],
-        prefetcher_factory=factory,
-        config_factory=lambda label: default_config(prefetch_buffer_entries=int(label)),
-        policy=policy,
-    )
-    return assemble(grid)
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """Deprecated: the experiment is driven by specs/figure7.toml now."""
-    warn_spec_deprecation("figure7", "figure7.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("figure7", records=records, seed=seed, policy=policy)

@@ -19,21 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .common import (
-    DEFAULT_RECORDS,
-    DEFAULT_SEED,
-    FigureResult,
-    bandwidth_config,
-    make_sweep_ebcp,
-    new_runner,
-    warn_spec_deprecation,
-)
+from .common import FigureResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["BANDWIDTH_POINTS", "DEGREES", "Figure8Result", "assemble", "run", "run_legacy"]
+__all__ = ["BANDWIDTH_POINTS", "DEGREES", "SPEC_FILE", "Figure8Result", "assemble"]
 
+SPEC_FILE = "figure8.toml"
 #: (read GB/s, write GB/s) points from Section 5.2.4.
 BANDWIDTH_POINTS: tuple[tuple[float, float], ...] = ((9.6, 4.8), (6.4, 3.2), (3.2, 1.6))
 DEGREES: tuple[int, ...] = (2, 4, 8, 16, 32)
@@ -59,13 +52,14 @@ class Figure8Result:
         }
 
 
-def assemble(grids: "Mapping[str, Mapping]") -> Figure8Result:
-    """Build the Figure 8 panels from per-bandwidth sweep grids."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> Figure8Result:
+    """Build one Figure 8 panel per bandwidth config variant."""
     panels: dict[str, FigureResult] = {}
-    for key, grid in grids.items():
+    for cfg in spec.configs:
+        grid = result.grid(config_label=cfg.label)
         series = {w: [p.improvement for p in points] for w, points in grid.items()}
-        panels[key] = FigureResult(
-            figure_id=f"Figure 8 ({key} GB/s read)",
+        panels[cfg.label] = FigureResult(
+            figure_id=f"Figure 8 ({cfg.label} GB/s read)",
             title="Effect of available memory bandwidth on EBCP performance",
             x_label="degree",
             x_values=DEGREES,
@@ -73,34 +67,3 @@ def assemble(grids: "Mapping[str, Mapping]") -> Figure8Result:
             points=grid,
         )
     return Figure8Result(panels=panels)
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> Figure8Result:
-    """The historical imperative path; kept for equivalence testing."""
-    runner = new_runner(records, seed)
-    grids: dict[str, dict] = {}
-    for read_gbps, write_gbps in BANDWIDTH_POINTS:
-        config = bandwidth_config(read_gbps, write_gbps)
-        grids[f"{read_gbps:g}"] = runner.sweep(
-            labels=[str(d) for d in DEGREES],
-            prefetcher_factory=lambda label: make_sweep_ebcp(degree=int(label)),
-            config=config,
-            policy=policy,
-        )
-    return assemble(grids)
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> Figure8Result:
-    """Deprecated: the experiment is driven by specs/figure8.toml now."""
-    warn_spec_deprecation("figure8", "figure8.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("figure8", records=records, seed=seed, policy=policy)

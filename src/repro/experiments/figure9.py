@@ -21,27 +21,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.prefetcher import EBCPConfig, EpochBasedCorrelationPrefetcher
-from ..prefetchers.base import Prefetcher
-from ..prefetchers.ghb import make_ghb_large, make_ghb_small
-from ..prefetchers.sms import SpatialMemoryStreaming
-from ..prefetchers.solihin import make_solihin_3_2, make_solihin_6_1
-from ..prefetchers.stream import StreamPrefetcher
-from ..prefetchers.tcp import make_tcp_large, make_tcp_small
-from .common import (
-    DEFAULT_RECORDS,
-    DEFAULT_SEED,
-    FigureResult,
-    default_config,
-    new_runner,
-    warn_spec_deprecation,
-)
+from .common import FigureResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["SCHEMES", "assemble", "build_comparison_prefetcher", "run", "run_legacy"]
+__all__ = ["SCHEMES", "SPEC_FILE", "assemble"]
 
+SPEC_FILE = "figure9.toml"
 #: Figure 9's x-axis, in the paper's order.
 SCHEMES: tuple[str, ...] = (
     "ghb_small",
@@ -59,37 +46,9 @@ SCHEMES: tuple[str, ...] = (
 _UNIFORM_DEGREE = 6
 
 
-def build_comparison_prefetcher(name: str) -> Prefetcher:
-    """Build one Figure 9 scheme with the paper's comparison settings."""
-    if name == "ghb_small":
-        return make_ghb_small(degree=_UNIFORM_DEGREE)
-    if name == "ghb_large":
-        return make_ghb_large(degree=_UNIFORM_DEGREE)
-    if name == "tcp_small":
-        return make_tcp_small(degree=_UNIFORM_DEGREE)
-    if name == "tcp_large":
-        return make_tcp_large(degree=_UNIFORM_DEGREE)
-    if name == "stream":
-        return StreamPrefetcher(degree=_UNIFORM_DEGREE)
-    if name == "sms":
-        return SpatialMemoryStreaming()  # up to 32 prefetches per match
-    if name == "solihin_3_2":
-        return make_solihin_3_2(degree=_UNIFORM_DEGREE)
-    if name == "solihin_6_1":
-        return make_solihin_6_1(degree=_UNIFORM_DEGREE)
-    if name == "ebcp_minus":
-        return EpochBasedCorrelationPrefetcher(
-            EBCPConfig(prefetch_degree=_UNIFORM_DEGREE, addrs_per_entry=6, skip_epochs=1)
-        )
-    if name == "ebcp":
-        return EpochBasedCorrelationPrefetcher(
-            EBCPConfig(prefetch_degree=_UNIFORM_DEGREE, addrs_per_entry=6)
-        )
-    raise KeyError(f"unknown Figure 9 scheme '{name}'")
-
-
-def assemble(grid) -> FigureResult:
-    """Build the Figure 9 result from a scheme-comparison grid."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> FigureResult:
+    """Build the Figure 9 result from the scheme-comparison sweep."""
+    grid = result.grid()
     series = {w: [p.improvement for p in points] for w, points in grid.items()}
     return FigureResult(
         figure_id="Figure 9",
@@ -100,31 +59,3 @@ def assemble(grid) -> FigureResult:
         series=series,
         points=grid,
     )
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """The historical imperative path; kept for equivalence testing."""
-    runner = new_runner(records, seed)
-    grid = runner.sweep(
-        labels=list(SCHEMES),
-        prefetcher_factory=build_comparison_prefetcher,
-        config=default_config(),
-        policy=policy,
-    )
-    return assemble(grid)
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> FigureResult:
-    """Deprecated: the experiment is driven by specs/figure9.toml now."""
-    warn_spec_deprecation("figure9", "figure9.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("figure9", records=records, seed=seed, policy=policy)

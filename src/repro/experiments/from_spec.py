@@ -1,54 +1,34 @@
-"""Spec-driven experiment adapters: ``specs/*.toml`` → paper artifacts.
+"""Spec-driven experiments: ``specs/*.toml`` → paper artifacts.
 
-The experiment layer is re-founded on declarative sweep specs: each
-paper artifact is a committed spec file under ``specs/`` plus a thin
-result-assembly adapter here.  The adapters load the spec, apply any
-records/seed overrides, execute it through :func:`repro.spec.run_spec`
+Each paper artifact is a committed spec file under ``specs/`` plus the
+``assemble`` step of its experiment module.  :func:`run_experiment`
+loads the spec the module names (``SPEC_FILE``), applies any
+records/seed overrides, executes it through :func:`repro.spec.run_spec`
 (memoised by spec fingerprint, so Figure 4 and Figure 5 — two views of
-one sweep — share a single execution), and assemble the same result
-objects the legacy imperative modules produced, using the *same*
-assembly helpers those modules now expose.
-
-The legacy ``run()`` entry points delegate here behind a
-``DeprecationWarning``; their imperative bodies survive as
-``run_legacy()`` for the golden equivalence tests.
+one sweep — share a single execution), and hands the sweep result to
+the module's ``assemble``.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from ..analysis.calibration import TABLE1_TARGETS, CalibrationReport
-from ..analysis.sweep import SweepPoint
 from ..spec import SweepResult, SweepSpec, load_spec, run_spec
+from . import EXPERIMENTS
 from .common import memoized
 
 if TYPE_CHECKING:
     from ..resilience.policy import ExecutionPolicy
 
 __all__ = [
-    "SPEC_FILES",
     "spec_dir",
     "spec_path",
     "load_experiment_spec",
     "sweep_for",
     "run_experiment",
 ]
-
-#: Experiment id -> committed spec file.  Figure 5 deliberately maps to
-#: Figure 4's spec: its panels are secondary metrics of the same sweep.
-SPEC_FILES = {
-    "table1": "table1.toml",
-    "figure4": "figure4.toml",
-    "figure5": "figure4.toml",
-    "figure6": "figure6.toml",
-    "figure7": "figure7.toml",
-    "figure8": "figure8.toml",
-    "figure9": "figure9.toml",
-    "extension_cmp": "extension_cmp.toml",
-}
 
 
 def spec_dir() -> Path:
@@ -65,10 +45,10 @@ def spec_dir() -> Path:
 
 def spec_path(name: str) -> Path:
     try:
-        return spec_dir() / SPEC_FILES[name]
+        return spec_dir() / EXPERIMENTS[name].SPEC_FILE
     except KeyError:
         raise KeyError(
-            f"no spec-backed experiment '{name}'; known: {', '.join(SPEC_FILES)}"
+            f"no spec-backed experiment '{name}'; known: {', '.join(EXPERIMENTS)}"
         ) from None
 
 
@@ -80,8 +60,8 @@ def load_experiment_spec(
     """Load an experiment's committed spec with grid overrides applied.
 
     ``extension_cmp`` re-derives its per-thread record counts from a
-    ``records`` override (total work held constant across thread
-    counts), mirroring the legacy module's ``max(20000, records // n)``.
+    ``records`` override as ``max(20000, records // n_threads)``, so
+    total work stays constant across thread counts.
     """
     spec = load_spec(spec_path(name))
     changes: dict = {}
@@ -105,105 +85,12 @@ def sweep_for(
     """Execute ``spec`` once per content fingerprint.
 
     ``policy`` only affects *how* the sweep executes (fan-out, retries,
-    checkpointing — results are bit-identical), so, like the legacy
-    sweep memo, it is deliberately not part of the key.
+    checkpointing — results are bit-identical), so it is deliberately
+    not part of the key.
     """
     return memoized(
         ("spec_sweep", spec.fingerprint()), lambda: run_spec(spec, policy=policy)
     )
-
-
-# ----------------------------------------------------------------------
-# Per-experiment assembly.  Each uses the assembly helper its legacy
-# module exposes, so both paths format one way.
-# ----------------------------------------------------------------------
-
-
-def _table1(spec: SweepSpec, result: SweepResult):
-    from . import table1
-
-    reports = [
-        CalibrationReport(
-            workload=meta.workload, measured=res, targets=TABLE1_TARGETS[meta.workload]
-        )
-        for meta, res in result.baselines()
-    ]
-    return table1.tabulate(reports)
-
-
-def _figure4(spec: SweepSpec, result: SweepResult):
-    from . import figure4
-
-    return figure4.assemble(result.grid())
-
-
-def _figure5(spec: SweepSpec, result: SweepResult):
-    from . import figure5
-
-    return figure5.assemble(result.grid())
-
-
-def _figure6(spec: SweepSpec, result: SweepResult):
-    from . import figure6
-
-    return figure6.assemble(result.grid())
-
-
-def _figure7(spec: SweepSpec, result: SweepResult):
-    from . import figure7
-
-    # Config-axis sweep: one point per config variant, labelled by it.
-    grid: dict = {w: [] for w in spec.workloads}
-    for meta, res in result.candidates():
-        grid[meta.workload].append(
-            SweepPoint(
-                workload=meta.workload,
-                label=meta.config_label,
-                result=res,
-                baseline=result.baseline_result(meta),
-            )
-        )
-    return figure7.assemble(grid)
-
-
-def _figure8(spec: SweepSpec, result: SweepResult):
-    from . import figure8
-
-    grids = {cfg.label: result.grid(config_label=cfg.label) for cfg in spec.configs}
-    return figure8.assemble(grids)
-
-
-def _figure9(spec: SweepSpec, result: SweepResult):
-    from . import figure9
-
-    return figure9.assemble(result.grid())
-
-
-def _extension_cmp(spec: SweepSpec, result: SweepResult):
-    from . import extension_cmp
-
-    thread_counts = [tp.n_threads for tp in spec.grid.threads]
-    series_by_workload: dict = {
-        w: {pf.effective_label: [] for pf in spec.prefetchers} for w in spec.workloads
-    }
-    for meta, res in result.candidates():
-        baseline = result.baseline_result(meta)
-        series_by_workload[meta.workload][meta.label].append(
-            res.improvement_over(baseline)
-        )
-    return extension_cmp.assemble(series_by_workload, thread_counts)
-
-
-_ASSEMBLERS = {
-    "table1": _table1,
-    "figure4": _figure4,
-    "figure5": _figure5,
-    "figure6": _figure6,
-    "figure7": _figure7,
-    "figure8": _figure8,
-    "figure9": _figure9,
-    "extension_cmp": _extension_cmp,
-}
 
 
 def run_experiment(
@@ -211,26 +98,13 @@ def run_experiment(
     records: Optional[int] = None,
     seed: Optional[int] = None,
     policy: "Optional[ExecutionPolicy]" = None,
-    workloads: Optional[Sequence[str]] = None,
-    thread_counts: Optional[Sequence[int]] = None,
 ):
     """Run one paper artifact from its committed spec.
 
-    Returns the same result object as the experiment module's historical
-    ``run()`` (``TableResult``, ``FigureResult``, panel containers), and
-    the values are bit-identical — the spec expands to the same job grid
-    the imperative code used to build.
+    ``name`` is an :data:`~repro.experiments.EXPERIMENTS` id.  Returns
+    the module's rendered result (``TableResult``, ``FigureResult`` or a
+    panel container); ``policy`` sets fan-out, retries and
+    checkpointing without changing any value.
     """
     spec = load_experiment_spec(name, records=records, seed=seed)
-    if workloads is not None:
-        spec = spec.replace(workloads=list(workloads))
-    if thread_counts is not None:
-        total = records if records is not None else spec.grid.records
-        spec = spec.with_grid(
-            threads=[
-                {"n_threads": n, "records": max(20_000, total // n)}
-                for n in thread_counts
-            ]
-        )
-    result = sweep_for(spec, policy=policy)
-    return _ASSEMBLERS[name](spec, result)
+    return EXPERIMENTS[name].assemble(spec, sweep_for(spec, policy=policy))

@@ -10,45 +10,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..analysis.calibration import TABLE1_TARGETS, CalibrationReport, check_baseline
-from .common import (
-    DEFAULT_RECORDS,
-    DEFAULT_SEED,
-    TableResult,
-    default_config,
-    warn_spec_deprecation,
-)
+from ..analysis.calibration import TABLE1_TARGETS
+from .common import TableResult
 
 if TYPE_CHECKING:
-    from ..resilience.policy import ExecutionPolicy
+    from ..spec import SweepResult, SweepSpec
 
-__all__ = ["run", "run_legacy", "tabulate"]
+__all__ = ["SPEC_FILE", "assemble"]
 
-
-def _reports(
-    records: int, seed: int, config, policy: "ExecutionPolicy | None"
-) -> "list[CalibrationReport]":
-    """One CalibrationReport per Table 1 workload, optionally in parallel."""
-    from ..parallel import JobSpec, resolve_jobs, run_jobs
-
-    workloads = list(TABLE1_TARGETS)
-    if policy is None and resolve_jobs(None) <= 1:
-        return [
-            check_baseline(w, records=records, seed=seed, config=config) for w in workloads
-        ]
-    specs = [
-        JobSpec(workload=w, records=records, seed=seed, config=config, label=w)
-        for w in workloads
-    ]
-    results = run_jobs(specs, policy=policy)
-    return [
-        CalibrationReport(workload=w, measured=result, targets=TABLE1_TARGETS[w])
-        for w, result in zip(workloads, results)
-    ]
+SPEC_FILE = "table1.toml"
 
 
-def tabulate(reports: "list[CalibrationReport]") -> TableResult:
-    """Format calibration reports as the paper's Table 1 layout."""
+def assemble(spec: "SweepSpec", result: "SweepResult") -> TableResult:
+    """Tabulate the sweep's baselines in the paper's Table 1 layout."""
     headers = [
         "workload",
         "CPI",
@@ -61,12 +35,11 @@ def tabulate(reports: "list[CalibrationReport]") -> TableResult:
         "L-miss/1k(paper)",
     ]
     rows = []
-    for report in reports:
-        targets = report.targets
-        m = report.measured
+    for meta, m in result.baselines():
+        targets = TABLE1_TARGETS[meta.workload]
         rows.append(
             [
-                report.workload,
+                meta.workload,
                 f"{m.cpi:.2f}",
                 f"{targets.cpi_overall:.2f}",
                 f"{m.epochs_per_kilo_inst:.2f}",
@@ -83,25 +56,3 @@ def tabulate(reports: "list[CalibrationReport]") -> TableResult:
         headers=headers,
         rows=rows,
     )
-
-
-def run_legacy(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> TableResult:
-    """The historical imperative path; kept for equivalence testing."""
-    config = default_config()
-    return tabulate(_reports(records, seed, config, policy))
-
-
-def run(
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    policy: "ExecutionPolicy | None" = None,
-) -> TableResult:
-    """Deprecated: the experiment is driven by specs/table1.toml now."""
-    warn_spec_deprecation("table1", "table1.toml")
-    from .from_spec import run_experiment
-
-    return run_experiment("table1", records=records, seed=seed, policy=policy)

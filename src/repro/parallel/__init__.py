@@ -5,26 +5,29 @@ The paper's evaluation is a pile of embarrassingly parallel
 ``ProcessPoolExecutor`` while guaranteeing results bit-identical to
 sequential execution.  Worker count comes from the ``-j/--jobs`` CLI
 flag, the ``jobs`` field of the :class:`~repro.resilience.ExecutionPolicy`
-passed to the experiment entry points, or the ``REPRO_JOBS`` environment
-variable (``0`` = all cores; default 1).  Execution itself — retries,
-timeouts, checkpoints, fault injection — lives in
+passed to :func:`repro.spec.run_spec` or
+:func:`repro.experiments.from_spec.run_experiment`, or the ``REPRO_JOBS``
+environment variable (``0`` = all cores; default 1).  Execution itself —
+retries, timeouts, checkpoints, fault injection — lives in
 :mod:`repro.resilience`; ``run_jobs`` is a thin policy-applying wrapper
-over its executor.
+over its executor.  Whole grids are declared as sweep specs and lowered
+to ``JobSpec`` lists by :func:`repro.spec.expand`.
 
->>> from repro.parallel import ParallelSweepRunner
->>> grid = ParallelSweepRunner(records=40_000, jobs=4).sweep(
-...     labels=["4", "8"],
-...     prefetcher_factory=lambda label: make_sweep_ebcp(int(label)),
-...     config=idealized_config(),
-... )  # doctest: +SKIP
+>>> from repro.engine.config import ProcessorConfig
+>>> from repro.parallel import JobSpec, run_jobs
+>>> specs = [
+...     JobSpec(workload=w, records=40_000, seed=7,
+...             config=ProcessorConfig.scaled(), prefetcher=None,
+...             label="baseline")
+...     for w in ("tpcw", "database")
+... ]
+>>> results = run_jobs(specs, jobs=2)  # doctest: +SKIP
 """
 
 from .jobs import JobSpec, resolve_jobs, run_job, run_jobs, warm_trace_cache
-from .runner import ParallelSweepRunner
 
 __all__ = [
     "JobSpec",
-    "ParallelSweepRunner",
     "resolve_jobs",
     "run_job",
     "run_jobs",

@@ -10,7 +10,7 @@ and output hints.  One spec runs three ways with bit-identical results:
   ``sweep``), with per-job results streamed back as they settle;
 * the committed ``specs/*.toml`` files — the paper experiments
   (``table1``, ``figure4``–``figure9``, ``extension_cmp``) are loaded
-  from these by :mod:`repro.experiments.from_spec`.
+  from these by :func:`repro.experiments.from_spec.run_experiment`.
 
 Schema versioning and the wire format are documented in DESIGN.md.
 """

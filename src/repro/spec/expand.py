@@ -11,10 +11,9 @@ Baseline dedup
 A baseline (no-prefetching) run depends only on the grid cell —
 ``(workload, seed, records, n_threads, scale, config fingerprint)`` —
 never on the candidate list, so one baseline job serves every candidate
-in its cell.  Cells are keyed by the built config's *fingerprint*, so
-two config variants that resolve to the same processor share one
-baseline (the declarative generalisation of
-:class:`~repro.parallel.ParallelSweepRunner`'s per-runner memo).
+in its cell.  Cells are keyed by the built config's *fingerprint* —
+exact and stable across processes, unlike ``hash()`` — so two config
+variants that resolve to the same processor share one baseline.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ class SweepResult:
             if meta.kind == "baseline":
                 yield meta, result
 
-    # -- the legacy sweep-grid shape ------------------------------------
+    # -- the sweep-grid shape the figure assembly steps consume --------
 
     def grid(
         self,
@@ -107,7 +107,7 @@ class SweepResult:
 
         Selects one config variant (default: the only one) and one
         thread point (default: the only one); a grid over several seeds
-        is rejected because the legacy shape cannot carry it.
+        is rejected because the grid shape cannot carry it.
         """
         if len(self.spec.grid.seeds) != 1:
             raise ValueError("grid() needs a single-seed spec")
@@ -172,7 +172,6 @@ def run_spec(
     spec: SweepSpec,
     policy: Optional[ExecutionPolicy] = None,
     bus: Optional[object] = None,
-    jobs: Optional[int] = None,
 ) -> SweepResult:
     """Execute ``spec`` locally and return its :class:`SweepResult`.
 
@@ -180,13 +179,12 @@ def run_spec(
     given (the CLI builds it by merging explicit flags over the block);
     otherwise the block's values apply.  Execution goes through
     :func:`repro.parallel.run_jobs` — pool management, retries,
-    checkpointing and the cross-call trace-warm registry all behave
-    exactly as for the imperative runners, which is what keeps spec runs
-    bit-identical to them.
+    checkpointing and the cross-call trace-warm registry — so results
+    are bit-identical at any worker count.
     """
     plan = expand(spec)
     if policy is None:
         policy = spec.execution.to_policy()
     with _kernel_env(spec.execution.kernel):
-        results = run_jobs(plan.jobs, jobs=jobs, policy=policy, bus=bus)
+        results = run_jobs(plan.jobs, policy=policy, bus=bus)
     return SweepResult(spec=spec, plan=plan, results=tuple(results))

@@ -12,11 +12,10 @@ from repro.analysis.metrics import (
     miss_rate_split,
 )
 from repro.analysis.reporting import banner, format_percent, format_series, format_table
-from repro.analysis.sweep import SweepRunner
-from repro.engine.config import ProcessorConfig
 from repro.engine.stats import SimulationResult, SimulationStats
 from repro.memory.request import AccessKind
-from repro.prefetchers.none import NoPrefetcher
+from repro.resilience import ExecutionPolicy
+from repro.spec import SPEC_VERSION, SweepSpec, run_spec
 
 
 def result_with(cpi_offchip_cycles: float, epochs=100, workload="w", prefetcher="p"):
@@ -86,40 +85,65 @@ class TestReporting:
         assert text.splitlines()[1] == "hello"
 
 
-class TestSweepRunner:
-    def test_baseline_cached_per_config(self):
-        runner = SweepRunner(records=4000, workloads=("pointer_chase",))
-        # pointer_chase is synthetic: trace() must still work through the
-        # registry.
-        config = ProcessorConfig.scaled()
-        a = runner.baseline("pointer_chase", config)
-        b = runner.baseline("pointer_chase", config)
-        assert a is b
+def grid_spec(**overrides) -> SweepSpec:
+    payload = {
+        "version": SPEC_VERSION,
+        "name": "grid",
+        "workloads": ["pointer_chase", "random_uniform"],
+        "grid": {"records": 3000, "seeds": [7]},
+        "prefetchers": [
+            {"name": "ebcp", "label": "x", "overrides": {"prefetch_degree": 2}},
+            {"name": "stream", "label": "y"},
+        ],
+    }
+    payload.update(overrides)
+    return SweepSpec.from_dict(payload)
 
-    def test_run_point_improvement_sign(self):
-        runner = SweepRunner(records=4000, workloads=("pointer_chase",))
-        config = ProcessorConfig.scaled()
-        point = runner.run_point("pointer_chase", config, NoPrefetcher(), "none")
-        assert point.improvement == pytest.approx(0.0, abs=1e-9)
 
-    def test_sweep_requires_exactly_one_config_source(self):
-        runner = SweepRunner(records=1000, workloads=("pointer_chase",))
-        with pytest.raises(ValueError):
-            runner.sweep(["a"], lambda label: NoPrefetcher())
-        with pytest.raises(ValueError):
-            runner.sweep(
-                ["a"],
-                lambda label: NoPrefetcher(),
-                config=ProcessorConfig.scaled(),
-                config_factory=lambda label: ProcessorConfig.scaled(),
-            )
+class TestSweepGrid:
+    """``SweepResult.grid()``: the per-workload SweepPoint view of a run."""
 
-    def test_sweep_grid_shape(self):
-        runner = SweepRunner(records=3000, workloads=("pointer_chase", "random_uniform"))
-        grid = runner.sweep(
-            ["x", "y"],
-            lambda label: NoPrefetcher(),
-            config=ProcessorConfig.scaled(),
-        )
-        assert set(grid) == {"pointer_chase", "random_uniform"}
-        assert [p.label for p in grid["pointer_chase"]] == ["x", "y"]
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({}, None),
+            ({"grid": {"records": 3000, "seeds": [7, 8]}}, "single-seed"),
+            (
+                {
+                    "configs": [
+                        {"label": "a"},
+                        {"label": "b", "overrides": {"prefetch_buffer_entries": 128}},
+                    ]
+                },
+                "config_label",
+            ),
+            (
+                {
+                    "grid": {
+                        "records": 3000,
+                        "seeds": [7],
+                        "threads": [{"n_threads": 0}, {"n_threads": 2}],
+                    }
+                },
+                "n_threads",
+            ),
+        ],
+        ids=["shape", "several_seeds", "several_configs", "several_threads"],
+    )
+    def test_grid(self, overrides, error):
+        result = run_spec(grid_spec(**overrides), policy=ExecutionPolicy(jobs=1))
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                result.grid()
+            return
+        grid = result.grid()
+        assert list(grid) == ["pointer_chase", "random_uniform"]
+        baselines = {meta.workload: res for meta, res in result.baselines()}
+        for workload, points in grid.items():
+            assert [p.label for p in points] == ["x", "y"]
+            for point in points:
+                assert point.workload == workload
+                assert point.baseline is baselines[workload]
+                assert point.improvement == point.result.improvement_over(
+                    baselines[workload]
+                )

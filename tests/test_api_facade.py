@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro import api
+from repro.experiments.from_spec import spec_path
 
 
 def test_every_exported_name_resolves():
@@ -32,8 +33,9 @@ def test_experiments_registry_is_complete():
         "figure9",
         "extension_cmp",
     }
-    for module in api.EXPERIMENTS.values():
-        assert callable(module.run)
+    for name, module in api.EXPERIMENTS.items():
+        assert callable(module.assemble), name
+        assert spec_path(name).is_file(), name
 
 
 def test_execution_policy_reaches_run_jobs():

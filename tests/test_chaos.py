@@ -2,7 +2,7 @@
 
 Gated behind ``REPRO_CHAOS=1`` (the CI workflow runs it as a dedicated
 step) because it deliberately crashes pool workers and corrupts cache
-entries.  Each scenario drives the real public stack — sweep runner,
+entries.  Each scenario drives the real public stack — ``run_spec``,
 executor, on-disk caches — under ``REPRO_FAULT_*`` injection and asserts
 the end state is bit-identical to an undisturbed run.
 """
@@ -21,13 +21,13 @@ from pathlib import Path
 import pytest
 
 import repro.resilience.faults as faults_mod
-from repro.analysis.sweep import SweepRunner
 from repro.engine.config import ProcessorConfig
 from repro.obs.bus import global_bus, reset_global_bus
 from repro.obs.events import CacheQuarantined
 from repro.parallel import JobSpec, run_jobs
 from repro.prefetchers.registry import build_prefetcher
 from repro.resilience import ExecutionPolicy, FaultSpec, verify_checksum
+from repro.spec import SPEC_VERSION, SweepSpec, run_spec
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_CHAOS") != "1",
@@ -47,15 +47,20 @@ def _fresh_fault_claims():
 def test_sweep_survives_worker_crashes(tmp_path, monkeypatch):
     """Every pool worker crashes once; the sweep result is unchanged."""
     monkeypatch.setenv("REPRO_FORCE_POOL", "1")
-    config = ProcessorConfig.scaled()
-    labels = ["2", "4"]
-
-    def factory(label):
-        return build_prefetcher("ebcp", prefetch_degree=int(label))
-
-    clean = SweepRunner(records=RECORDS, workloads=("tpcw",)).sweep(
-        labels, factory, config=config
+    spec = SweepSpec.from_dict(
+        {
+            "version": SPEC_VERSION,
+            "name": "chaos",
+            "workloads": ["tpcw"],
+            "grid": {"records": RECORDS, "seeds": [7]},
+            "prefetchers": [
+                {"name": "ebcp", "label": label, "overrides": {"prefetch_degree": int(label)}}
+                for label in ("2", "4")
+            ],
+        }
     )
+
+    clean = run_spec(spec).grid()
     policy = ExecutionPolicy(
         jobs=2,
         retries=2,
@@ -65,9 +70,7 @@ def test_sweep_survives_worker_crashes(tmp_path, monkeypatch):
             crash="*:1", state_dir=str(tmp_path / "fault-state")
         ),
     )
-    chaotic = SweepRunner(records=RECORDS, workloads=("tpcw",)).sweep(
-        labels, factory, config=config, policy=policy
-    )
+    chaotic = run_spec(spec, policy=policy).grid()
     for seq, par in zip(clean["tpcw"], chaotic["tpcw"]):
         assert seq.label == par.label
         assert seq.result.stats.to_dict() == par.result.stats.to_dict()

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.prefetcher import EpochBasedCorrelationPrefetcher
 from repro.engine.config import ProcessorConfig
-from repro.experiments.common import (
-    FigureResult,
-    TableResult,
-    bandwidth_config,
-    default_config,
-    idealized_config,
-    make_sweep_ebcp,
-    memoized,
-)
+from repro.experiments import figure4, figure7, figure8
+from repro.experiments.common import FigureResult, TableResult, memoized
+from repro.experiments.from_spec import load_experiment_spec
+from repro.spec import expand
+
+SCALED = ProcessorConfig.scaled()
+
+
+def planned(name: str, kind: str = "candidate"):
+    """``(meta, job)`` pairs of one kind from an experiment's expanded spec.
+
+    Expansion builds configs and prefetchers without simulating, so
+    these tests pin the Section 5.2 settings at no run-time cost.
+    """
+    plan = expand(load_experiment_spec(name))
+    return [(m, j) for m, j in zip(plan.meta, plan.jobs) if m.kind == kind]
 
 
 class TestFigureResult:
@@ -50,33 +58,71 @@ class TestTableResult:
 
 
 class TestConfigs:
+    """The processor configurations the committed specs expand to."""
+
     def test_default_is_scaled(self):
-        assert default_config().l2.size_bytes == ProcessorConfig.scaled().l2.size_bytes
+        for name in ("table1", "figure6", "figure9"):
+            for kind in ("baseline", "candidate"):
+                for _, job in planned(name, kind):
+                    assert job.config.fingerprint() == SCALED.fingerprint(), name
 
     def test_default_with_overrides(self):
-        config = default_config(prefetch_buffer_entries=128)
-        assert config.prefetch_buffer_entries == 128
+        """Figure 7: the scaled default with only the buffer size swept."""
+        candidates = planned("figure7")
+        for workload in {meta.workload for meta, _ in candidates}:
+            configs = [job.config for meta, job in candidates if meta.workload == workload]
+            sizes = tuple(config.prefetch_buffer_entries for config in configs)
+            assert sizes == figure7.BUFFER_ENTRIES
+            for config in configs:
+                reset = config.replace(prefetch_buffer_entries=SCALED.prefetch_buffer_entries)
+                assert reset.fingerprint() == SCALED.fingerprint()
 
     def test_idealized_buffer(self):
-        assert idealized_config().prefetch_buffer_entries == 1024
+        for name in ("figure4", "figure8"):
+            for kind in ("baseline", "candidate"):
+                for _, job in planned(name, kind):
+                    assert job.config.prefetch_buffer_entries == 1024, name
 
     def test_bandwidth_config(self):
-        config = bandwidth_config(3.2, 1.6)
-        assert config.read_bw_gbps == 3.2
-        assert config.write_bw_gbps == 1.6
-        assert config.prefetch_buffer_entries == 1024
+        spec = load_experiment_spec("figure8")
+        configs = [cfg.build() for cfg in spec.configs]
+        points = [(config.read_bw_gbps, config.write_bw_gbps) for config in configs]
+        assert points == list(figure8.BANDWIDTH_POINTS)
+        assert [cfg.label for cfg in spec.configs] == [
+            f"{read:g}" for read, _ in figure8.BANDWIDTH_POINTS
+        ]
+        for config in configs:
+            reset = config.replace(
+                prefetch_buffer_entries=SCALED.prefetch_buffer_entries,
+                read_bw_gbps=SCALED.read_bw_gbps,
+                write_bw_gbps=SCALED.write_bw_gbps,
+            )
+            assert reset.fingerprint() == SCALED.fingerprint()
 
 
 class TestSweepEBCP:
+    """The EBCP settings the committed specs expand to."""
+
     def test_idealized_defaults(self):
-        pf = make_sweep_ebcp(degree=16)
-        assert pf.config.prefetch_degree == 16
-        assert pf.config.effective_addrs_per_entry == 32
-        assert pf.config.table_entries == 1024 * 1024
+        for name, degrees in (("figure4", figure4.DEGREES), ("figure8", figure8.DEGREES)):
+            candidates = planned(name)
+            assert {int(meta.label) for meta, _ in candidates} == set(degrees)
+            for meta, job in candidates:
+                pf = job.prefetcher
+                assert type(pf) is EpochBasedCorrelationPrefetcher
+                assert pf.config.prefetch_degree == int(meta.label)
+                assert pf.config.table_entries == 1024 * 1024
+                assert pf.config.effective_addrs_per_entry == 32
+                assert pf.config.entry_bytes == 256
 
     def test_small_entry_keeps_64b(self):
-        pf = make_sweep_ebcp(degree=4, addrs_per_entry=8)
-        assert pf.config.entry_bytes == 64
+        """Figure 9's EBCP and EBCP-minus store 6 addresses in 64 B entries."""
+        candidates = planned("figure9")
+        ebcps = [job for meta, job in candidates if meta.label in ("ebcp", "ebcp_minus")]
+        assert len(ebcps) == 2 * len({meta.workload for meta, _ in candidates})
+        for job in ebcps:
+            assert job.prefetcher.config.effective_addrs_per_entry == 6
+            assert job.prefetcher.config.entry_bytes == 64
 
 
 class TestMemo:

@@ -1,4 +1,4 @@
-"""Shape tests over the paper-figure experiment modules.
+"""Shape tests over the paper-figure experiments.
 
 These run the real experiment harness at a reduced trace length and
 assert the paper's *qualitative* findings — orderings, knees and
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import figure6, figure7, figure9, table1
+from repro.experiments import figure9
 from repro.experiments.common import DEFAULT_RECORDS
+from repro.experiments.from_spec import run_experiment
 from repro.workloads.registry import COMMERCIAL_WORKLOADS
 
 RECORDS = 140_000  # reduced but still several passes over each workload
@@ -20,12 +21,12 @@ SEED = 7
 
 @pytest.fixture(scope="module")
 def fig9():
-    return figure9.run(records=RECORDS, seed=SEED)
+    return run_experiment("figure9", records=RECORDS, seed=SEED)
 
 
 class TestTable1:
     def test_renders_all_workloads(self):
-        result = table1.run(records=RECORDS, seed=SEED)
+        result = run_experiment("table1", records=RECORDS, seed=SEED)
         text = result.render()
         for workload in COMMERCIAL_WORKLOADS:
             assert workload in text
@@ -36,7 +37,7 @@ class TestTable1:
         every Table 1 cell (the full-length bench is much tighter).
         Tiny-magnitude cells (< 0.5 events/kinst) get an absolute bound
         instead: relative error on 0.1-ish rates is dominated by noise."""
-        result = table1.run(records=RECORDS, seed=SEED)
+        result = run_experiment("table1", records=RECORDS, seed=SEED)
         for row in result.rows:
             for measured_col, paper_col in ((1, 2), (3, 4), (5, 6), (7, 8)):
                 measured = float(row[measured_col])
@@ -103,7 +104,7 @@ class TestFigure9Shape:
 
 class TestFigure6Shape:
     def test_table_size_knee(self):
-        result = figure6.run(records=RECORDS, seed=SEED)
+        result = run_experiment("figure6", records=RECORDS, seed=SEED)
         for workload in COMMERCIAL_WORKLOADS:
             tiny = result.value(workload, 1024)
             big = result.value(workload, 128 * 1024)
@@ -115,7 +116,7 @@ class TestFigure6Shape:
 
 class TestFigure7Shape:
     def test_buffer_size_knee(self):
-        result = figure7.run(records=RECORDS, seed=SEED)
+        result = run_experiment("figure7", records=RECORDS, seed=SEED)
         for workload in COMMERCIAL_WORKLOADS:
             small = result.value(workload, 16)
             tuned = result.value(workload, 64)

@@ -1,4 +1,4 @@
-"""repro.parallel: job specs, the pool primitive, and the parallel runner."""
+"""repro.parallel: job specs and the pool primitive."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import pickle
 import pytest
 
 import repro.resilience.executor as executor_mod
-from repro.analysis.sweep import SweepRunner
 from repro.engine.config import ProcessorConfig
-from repro.parallel import JobSpec, ParallelSweepRunner, resolve_jobs, run_jobs
+from repro.parallel import JobSpec, resolve_jobs, run_jobs
 from repro.prefetchers.registry import PREFETCHERS, build_prefetcher
 
 RECORDS = 4_000
@@ -151,76 +150,3 @@ class TestRunJobs:
         bad.workload = "no-such-workload"
         with pytest.raises(KeyError):
             run_jobs([bad], jobs=1)
-
-
-class TestParallelSweepRunner:
-    def test_matches_sequential_sweep_bit_for_bit(self):
-        labels = ["2", "4"]
-        config = ProcessorConfig.scaled()
-
-        def factory(label):
-            return build_prefetcher("ebcp", prefetch_degree=int(label))
-
-        sequential = SweepRunner(records=RECORDS, workloads=WORKLOADS).sweep(
-            labels, factory, config=config
-        )
-        parallel = ParallelSweepRunner(
-            records=RECORDS, workloads=WORKLOADS, jobs=2
-        ).sweep(labels, factory, config=config)
-
-        assert list(sequential) == list(parallel)
-        for workload in sequential:
-            for seq, par in zip(sequential[workload], parallel[workload]):
-                assert seq.label == par.label
-                assert seq.result.stats.to_dict() == par.result.stats.to_dict()
-                assert seq.baseline.stats.to_dict() == par.baseline.stats.to_dict()
-
-    def test_shared_baselines_deduplicated(self, monkeypatch):
-        """One fixed config -> one baseline job per workload, however many labels."""
-        submitted = []
-        real_run_jobs = run_jobs
-
-        def counting_run_jobs(specs, jobs=None, **kwargs):
-            submitted.extend(specs)
-            return real_run_jobs(specs, 1)
-
-        import repro.parallel.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod, "run_jobs", counting_run_jobs)
-        runner = ParallelSweepRunner(records=RECORDS, workloads=WORKLOADS, jobs=2)
-        runner.sweep(
-            ["2", "4", "6"],
-            lambda label: build_prefetcher("ebcp", prefetch_degree=int(label)),
-            config=ProcessorConfig.scaled(),
-        )
-        baselines = [s for s in submitted if s.prefetcher is None]
-        assert len(baselines) == len(WORKLOADS)
-        assert len(submitted) == len(WORKLOADS) * (3 + 1)
-        assert len(runner.baseline_memo) == len(WORKLOADS)
-
-    def test_baseline_memo_shared_with_sequential_runner(self):
-        """SweepRunner(jobs=2) fills the same memo its sequential path uses."""
-        runner = SweepRunner(records=RECORDS, workloads=WORKLOADS)
-        config = ProcessorConfig.scaled()
-        runner.sweep(
-            ["2"],
-            lambda label: build_prefetcher("ebcp", prefetch_degree=int(label)),
-            config=config,
-            jobs=2,
-        )
-        assert len(runner._baselines) == len(WORKLOADS)
-        # The sequential baseline path now hits the memo, not the simulator.
-        memoised = runner._baselines[("tpcw", config.fingerprint())]
-        assert runner.baseline("tpcw", config) is memoised
-
-    def test_requires_exactly_one_config_source(self):
-        runner = ParallelSweepRunner(records=RECORDS, workloads=WORKLOADS)
-        with pytest.raises(ValueError):
-            runner.sweep(["2"], lambda label: None)
-        with pytest.raises(ValueError):
-            runner.sweep(
-                ["2"],
-                lambda label: None,
-                config=ProcessorConfig.scaled(),
-                config_factory=lambda label: ProcessorConfig.scaled(),
-            )

@@ -367,20 +367,23 @@ class TestPolicyThreadsThroughTheStack:
         assert result.stats.to_dict() == clean.stats.to_dict()
 
     def test_sweep_runner_accepts_policy(self, tmp_path):
-        from repro.analysis.sweep import SweepRunner
+        """``run_spec``, the sweep runner, executes under a given policy."""
+        from repro.spec import SPEC_VERSION, SweepSpec, run_spec
 
-        config = ProcessorConfig.scaled()
-
-        def factory(label):
-            return build_prefetcher("ebcp", prefetch_degree=int(label))
-
-        sequential = SweepRunner(records=RECORDS, workloads=("tpcw",)).sweep(
-            ["2"], factory, config=config
+        spec = SweepSpec.from_dict(
+            {
+                "version": SPEC_VERSION,
+                "name": "policy",
+                "workloads": ["tpcw"],
+                "grid": {"records": RECORDS, "seeds": [7]},
+                "prefetchers": [
+                    {"name": "ebcp", "label": "2", "overrides": {"prefetch_degree": 2}}
+                ],
+            }
         )
+        sequential = run_spec(spec).grid()
         policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
-        resilient = SweepRunner(records=RECORDS, workloads=("tpcw",)).sweep(
-            ["2"], factory, config=config, policy=policy
-        )
+        resilient = run_spec(spec, policy=policy).grid()
         seq, res = sequential["tpcw"][0], resilient["tpcw"][0]
         assert seq.result.stats.to_dict() == res.result.stats.to_dict()
         assert (tmp_path / CheckpointJournal.FILENAME).exists()

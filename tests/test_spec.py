@@ -8,9 +8,9 @@ Four layers, mirroring the redesign's promises:
   ``dump -> loads`` with an identical spec and fingerprint.
 * **Expansion** — the grid lowers to jobs with baselines deduplicated
   per (workload, seed) cell and candidates wired to them by index.
-* **Execution** — ``run_spec`` is bit-identical to the imperative
-  experiment runners, and a spec submitted to a (sharded) service
-  streams back the same results field for field.
+* **Execution** — ``run_spec`` runs a spec locally, and a spec
+  submitted to a (sharded) service streams back the same results field
+  for field.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import table1
-from repro.experiments.from_spec import run_experiment
 from repro.obs import EventBus
 from repro.obs.events import TraceCacheWarmed
 from repro.parallel.jobs import reset_warm_registry, run_jobs
@@ -211,16 +209,6 @@ class TestExpansion:
 
 
 class TestLocalRun:
-    def test_run_spec_matches_legacy_table1(self):
-        from_spec = run_experiment("table1", records=12_000, seed=7, policy=POLICY)
-        legacy = table1.run_legacy(records=12_000, seed=7, policy=POLICY)
-        assert from_spec == legacy
-
-    def test_deprecated_entry_point_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="specs/table1.toml"):
-            shimmed = table1.run(records=12_000, seed=7, policy=POLICY)
-        assert shimmed == table1.run_legacy(records=12_000, seed=7, policy=POLICY)
-
     def test_run_spec_summary_shape(self):
         result = run_spec(spec_of(), policy=POLICY)
         summary = result.summary()
