@@ -260,6 +260,14 @@ def _parse_prewarm(specs: "list[str] | None") -> "tuple[tuple[str, int, int], ..
     return tuple(parsed)
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type: a duration that must be greater than zero."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
+    return value
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the resident simulation service until it drains."""
     import asyncio
@@ -903,9 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
         "process, no front-end)",
     )
     p_srv.add_argument(
-        "--heartbeat-s", type=float, default=2.0, metavar="SECONDS",
+        "--heartbeat-s", type=_positive_seconds, default=2.0, metavar="SECONDS",
         help="sharded only: seconds between supervisor health probes of "
-        "each shard; 0 disables supervision (default: 2.0)",
+        "each shard; must be > 0 (default: 2.0)",
     )
     p_srv.add_argument(
         "--max-restarts", type=int, default=5, metavar="N",

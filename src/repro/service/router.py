@@ -5,28 +5,30 @@ single-shard worker processes, each running an unmodified
 :class:`~repro.service.server.SimulationService` on an ephemeral
 localhost port — its own admission queue, micro-batcher,
 :class:`~repro.resilience.executor.PersistentPool` and
-:class:`~repro.service.cache.ResultCache`.  The front-end:
+:class:`~repro.service.cache.ResultCache`.  Connections, request
+parsing, simulate admission checks, sweep decoding and framing, and
+drain come from the shared :class:`~repro.service.server.FrontEnd`
+core, so both front-ends answer a bad request the same way.  The
+router adds three things:
 
-* **routes** every simulate frame over a consistent-hash ring
-  (:mod:`repro.service.sharding`) keyed by the request's generation
-  parameters + processor-config fingerprint, so every run of one trace
-  lands on the same shard and that shard's trace memo, filter planes
-  and result cache stay hot (locality-preserving request routing);
-* **proxies** at the byte level: an untraced frame is forwarded
-  verbatim over a pooled shard connection and the shard's response is
-  returned with ``"shard": {"index", "pid"}`` metadata attached;
-  a traced frame is re-parented under a ``router:route`` span first,
-  so the client's trace shows the routing hop;
-* **answers control requests itself**: ``ping`` describes the fleet,
-  ``stats``/``metrics`` fan out to every shard and merge the registries
+* **routing**: every simulate frame — a client's, or one job of a sweep
+  the router expanded — takes one routed round-trip over a
+  consistent-hash ring (:mod:`repro.service.sharding`) keyed by the
+  request's generation parameters + processor-config fingerprint, so
+  every run of one trace lands on the same shard and that shard's trace
+  memo, filter planes and result cache stay hot.  An untraced frame is
+  forwarded verbatim over a pooled shard connection; a traced frame is
+  re-parented under a ``router:route`` span first, so the client's
+  trace shows the routing hop.  The answer comes back with
+  ``"shard": {"index", "pid"}`` attached;
+* **fleet aggregation**: ``ping`` describes the fleet, ``stats``/
+  ``metrics`` fan out to every shard and merge the registries
   (:meth:`MetricsRegistry.merge`) into one aggregate *plus* per-shard
-  breakdowns, ``telemetry`` combines every process's spans;
-* **drains gracefully**: stop accepting, finish in-flight proxied
-  requests, pull each shard's spans and metrics (``telemetry`` with
-  ``drain=true``), forward ``shutdown``, and join the processes — so
-  ``--trace-out``/``--metrics-out`` on the front-end cover the whole
-  fleet;
-* **is supervised**: a :class:`~repro.service.supervisor.ShardSupervisor`
+  breakdowns, ``telemetry`` combines every process's spans; at drain
+  each shard's spans and metrics are pulled (``telemetry`` with
+  ``drain=true``) before ``shutdown`` is forwarded and the processes
+  joined, so ``--trace-out``/``--metrics-out`` cover the whole fleet;
+* **supervision**: a :class:`~repro.service.supervisor.ShardSupervisor`
   probes the fleet every ``heartbeat_s``, replaces dead shards in place
   (the ring untouched, so the replacement owns the same key range) and
   executes live resizes requested over the protocol v5 ``admin``
@@ -43,24 +45,17 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import logging
-import os
-import signal
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, Iterable, List, Optional, Tuple
 
-from .. import __version__
 from ..engine.config import ProcessorConfig
 from ..obs.bus import EventBus
-from ..obs.events import Event
 from ..obs.metrics import MetricsRegistry, RouterMetrics
-from ..obs.prometheus import render_prometheus
 from ..obs.tracing import SpanRecorder, TraceContext
-from ..prefetchers.registry import PREFETCHERS
 from ..resilience.policy import ExecutionPolicy
-from ..workloads.registry import WORKLOADS
 from . import protocol
 from .protocol import ErrorCode, ProtocolError, Request, SimulateParams
-from .server import ServiceConfig, SimulationService
+from .server import FrontEnd, ServiceConfig, latency_summary
 from .sharding import HashRing, routing_key
 from .supervisor import (
     ShardInfo,
@@ -73,8 +68,11 @@ __all__ = ["ShardedService", "ShardInfo", "ShardState"]
 
 log = logging.getLogger(__name__)
 
+#: One control reply per shard; ``None`` when the shard was unreachable.
+Replies = List[Tuple[ShardInfo, Optional[Dict[str, Any]]]]
 
-class ShardedService:
+
+class ShardedService(FrontEnd):
     """Front-end acceptor routing requests over shard worker processes.
 
     Speaks the same wire protocol as :class:`SimulationService` on the
@@ -83,6 +81,14 @@ class ShardedService:
     :class:`~repro.service.server.BackgroundService` and the CLI host
     either interchangeably.
     """
+
+    #: Per-shard in-flight bound for sweep jobs; keeps big sweeps from
+    #: monopolising a shard's admission queue (plain simulates keep
+    #: getting through) while still saturating its micro-batcher.
+    SWEEP_SHARD_INFLIGHT = 16
+    #: Bounded retries when a shard answers ``queue_full`` for a sweep
+    #: job (each waits the shard's ``retry_after_s`` hint first).
+    SWEEP_RETRIES = 50
 
     def __init__(
         self,
@@ -96,11 +102,9 @@ class ShardedService:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.config = config or ServiceConfig()
-        self.policy = policy or ExecutionPolicy()
+        super().__init__(config, policy, bus)
         self.workers = workers
         self.shard_start_timeout_s = shard_start_timeout_s
-        self.bus = bus
         self.registry = MetricsRegistry()
         self.metrics = RouterMetrics(self.registry)
         #: Router spans; at drain every shard's spans are absorbed here,
@@ -108,7 +112,6 @@ class ShardedService:
         self.recorder = SpanRecorder("router")
         self.ring = HashRing(f"shard-{i}" for i in range(workers))
         self.shards: List[ShardInfo] = []
-        self.address: Optional[Tuple[str, int]] = None
         #: Shard lifecycle owner (probes, respawns, live resize).
         self.supervisor = ShardSupervisor(
             self, heartbeat_s=heartbeat_s, max_restarts=max_restarts
@@ -116,32 +119,18 @@ class ShardedService:
 
         self._by_name: Dict[str, ShardInfo] = {}
         self._config_fp: Optional[tuple] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._drain_requested: Optional[asyncio.Event] = None
-        self._draining = False
-        self._busy_handlers = 0
-        self._writers: "set[asyncio.StreamWriter]" = set()
-        self._started_at = time.monotonic()
+        self._sweep_slots: Dict[str, asyncio.Semaphore] = {}
         #: Final telemetry payloads of shards removed by a live resize —
         #: their request counts keep counting in fleet aggregates.
-        self._retired: List[Tuple[int, Dict[str, Any]]] = []
+        self._retired: Replies = []
         #: Fleet-wide metric snapshot frozen at drain (``merged_metrics``).
         self._final_metrics: Optional[Dict[str, Any]] = None
-
-    def emit(self, event: Event) -> None:
-        """Publish an obs event when a bus is attached and listening."""
-        bus = self.bus
-        if bus is not None and bus.wants(type(event)):
-            bus.emit(event)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Spawn the shards, bind the front-end, return ``(host, port)``."""
-        self._loop = asyncio.get_running_loop()
-        self._drain_requested = asyncio.Event()
         self._config_fp = ProcessorConfig.scaled().fingerprint()
 
         # Partition the prewarm working set the same way requests will
@@ -182,15 +171,7 @@ class ShardedService:
             self._by_name[shard.name] = shard
         self.shards.sort(key=lambda s: s.index)
 
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
-        self._started_at = time.monotonic()
+        await self._listen()
         self.metrics.shards.set(float(len(self.shards)))
         self.supervisor.start()
         log.info(
@@ -202,61 +183,14 @@ class ShardedService:
         )
         return self.address
 
-    async def run(self, install_signal_handlers: bool = False) -> None:
-        """Serve until drained, then wind the whole fleet down."""
-        if self._server is None:
-            await self.start()
-        if install_signal_handlers:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.begin_drain)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-        assert self._drain_requested is not None
-        await self._drain_requested.wait()
-
-        # In-flight proxied requests finish within the grace period.
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        while self._busy_handlers and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-
+    async def _wind_down(self) -> None:
         # Stop the supervisor first: no probe, respawn or resize may
         # race the fleet teardown below.
         await self.supervisor.stop()
         await self._collect_final_telemetry()
-        await self._shutdown_shards()
-        for writer in list(self._writers):
-            writer.close()
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
+        await self._fan_out("shutdown")
+        await self._close_links()
         self._join_shards()
-        log.info("sharded service drained and stopped")
-
-    def begin_drain(self) -> None:
-        """Stop admission; in-flight requests and the fleet still drain."""
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        if self._drain_requested is not None:
-            self._drain_requested.set()
-        log.info("sharded service draining (no new requests admitted)")
-
-    def begin_drain_threadsafe(self) -> None:
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(self.begin_drain)
-        except RuntimeError:
-            pass
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # ------------------------------------------------------------------
     # Shard links
@@ -307,6 +241,7 @@ class ShardedService:
         finally:
             shard.inflight -= 1
 
+
     async def _close_links(self) -> None:
         for shard in self.shards:
             while shard.idle:
@@ -344,187 +279,66 @@ class ShardedService:
             return None
         return frame.get("result", {})
 
-    async def _fan_out(
-        self, request_type: str, **params: Any
-    ) -> List[Optional[Dict[str, Any]]]:
+    async def _fan_out(self, request_type: str, **params: Any) -> Replies:
         """One control request against every shard, concurrently."""
-        return list(
-            await asyncio.gather(
-                *(self._shard_control(s, request_type, **params) for s in self.shards)
-            )
+        shards = list(self.shards)
+        payloads = await asyncio.gather(
+            *(self._shard_control(s, request_type, **params) for s in shards)
         )
+        return list(zip(shards, payloads))
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Routed requests
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        protocol.encode_frame(
-                            protocol.error_response(
-                                "",
-                                ErrorCode.MALFORMED_FRAME,
-                                f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                self._busy_handlers += 1
-                try:
-                    response = await self._handle_frame(line, writer)
-                finally:
-                    self._busy_handlers -= 1
-                writer.write(response)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Drain closes connections out from under blocked readlines;
-            # a cancelled handler is normal shutdown, not an error.
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _handle_frame(
-        self, line: bytes, writer: Optional[asyncio.StreamWriter] = None
-    ) -> bytes:
-        try:
-            request = protocol.parse_request(line)
-        except ProtocolError as exc:
-            request_id = str(exc.details.get("request_id", ""))
-            details = {k: v for k, v in exc.details.items() if k != "request_id"}
-            return protocol.encode_frame(
-                protocol.error_response(request_id, exc.code, exc.message, **details)
-            )
-        if request.type == "simulate":
-            return await self._proxy_simulate(request, line)
-        if request.type == "sweep":
-            return await self._proxy_sweep(request, writer)
-        if request.type == "ping":
-            payload: Dict[str, Any] = self._ping_payload()
-        elif request.type == "stats":
-            payload = await self._stats_payload()
-        elif request.type == "metrics":
-            payload = await self._metrics_payload()
-        elif request.type == "telemetry":
-            payload = await self._telemetry_payload(request.params)
-        elif request.type == "admin":
-            return await self._handle_admin(request)
-        else:  # shutdown
-            self.begin_drain()
-            payload = {"draining": True}
-        return protocol.encode_frame(protocol.ok_response(request.id, payload))
-
-    async def _handle_admin(self, request: Request) -> bytes:
-        """Fleet control (protocol v5): currently ``resize``."""
-        if self._draining:
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.SHUTTING_DOWN, "service is draining"
-                )
-            )
-        command = request.params.get("command")
-        if command != "resize":
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id,
-                    ErrorCode.INVALID_REQUEST,
-                    f"unknown admin command {command!r}",
-                    known=["resize"],
-                )
-            )
-        workers = request.params.get("workers")
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id,
-                    ErrorCode.INVALID_REQUEST,
-                    "resize requires a positive integer 'workers'",
-                )
-            )
-        try:
-            result = await self.supervisor.resize(workers)
-        except Exception as exc:  # pragma: no cover - spawn failure
-            log.exception("resize to %d workers failed", workers)
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.INTERNAL, f"resize failed: {exc}"
-                )
-            )
-        return protocol.encode_frame(protocol.ok_response(request.id, result))
-
-    async def _proxy_simulate(self, request: Request, line: bytes) -> bytes:
-        """Route one simulate frame to its shard and relay the answer."""
-        if self._draining:
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id,
-                    ErrorCode.SHUTTING_DOWN,
-                    "service is draining; not admitting",
-                )
-            )
-        try:
-            params = SimulateParams.from_dict(request.params)
-            self._validate_names(params)
-        except ProtocolError as exc:
-            return protocol.encode_frame(
-                protocol.error_response(request.id, exc.code, exc.message, **exc.details)
-            )
+    def _route_key(self, params: SimulateParams) -> str:
+        """Every run of one (trace, built config) cell routes to one shard."""
         config_fp = self._config_fp
         if params.config is not None:
-            # v4 extended simulate: route by the job's *built* config, so
-            # every run of one (trace, config) cell lands on one shard.
             from ..spec.wire import config_from_wire
 
-            try:
-                config_fp = config_from_wire(params.config).fingerprint()
-            except Exception as exc:
-                return protocol.encode_frame(
-                    protocol.error_response(
-                        request.id, ErrorCode.INVALID_REQUEST, f"bad config payload: {exc}"
-                    )
-                )
-        key = routing_key(params.workload, params.records, params.seed, config_fp)
+            config_fp = config_from_wire(params.config).fingerprint()
+        return routing_key(params.workload, params.records, params.seed, config_fp)
+
+    async def _routed(
+        self, request: Request, line: bytes, key: str, bounded: bool = False
+    ) -> Dict[str, Any]:
+        """Route one simulate frame by ``key``; the owner's stamped answer.
+
+        Failures come back as error frames.  While the owner is being
+        replaced, or when its link fails (the supervisor is told), the
+        error is a retryable ``queue_full``: the key range is served
+        again within a heartbeat or two, which the SDK's retry absorbs.
+        ``bounded`` holds one of the shard's sweep slots for the trip.
+        """
         try:
             shard = self._by_name[self.ring.route(key)]
-        except (KeyError, LookupError):
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.INTERNAL, "no live shards behind the ring"
-                )
+        except LookupError:
+            return protocol.error_response(
+                request.id, ErrorCode.INTERNAL, "no live shards behind the ring"
             )
         if shard.state in (ShardState.RESPAWNING, ShardState.DEAD):
-            # Fail fast and retryable: the shard is being replaced, and
-            # its key range will be served again within a heartbeat or
-            # two — the SDK's queue_full retry absorbs the window.
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id,
-                    ErrorCode.QUEUE_FULL,
-                    f"{shard.name} is being replaced; retry shortly",
-                    retry_after_s=self.supervisor.retry_after_s(),
-                )
+            return protocol.error_response(
+                request.id,
+                ErrorCode.QUEUE_FULL,
+                f"{shard.name} is being replaced; retry shortly",
+                retry_after_s=self.supervisor.retry_after_s(),
             )
         self.metrics.count_route(shard.name)
+        if not bounded:
+            return await self._forward(shard, request, line)
+        slot = self._sweep_slots.get(shard.name)
+        if slot is None:
+            slot = self._sweep_slots[shard.name] = asyncio.Semaphore(
+                max(1, min(self.SWEEP_SHARD_INFLIGHT, self.config.queue_size // 2))
+            )
+        async with slot:
+            return await self._forward(shard, request, line)
 
+    async def _forward(
+        self, shard: ShardInfo, request: Request, line: bytes
+    ) -> Dict[str, Any]:
         ctx = TraceContext.from_wire(request.trace)
         span = None
-        payload = line
         if ctx is not None:
             # Re-parent the shard's spans under a routing span, so the
             # client's trace shows front-end → shard → pool worker.
@@ -538,34 +352,20 @@ class ShardedService:
             span.__enter__()
             forwarded = request.to_dict()
             forwarded["trace"] = span.context.to_wire()
-            payload = protocol.encode_frame(forwarded)
+            line = protocol.encode_frame(forwarded)
         started = time.monotonic()
         try:
-            answer = await self._shard_roundtrip(shard, payload)
+            answer = await self._shard_roundtrip(shard, line)
         except (OSError, ConnectionError) as exc:
             self.metrics.errors.inc()
             if span is not None:
                 span.set(error=type(exc).__name__)
             self.supervisor.note_failure(shard, str(exc))
-            if self.supervisor.enabled:
-                # Transport failure on a supervised fleet is transient
-                # by construction (the supervisor replaces the shard);
-                # surface it as retryable backpressure, not a hard 500.
-                return protocol.encode_frame(
-                    protocol.error_response(
-                        request.id,
-                        ErrorCode.QUEUE_FULL,
-                        f"{shard.name} (pid {shard.pid}) unreachable: {exc}; "
-                        "being replaced",
-                        retry_after_s=self.supervisor.retry_after_s(),
-                    )
-                )
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id,
-                    ErrorCode.INTERNAL,
-                    f"{shard.name} (pid {shard.pid}) unreachable: {exc}",
-                )
+            return protocol.error_response(
+                request.id,
+                ErrorCode.QUEUE_FULL,
+                f"{shard.name} (pid {shard.pid}) unreachable: {exc}; being replaced",
+                retry_after_s=self.supervisor.retry_after_s(),
             )
         finally:
             if span is not None:
@@ -575,227 +375,82 @@ class ShardedService:
             frame = protocol.decode_frame(answer)
         except ProtocolError:
             self.metrics.errors.inc()
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.INTERNAL, f"{shard.name} answered garbage"
-                )
+            return protocol.error_response(
+                request.id, ErrorCode.INTERNAL, f"{shard.name} answered garbage"
             )
         frame["shard"] = {"index": shard.index, "pid": shard.pid}
-        return protocol.encode_frame(frame)
+        return frame
 
-    #: Per-shard in-flight bound for sweep fan-out; keeps a big sweep
-    #: from monopolising a shard's admission queue (plain simulates keep
-    #: getting through) while still saturating its micro-batcher.
-    SWEEP_SHARD_INFLIGHT = 16
-    #: Bounded retries when a shard answers ``queue_full`` for a sweep
-    #: job (each waits the shard's ``retry_after_s`` hint first).
-    SWEEP_RETRIES = 50
-
-    async def _proxy_sweep(
-        self, request: Request, writer: Optional[asyncio.StreamWriter]
+    async def _simulate(
+        self, request: Request, params: SimulateParams, line: bytes, started: float
     ) -> bytes:
-        """Expand a sweep spec and fan its jobs out across the shards.
-
-        The router — not the shards — expands the spec: each shard only
-        ever sees plain (extended) simulate frames, routed by
-        ``routing_key(workload, records, seed, built-config
-        fingerprint)`` so a sweep enjoys the same cache/trace locality
-        as individual requests.  Per-job result frames are streamed back
-        to the client as shards answer, then a terminal done frame.
-        """
-        from ..spec import SpecError, SweepSpec, expand
-        from ..spec.wire import simulate_params_for
-
-        if writer is None:  # pragma: no cover - defensive
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.INVALID_REQUEST, "sweep requires a streaming connection"
-                )
-            )
-        if self._draining:
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.SHUTTING_DOWN, "service is draining; not admitting"
-                )
-            )
-        use_cache = request.params.get("use_cache", True)
-        try:
-            spec_payload = request.params.get("spec")
-            if not isinstance(spec_payload, dict):
-                raise ProtocolError(ErrorCode.INVALID_REQUEST, "sweep requires a 'spec' object")
-            spec = SweepSpec.from_dict(spec_payload)
-        except SpecError as exc:
-            return protocol.encode_frame(
-                protocol.error_response(
-                    request.id, ErrorCode.INVALID_REQUEST, str(exc),
-                    path=getattr(exc, "path", ""),
-                )
-            )
-        except ProtocolError as exc:
-            return protocol.encode_frame(
-                protocol.error_response(request.id, exc.code, exc.message, **exc.details)
-            )
-
-        started = time.monotonic()
-        plan = expand(spec)
-        fp_by_label = {cfg.label: cfg.build().fingerprint() for cfg in spec.configs}
-        write_lock = asyncio.Lock()
-
-        def shard_limit() -> asyncio.Semaphore:
-            return asyncio.Semaphore(
-                max(1, min(self.SWEEP_SHARD_INFLIGHT, self.config.queue_size // 2))
-            )
-
-        limits = {shard.name: shard_limit() for shard in self.shards}
-        errors = 0
-
-        async def run_job(meta: Any) -> None:
-            nonlocal errors
-            params = dict(simulate_params_for(meta))
-            params["use_cache"] = bool(use_cache)
-            key = routing_key(
-                meta.workload, meta.records, meta.seed, fp_by_label[meta.config_label]
-            )
-            job_frame: Dict[str, Any] = {
-                "v": protocol.PROTOCOL_VERSION,
-                "id": f"{request.id}#{meta.index}",
-                "type": "simulate",
-                "params": params,
-            }
-            if request.trace:
-                job_frame["trace"] = request.trace
-            payload = protocol.encode_frame(job_frame)
-            frame: Optional[Dict[str, Any]] = None
-            shard: Optional[ShardInfo] = None
-            routed_to: Optional[str] = None
-            for _attempt in range(self.SWEEP_RETRIES):
-                # Re-route every attempt: a mid-sweep respawn keeps the
-                # owner but changes its port, and a mid-sweep resize may
-                # hand the key to a different shard entirely.
-                try:
-                    shard = self._by_name.get(self.ring.route(key))
-                except LookupError:
-                    shard = None
-                if shard is None or shard.state in (
-                    ShardState.RESPAWNING, ShardState.DEAD
-                ):
-                    await asyncio.sleep(self.supervisor.retry_after_s())
-                    continue
-                if routed_to != shard.name:
-                    self.metrics.count_route(shard.name)
-                    routed_to = shard.name
-                retry_sleep: Optional[float] = None
-                async with limits.setdefault(shard.name, shard_limit()):
-                    try:
-                        answer = await self._shard_roundtrip(shard, payload)
-                        frame = protocol.decode_frame(answer)
-                    except ProtocolError as exc:
-                        self.metrics.errors.inc()
-                        frame = protocol.error_response(
-                            request.id,
-                            ErrorCode.INTERNAL,
-                            f"{shard.name} (pid {shard.pid}): {exc}",
-                        )
-                        break
-                    except (OSError, ConnectionError) as exc:
-                        self.metrics.errors.inc()
-                        self.supervisor.note_failure(shard, str(exc))
-                        if self.supervisor.enabled:
-                            # Transient: the supervisor will replace the
-                            # shard; hold the job and try again.
-                            frame = None
-                            retry_sleep = self.supervisor.retry_after_s()
-                        else:
-                            frame = protocol.error_response(
-                                request.id,
-                                ErrorCode.INTERNAL,
-                                f"{shard.name} (pid {shard.pid}): {exc}",
-                            )
-                            break
-                if retry_sleep is not None:
-                    await asyncio.sleep(retry_sleep)
-                    continue
-                assert frame is not None
-                error = frame.get("error") or {}
-                if not frame.get("ok") and error.get("code") == ErrorCode.QUEUE_FULL.value:
-                    frame = None
-                    await asyncio.sleep(
-                        max(0.01, float(error.get("retry_after_s", 0.05)))
-                    )
-                    continue
-                break
-            if frame is None:
-                frame = protocol.error_response(
-                    request.id,
-                    ErrorCode.INTERNAL,
-                    f"sweep job {meta.index} still unroutable after "
-                    f"{self.SWEEP_RETRIES} attempts",
-                )
-            frame["id"] = request.id
-            if shard is not None:
-                frame["shard"] = {"index": shard.index, "pid": shard.pid}
-            frame["job"] = {
-                "index": meta.index,
-                "kind": meta.kind,
-                "workload": meta.workload,
-                "seed": meta.seed,
-                "records": meta.records,
-                "n_threads": meta.n_threads,
-                "label": meta.label,
-                "config": meta.config_label,
-            }
-            if not frame.get("ok"):
-                errors += 1
-            async with write_lock:
-                writer.write(protocol.encode_frame(frame))
-                await writer.drain()
-
-        await asyncio.gather(*(run_job(meta) for meta in plan.meta))
-        terminal = protocol.ok_response(
-            request.id,
-            {
-                "name": spec.name,
-                "fingerprint": spec.fingerprint(),
-                "jobs": len(plan.meta),
-                "streamed": len(plan.meta),
-                "errors": errors,
-                "aborted": False,
-                "elapsed_ms": (time.monotonic() - started) * 1000.0,
-            },
+        return protocol.encode_frame(
+            await self._routed(request, line, self._route_key(params))
         )
-        terminal["done"] = True
-        return protocol.encode_frame(terminal)
 
-    @staticmethod
-    def _validate_names(params: SimulateParams) -> None:
-        if params.workload not in WORKLOADS:
+    async def _admit_sweep_job(
+        self, job: Request, params: SimulateParams
+    ) -> Awaitable[Dict[str, Any]]:
+        # The router, not the shards, expands a sweep: each shard only
+        # sees simulate frames, routed like a client's.
+        return self._run_sweep_job(job, params)
+
+    async def _run_sweep_job(self, job: Request, params: SimulateParams) -> Dict[str, Any]:
+        line = protocol.encode_frame(job.to_dict())
+        key = self._route_key(params)
+        for _attempt in range(self.SWEEP_RETRIES):
+            # Re-routed every attempt: a mid-sweep respawn keeps the
+            # owner but changes its port, and a mid-sweep resize may
+            # hand the key to a different shard entirely.
+            frame = await self._routed(job, line, key, bounded=True)
+            error = frame.get("error") or {}
+            if frame.get("ok") or error.get("code") != ErrorCode.QUEUE_FULL.value:
+                return frame
+            await asyncio.sleep(max(0.01, float(error.get("retry_after_s", 0.05))))
+        return protocol.error_response(
+            job.id,
+            ErrorCode.INTERNAL,
+            f"sweep job {job.id} still unroutable after {self.SWEEP_RETRIES} attempts",
+        )
+
+    async def _admin(self, request: Request) -> bytes:
+        """Fleet control (protocol v5): currently ``resize``."""
+        if self._draining:
+            raise ProtocolError(ErrorCode.SHUTTING_DOWN, "service is draining")
+        command = request.params.get("command")
+        if command != "resize":
             raise ProtocolError(
                 ErrorCode.INVALID_REQUEST,
-                f"unknown workload '{params.workload}'",
-                known=sorted(WORKLOADS),
+                f"unknown admin command {command!r}",
+                known=["resize"],
             )
-        if params.prefetcher not in PREFETCHERS:
+        workers = request.params.get("workers")
+        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"unknown prefetcher '{params.prefetcher}'",
-                known=sorted(PREFETCHERS),
+                ErrorCode.INVALID_REQUEST, "resize requires a positive integer 'workers'"
             )
+        try:
+            result = await self.supervisor.resize(workers)
+        except Exception as exc:  # pragma: no cover - spawn failure
+            log.exception("resize to %d workers failed", workers)
+            return protocol.encode_frame(
+                protocol.error_response(
+                    request.id, ErrorCode.INTERNAL, f"resize failed: {exc}"
+                )
+            )
+        return protocol.encode_frame(protocol.ok_response(request.id, result))
 
     # ------------------------------------------------------------------
     # Control payloads (fleet views)
     # ------------------------------------------------------------------
     def _ping_payload(self) -> Dict[str, Any]:
-        return {
-            "pong": True,
-            "version": __version__,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "supported_versions": list(protocol.SUPPORTED_VERSIONS),
-            "pid": os.getpid(),
-            "sharded": True,
-            "workers": len(self.shards),
-            "supervised": self.supervisor.enabled,
-            "heartbeat_s": self.supervisor.heartbeat_s,
-            "shards": [
+        payload = super()._ping_payload()
+        payload.update(
+            sharded=True,
+            workers=len(self.shards),
+            supervised=True,
+            heartbeat_s=self.supervisor.heartbeat_s,
+            shards=[
                 {
                     "index": s.index,
                     "pid": s.pid,
@@ -806,33 +461,52 @@ class ShardedService:
                 }
                 for s in self.shards
             ],
-        }
+        )
+        return payload
+
+    def _fleet_registries(
+        self, replies: Iterable[Tuple[ShardInfo, Optional[Dict[str, Any]]]]
+    ) -> Tuple[MetricsRegistry, MetricsRegistry, MetricsRegistry]:
+        """Fold shard payloads into ``(aggregate, per_shard, simulation)``.
+
+        ``aggregate`` merges every shard's service instruments,
+        ``per_shard`` keeps them apart under a ``shard{i}.`` prefix and
+        ``simulation`` merges the worker metrics.  Shards a live resize
+        retired keep counting: their processes are gone but their work
+        happened.
+        """
+        aggregate = MetricsRegistry()
+        per_shard = MetricsRegistry()
+        simulation = MetricsRegistry()
+        for shard, payload in [*replies, *self._retired]:
+            if payload is None:
+                continue
+            aggregate.merge(payload.get("metrics", {}))
+            per_shard.merge(payload.get("metrics", {}), prefix=f"shard{shard.index}.")
+            simulation.merge(payload.get("simulation", {}))
+        return aggregate, per_shard, simulation
 
     async def _stats_payload(self) -> Dict[str, Any]:
         """The fleet aggregate plus a per-shard breakdown."""
-        shard_stats = await self._fan_out("stats")
-        agg = MetricsRegistry()
-        sim = MetricsRegistry()
+        replies = await self._fan_out("stats")
         cache = {"entries": 0, "hits": 0, "misses": 0, "max_entries": 0}
         disk = {"entries": 0, "hits": 0, "spilled": 0, "quarantined": 0}
         has_disk = False
         queue = {"depth": 0, "limit": 0}
         pool = {"workers": 0, "generation": 0}
+        routed = self.registry.to_dict()
         shards: List[Dict[str, Any]] = []
-        for shard, stats in zip(self.shards, shard_stats):
+        for shard, stats in replies:
+            row: Dict[str, Any] = {
+                "index": shard.index,
+                "pid": shard.pid,
+                "state": shard.state.value,
+                "restarts": shard.restarts,
+            }
+            shards.append(row)
             if stats is None:
-                shards.append(
-                    {
-                        "index": shard.index,
-                        "pid": shard.pid,
-                        "state": shard.state.value,
-                        "restarts": shard.restarts,
-                        "unreachable": True,
-                    }
-                )
+                row["unreachable"] = True
                 continue
-            agg.merge(stats.get("metrics", {}))
-            sim.merge(stats.get("simulation", {}))
             shard_cache = stats.get("cache", {})
             for field_name in ("entries", "hits", "misses", "max_entries"):
                 cache[field_name] += shard_cache.get(field_name, 0)
@@ -850,116 +524,69 @@ class ShardedService:
             pool["generation"] = max(
                 pool["generation"], stats.get("pool", {}).get("generation", 0)
             )
-            shard_metrics = stats.get("metrics", {})
-            shards.append(
-                {
-                    "index": shard.index,
-                    "pid": shard.pid,
-                    "state": shard.state.value,
-                    "restarts": shard.restarts,
-                    "uptime_s": stats.get("uptime_s", 0.0),
-                    "requests": shard_metrics.get("requests_received", {}).get(
-                        "value", 0
-                    ),
-                    "routed": self.registry.to_dict()
-                    .get(f"routed.{shard.name}", {})
-                    .get("value", 0),
-                    "cache": shard_cache,
-                    "queue": stats.get("queue", {}),
-                    "latency_ms": stats.get("latency_ms", {}),
-                }
+            row.update(
+                uptime_s=stats.get("uptime_s", 0.0),
+                requests=stats.get("metrics", {})
+                .get("requests_received", {})
+                .get("value", 0),
+                routed=routed.get(f"routed.{shard.name}", {}).get("value", 0),
+                cache=shard_cache,
+                queue=stats.get("queue", {}),
+                latency_ms=stats.get("latency_ms", {}),
             )
-        for _index, payload in self._retired:
-            # Shards removed by a live resize keep counting in the
-            # fleet aggregate; their processes are gone but their work
-            # happened.
-            agg.merge(payload.get("metrics", {}))
-            sim.merge(payload.get("simulation", {}))
         if has_disk:
             cache["disk"] = disk
-        latency = {"p50": 0.0, "p90": 0.0, "p99": 0.0, "count": 0}
-        if "request_latency_ms" in agg:
-            merged = agg["request_latency_ms"]
-            latency = {
-                "p50": merged.quantile(0.5),
-                "p90": merged.quantile(0.9),
-                "p99": merged.quantile(0.99),
-                "count": merged.total,
-            }
+        aggregate, _per_shard, simulation = self._fleet_registries(replies)
         return {
-            "pid": os.getpid(),
             "sharded": True,
             "workers": len(self.shards),
-            "uptime_s": time.monotonic() - self._started_at,
-            "draining": self._draining,
             "queue": queue,
             "cache": cache,
             "pool": pool,
-            "latency_ms": latency,
-            "metrics": agg.to_dict(),
-            "simulation": sim.to_dict(),
-            "router": self.registry.to_dict(),
+            "latency_ms": latency_summary(
+                aggregate["request_latency_ms"]
+                if "request_latency_ms" in aggregate
+                else None
+            ),
+            "metrics": aggregate.to_dict(),
+            "simulation": simulation.to_dict(),
+            "router": routed,
             "shards": shards,
         }
 
-    async def _live_merged_metrics(self) -> Dict[str, Any]:
+    async def _live_metrics(self) -> Dict[str, Any]:
         """Aggregate + per-shard-prefixed snapshot of the whole fleet."""
-        shard_stats = await self._fan_out("stats")
-        agg = MetricsRegistry()
-        for shard, stats in zip(self.shards, shard_stats):
-            if stats is None:
-                continue
-            agg.merge(stats.get("metrics", {}))
-            agg.merge(stats.get("simulation", {}))
-            agg.merge(stats.get("metrics", {}), prefix=f"shard{shard.index}.")
-        for index, payload in self._retired:
-            agg.merge(payload.get("metrics", {}))
-            agg.merge(payload.get("simulation", {}))
-            agg.merge(payload.get("metrics", {}), prefix=f"shard{index}.")
-        snapshot = agg.to_dict()
-        snapshot.update(self.registry.to_dict())
-        return snapshot
-
-    async def _metrics_payload(self) -> Dict[str, Any]:
+        aggregate, per_shard, simulation = self._fleet_registries(
+            await self._fan_out("stats")
+        )
         return {
-            "content_type": "text/plain; version=0.0.4",
-            "text": render_prometheus(await self._live_merged_metrics()),
+            **aggregate.to_dict(),
+            **simulation.to_dict(),
+            **per_shard.to_dict(),
+            **self.registry.to_dict(),
         }
 
-    async def _telemetry_payload(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def _telemetry(self, drain: bool) -> Dict[str, Any]:
         """Every process's spans plus the aggregated registries."""
-        drain = bool(params.get("drain")) if isinstance(params, dict) else False
-        shard_payloads = await self._fan_out("telemetry", drain=drain)
+        replies = await self._fan_out("telemetry", drain=drain)
         spans = self.recorder.drain() if drain else self.recorder.snapshot()
         dropped = 0
-        agg = MetricsRegistry()
-        sim = MetricsRegistry()
-        for shard, payload in zip(self.shards, shard_payloads):
-            if payload is None:
-                continue
-            spans.extend(payload.get("spans", ()))
-            dropped += int(payload.get("dropped_spans", 0))
-            agg.merge(payload.get("metrics", {}))
-            agg.merge(payload.get("metrics", {}), prefix=f"shard{shard.index}.")
-            sim.merge(payload.get("simulation", {}))
-        for index, payload in self._retired:
-            agg.merge(payload.get("metrics", {}))
-            agg.merge(payload.get("metrics", {}), prefix=f"shard{index}.")
-            sim.merge(payload.get("simulation", {}))
-        cap = SimulationService.TELEMETRY_SPAN_CAP
-        if len(spans) > cap:
-            dropped += len(spans) - cap
-            spans = spans[-cap:]
-        snapshot = agg.to_dict()
-        snapshot.update(self.registry.to_dict())
+        for _shard, payload in replies:
+            if payload is not None:
+                spans.extend(payload.get("spans", ()))
+                dropped += int(payload.get("dropped_spans", 0))
+        aggregate, per_shard, simulation = self._fleet_registries(replies)
         return {
-            "pid": os.getpid(),
             "sharded": True,
             "shard_index": None,
             "spans": spans,
             "dropped_spans": dropped,
-            "metrics": snapshot,
-            "simulation": sim.to_dict(),
+            "metrics": {
+                **aggregate.to_dict(),
+                **per_shard.to_dict(),
+                **self.registry.to_dict(),
+            },
+            "simulation": simulation.to_dict(),
         }
 
     # ------------------------------------------------------------------
@@ -967,30 +594,19 @@ class ShardedService:
     # ------------------------------------------------------------------
     async def _collect_final_telemetry(self) -> None:
         """Pull every shard's spans/metrics before shutting the fleet down."""
-        shard_payloads = await self._fan_out("telemetry", drain=True)
-        agg = MetricsRegistry()
-        sim = MetricsRegistry()
-        for shard, payload in zip(self.shards, shard_payloads):
-            if payload is None:
-                continue
-            self.recorder.extend(payload.get("spans", ()))
-            agg.merge(payload.get("metrics", {}))
-            agg.merge(payload.get("metrics", {}), prefix=f"shard{shard.index}.")
-            sim.merge(payload.get("simulation", {}))
-        for index, payload in self._retired:
-            # Spans were absorbed at retirement; only the registries
-            # still need to fold into the final fleet snapshot.
-            agg.merge(payload.get("metrics", {}))
-            agg.merge(payload.get("metrics", {}), prefix=f"shard{index}.")
-            sim.merge(payload.get("simulation", {}))
-        snapshot = agg.to_dict()
-        snapshot.update(sim.to_dict())
-        snapshot.update(self.registry.to_dict())
-        self._final_metrics = snapshot
-
-    async def _shutdown_shards(self) -> None:
-        await self._fan_out("shutdown")
-        await self._close_links()
+        replies = await self._fan_out("telemetry", drain=True)
+        for _shard, payload in replies:
+            if payload is not None:
+                self.recorder.extend(payload.get("spans", ()))
+        # Retired shards' spans were absorbed at retirement; only their
+        # registries still fold into the final fleet snapshot.
+        aggregate, per_shard, simulation = self._fleet_registries(replies)
+        self._final_metrics = {
+            **aggregate.to_dict(),
+            **per_shard.to_dict(),
+            **simulation.to_dict(),
+            **self.registry.to_dict(),
+        }
 
     def _join_shards(self) -> None:
         deadline = time.monotonic() + self.config.drain_timeout_s

@@ -1,9 +1,30 @@
-"""The asyncio simulation service.
+"""The asyncio simulation service and the front-end core it shares.
 
-One resident process that serves simulation requests over TCP, keeping
-everything a cold CLI invocation pays for — interpreter startup, trace
-generation, filter-plane warming, process-pool spin-up — warm across
-requests:
+Two front-ends speak :mod:`repro.service.protocol`: the single-process
+:class:`SimulationService` here, and the sharded
+:class:`~repro.service.router.ShardedService`, a router over shard
+processes that each run a :class:`SimulationService`.  Both inherit
+:class:`FrontEnd`, which owns what a request goes through regardless of
+where it runs:
+
+* **connections**: binding, the per-connection frame loop (an oversized
+  frame is answered, then the connection dropped) and request parsing
+  with typed error replies;
+* **admission**: ``simulate`` params are checked once — registered
+  names, the ``config`` payload and ``prefetcher_overrides`` — so a bad
+  request is ``invalid_request`` on either front-end and never reaches
+  a micro-batch;
+* **sweep framing**: the ``sweep`` request is decoded (spec errors carry
+  their field ``path``) and expanded, each job's frame is streamed with
+  its ``job`` block as it settles, then a terminal ``done`` frame;
+* **graceful drain**: SIGTERM/SIGINT (or a ``shutdown`` request) stops
+  admission, finishes every admitted request, delivers the responses,
+  then stops;
+* the common ``ping`` fields and the ``telemetry`` span cap.
+
+:class:`SimulationService` supplies the execution, keeping everything a
+cold CLI invocation pays for — interpreter startup, trace generation,
+filter-plane warming, process-pool spin-up — warm across requests:
 
 * **bounded admission**: simulate requests enter an ``asyncio.Queue``
   with a hard capacity; when it is full the client gets an immediate
@@ -15,6 +36,7 @@ requests:
   :class:`~repro.parallel.jobs.JobSpec` batch through
   :func:`repro.resilience.executor.execute` — so concurrent requests
   share the executor's trace warming and fan out over the pool together;
+  a request whose job cannot be built fails alone, not its batch;
 * **persistent pool**: the executor leases a
   :class:`~repro.resilience.executor.PersistentPool` owned by the
   service, so pool workers (and their inherited trace/filter-plane
@@ -22,10 +44,7 @@ requests:
 * **result cache**: completed runs are cached by content fingerprint
   (:mod:`repro.service.cache`); a repeat request is answered in
   microseconds without touching the queue's *execution* cost (it still
-  passes admission, so backpressure semantics stay uniform);
-* **graceful drain**: SIGTERM/SIGINT (or a ``shutdown`` request) stops
-  admission, finishes every queued and in-flight request, delivers the
-  responses, then exits.
+  passes admission, so backpressure semantics stay uniform).
 
 Identity guarantee
 ------------------
@@ -43,19 +62,19 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Awaitable, Dict, List, Optional, Tuple, Union
 
 from .. import __version__
 from ..engine.config import ProcessorConfig
 from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus
-from ..obs.events import QueueSaturated, RequestCompleted, RequestReceived
+from ..obs.events import Event, QueueSaturated, RequestCompleted, RequestReceived
 from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.prometheus import render_prometheus
 from ..obs.tracing import SpanRecorder, TelemetrySink, TraceContext, wall_us
 from ..parallel.jobs import JobSpec
-from ..prefetchers.registry import PREFETCHERS, build_prefetcher
+from ..prefetchers.registry import PREFETCHERS
 from ..resilience.executor import PersistentPool, execute
 from ..resilience.policy import ExecutionPolicy
 from ..workloads.registry import WORKLOADS, make_workload
@@ -63,7 +82,7 @@ from . import protocol
 from .cache import ResultCache
 from .protocol import ErrorCode, ProtocolError, Request, SimulateParams
 
-__all__ = ["ServiceConfig", "SimulationService", "BackgroundService", "serve"]
+__all__ = ["ServiceConfig", "FrontEnd", "SimulationService", "BackgroundService", "serve"]
 
 log = logging.getLogger(__name__)
 
@@ -113,69 +132,48 @@ class ServiceConfig:
     preload_disk: bool = False
 
 
-@dataclass
-class _PendingRequest:
-    """One admitted simulate request waiting for its batch."""
-
-    request_id: str
-    params: SimulateParams
-    received_at: float
-    future: "asyncio.Future[Tuple[SimulationResult, bool]]"
-    cache_key: Optional[tuple] = None
-    #: The server-side span context this request's downstream spans
-    #: (admission, batch, cache, worker jobs) parent to; None = untraced.
-    trace: Optional[TraceContext] = None
-    #: ``wall_us()`` at admission — start of the admission-wait span.
-    received_us: int = 0
+def latency_summary(histogram: Any) -> Dict[str, Any]:
+    """The ``latency_ms`` block of a ``stats`` payload (zeros when unset)."""
+    if histogram is None:
+        return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "count": 0}
+    return {
+        "p50": histogram.quantile(0.5),
+        "p90": histogram.quantile(0.9),
+        "p99": histogram.quantile(0.99),
+        "count": histogram.total,
+    }
 
 
-@dataclass
-class _BatchOutcome:
-    """What one dispatched micro-batch produced, per pending request."""
+class FrontEnd:
+    """The protocol front-end both services share.
 
-    results: List[Optional[SimulationResult]] = field(default_factory=list)
-    cached: List[bool] = field(default_factory=list)
-    error: Optional[BaseException] = None
+    Owns binding, the connection loop, request parsing, drain, simulate
+    admission and sweep framing.  A subclass supplies ``start`` (which
+    calls :meth:`_listen`) and the per-type handlers: :meth:`_simulate`,
+    :meth:`_admit_sweep_job`, :meth:`_stats_payload`,
+    :meth:`_live_metrics`, :meth:`_telemetry` and, optionally,
+    :meth:`_admin`; plus the drain hooks :meth:`_until_drained` and
+    :meth:`_wind_down`.
+    """
 
-
-class SimulationService:
-    """Asyncio TCP server speaking :mod:`repro.service.protocol`."""
+    #: Span ceiling per telemetry response; keeps the frame under
+    #: ``protocol.MAX_FRAME_BYTES`` for long-lived services.
+    TELEMETRY_SPAN_CAP = 2000
 
     def __init__(
         self,
-        config: Optional[ServiceConfig] = None,
-        policy: Optional[ExecutionPolicy] = None,
-        bus: Optional[EventBus] = None,
-        registry: Optional[MetricsRegistry] = None,
+        config: Optional[ServiceConfig],
+        policy: Optional[ExecutionPolicy],
+        bus: Optional[EventBus],
     ) -> None:
         self.config = config or ServiceConfig()
         self.policy = policy or ExecutionPolicy()
-        self.bus = bus if bus is not None else EventBus()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.metrics = ServiceMetrics(self.bus, self.registry)
-        self.cache = ResultCache(
-            self.config.cache_entries,
-            spill_dir=self.config.cache_dir,
-            max_disk_entries=self.config.max_disk_entries,
-        )
-        self.pool = PersistentPool(self.policy.resolved_jobs())
-        #: Server-side span collector; worker spans are absorbed here too,
-        #: so after a traced request it holds the whole cross-process tree.
-        self.recorder = SpanRecorder("server")
-        #: Worker simulation metrics, merged across jobs under a
-        #: per-prefetcher prefix (``ebcp.epoch_mlp``, ...).
-        self.sim_registry = MetricsRegistry()
-        self.sink = TelemetrySink(
-            registry=self.sim_registry if self.config.worker_metrics else None,
-            recorder=self.recorder,
-        )
+        self.bus = bus
         self.address: Optional[Tuple[str, int]] = None
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: "Optional[asyncio.Queue[_PendingRequest]]" = None
-        self._batcher_task: Optional[asyncio.Task] = None
-        self._dispatch_gate: Optional[asyncio.Event] = None
+        self._drain_requested: Optional[asyncio.Event] = None
         self._draining = False
         self._busy_handlers = 0
         self._writers: "set[asyncio.StreamWriter]" = set()
@@ -184,36 +182,21 @@ class SimulationService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind, start serving, and return the bound ``(host, port)``.
+    async def start(self) -> Tuple[str, int]:  # pragma: no cover - abstract
+        raise NotImplementedError
 
-        With :attr:`ServiceConfig.prewarm` set, the expected working
-        set (traces, filter planes, pool workers) is warmed *before*
-        binding, so a ready service is a warm service.
-        """
-        if self.config.prewarm:
-            await asyncio.get_running_loop().run_in_executor(None, self.prewarm)
-        if self.config.preload_disk and self.config.cache_dir:
-            loaded = await asyncio.get_running_loop().run_in_executor(
-                None, self.cache.preload
-            )
-            if loaded:
-                log.info("preloaded %d result(s) from the disk cache tier", loaded)
+    async def _listen(self) -> Tuple[str, int]:
+        """Bind the front-end and return the bound ``(host, port)``."""
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.config.queue_size)
-        self._dispatch_gate = asyncio.Event()
-        self._dispatch_gate.set()
+        self._drain_requested = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
             limit=protocol.MAX_FRAME_BYTES,
         )
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
+        self.address = self._server.sockets[0].getsockname()[:2]
         self._started_at = time.monotonic()
-        self._batcher_task = asyncio.create_task(self._batch_loop())
-        log.info("simulation service listening on %s:%d", *self.address)
         return self.address
 
     async def run(self, install_signal_handlers: bool = False) -> None:
@@ -229,44 +212,27 @@ class SimulationService:
                     loop.add_signal_handler(signum, self.begin_drain)
                 except (NotImplementedError, RuntimeError):  # pragma: no cover
                     pass  # non-main thread / platform without signal support
-        assert self._batcher_task is not None
-        await self._batcher_task
-        # The batcher resolved every admitted future; give the connection
+        await self._until_drained()
+        # Every admitted request has settled; give the connection
         # handlers a bounded grace period to write those responses out.
         deadline = time.monotonic() + self.config.drain_timeout_s
         while self._busy_handlers and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+        await self._wind_down()
         for writer in list(self._writers):
             writer.close()
         assert self._server is not None
         self._server.close()
         await self._server.wait_closed()
-        self.pool.shutdown()
-        log.info("simulation service drained and stopped")
+        log.info("%s drained and stopped", type(self).__name__)
 
-    def prewarm(self) -> None:
-        """Warm the configured working set (blocking; called off-loop).
+    async def _until_drained(self) -> None:
+        """Return once a drain began and admitted work has settled."""
+        assert self._drain_requested is not None
+        await self._drain_requested.wait()
 
-        Generates each prewarm triple's trace and filter planes through
-        the shared on-disk caches and pre-spawns the persistent pool's
-        workers, so the first real request hits warm state.
-        """
-        from ..parallel.jobs import warm_trace_cache
-
-        config = ProcessorConfig.scaled()
-        specs = [
-            JobSpec(workload=w, records=r, seed=s, config=config)
-            for (w, r, s) in self.config.prewarm
-        ]
-        try:
-            warm_trace_cache(specs)
-        except Exception as exc:  # warming is best-effort, never fatal
-            log.warning("prewarm failed (%s); serving cold", exc)
-        if self.pool.max_workers > 1 and (
-            (os.cpu_count() or 1) > 1 or os.environ.get("REPRO_FORCE_POOL") == "1"
-        ):
-            self.pool.warm()
-        log.info("prewarmed %d working-set entr(ies)", len(specs))
+    async def _wind_down(self) -> None:
+        """Release what the service owns (runs before connections close)."""
 
     def begin_drain(self) -> None:
         """Stop admission; queued and in-flight requests still complete.
@@ -279,7 +245,9 @@ class SimulationService:
         self._draining = True
         if self._server is not None:
             self._server.close()  # stop accepting new connections
-        log.info("simulation service draining (no new requests admitted)")
+        if self._drain_requested is not None:
+            self._drain_requested.set()
+        log.info("%s draining (no new requests admitted)", type(self).__name__)
 
     def begin_drain_threadsafe(self) -> None:
         self._call_threadsafe(self.begin_drain)
@@ -287,21 +255,6 @@ class SimulationService:
     @property
     def draining(self) -> bool:
         return self._draining
-
-    # ------------------------------------------------------------------
-    # Test seam: hold the dispatcher to observe queue/backpressure states
-    # deterministically (queue saturation, drain with work pending).
-    # ------------------------------------------------------------------
-    def hold_dispatch(self) -> None:
-        assert self._dispatch_gate is not None
-        self._dispatch_gate.clear()
-
-    def release_dispatch(self) -> None:
-        assert self._dispatch_gate is not None
-        self._dispatch_gate.set()
-
-    def release_dispatch_threadsafe(self) -> None:
-        self._call_threadsafe(self.release_dispatch)
 
     def _call_threadsafe(self, callback) -> None:
         """Schedule on the service loop; a no-op once the loop is gone
@@ -313,6 +266,12 @@ class SimulationService:
             loop.call_soon_threadsafe(callback)
         except RuntimeError:
             pass  # loop closed between the check and the call
+
+    def emit(self, event: Event) -> None:
+        """Publish an obs event when a bus is attached and listening."""
+        bus = self.bus
+        if bus is not None and bus.wants(type(event)):
+            bus.emit(event)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -346,10 +305,14 @@ class SimulationService:
                     response = await self._handle_frame(line, writer)
                 finally:
                     self._busy_handlers -= 1
-                writer.write(protocol.encode_frame(response))
+                writer.write(response)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass  # client vanished mid-conversation; nothing to answer
+        except asyncio.CancelledError:
+            # Drain closes connections out from under blocked readlines;
+            # a cancelled handler is normal shutdown, not an error.
+            pass
         finally:
             self._writers.discard(writer)
             writer.close()
@@ -358,87 +321,444 @@ class SimulationService:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _handle_frame(
-        self, line: bytes, writer: Optional[asyncio.StreamWriter] = None
-    ) -> Dict[str, Any]:
+    async def _handle_frame(self, line: bytes, writer: asyncio.StreamWriter) -> bytes:
+        """One request frame in, one encoded response frame out.
+
+        A ``sweep`` also streams its job frames through ``writer``; the
+        returned frame is its terminal done marker.
+        """
         started = time.monotonic()
         try:
             request = protocol.parse_request(line)
         except ProtocolError as exc:
-            request_id = str(exc.details.get("request_id", ""))
-            details = {k: v for k, v in exc.details.items() if k != "request_id"}
-            self._emit_completed("invalid", request_id, started, ok=False)
-            return protocol.error_response(request_id, exc.code, exc.message, **details)
-
-        if self.bus.wants(RequestReceived):
+            request_id = str(exc.details.pop("request_id", ""))
+            return self._refuse("invalid", request_id, started, exc)
+        if self.bus is not None and self.bus.wants(RequestReceived):
             self.bus.emit(RequestReceived(request_type=request.type, request_id=request.id))
 
-        if request.type == "ping":
-            response = protocol.ok_response(request.id, self._ping_payload())
-        elif request.type == "stats":
-            response = protocol.ok_response(request.id, self._stats_payload())
-        elif request.type == "metrics":
-            response = protocol.ok_response(request.id, self._metrics_payload())
-        elif request.type == "telemetry":
-            response = protocol.ok_response(
-                request.id, self._telemetry_payload(request.params)
-            )
-        elif request.type == "admin":
-            response = protocol.error_response(
-                request.id,
-                ErrorCode.INVALID_REQUEST,
-                "admin commands require a sharded front-end (serve --workers N)",
-            )
-            self._emit_completed(request.type, request.id, started, ok=False)
-            return response
-        elif request.type == "shutdown":
-            self.begin_drain()
-            response = protocol.ok_response(request.id, {"draining": True})
-        elif request.type == "sweep":
-            # Streams one frame per job through ``writer``; the returned
-            # frame is the terminal done marker.  Emits its own completion.
-            return await self._handle_sweep(request, writer, started)
-        else:  # simulate
-            response = await self._handle_simulate(request, started)
-            return response  # _handle_simulate emits its own completion
+        try:
+            # simulate, sweep and admin emit their own completion events.
+            if request.type == "simulate":
+                params = self._admit_simulate(request)
+                return await self._simulate(request, params, line, started)
+            if request.type == "sweep":
+                return await self._sweep(request, writer, started)
+            if request.type == "admin":
+                return await self._admin(request)
+            if request.type == "ping":
+                payload = self._ping_payload()
+            elif request.type == "stats":
+                payload = {
+                    "pid": os.getpid(),
+                    "uptime_s": time.monotonic() - self._started_at,
+                    "draining": self._draining,
+                    **await self._stats_payload(),
+                }
+            elif request.type == "metrics":
+                payload = {
+                    "content_type": "text/plain; version=0.0.4",
+                    "text": render_prometheus(await self._live_metrics()),
+                }
+            elif request.type == "telemetry":
+                payload = await self._telemetry_payload(bool(request.params.get("drain")))
+            else:  # shutdown
+                self.begin_drain()
+                payload = {"draining": True}
+        except ProtocolError as exc:
+            return self._refuse(request.type, request.id, started, exc)
         self._emit_completed(request.type, request.id, started, ok=True)
-        return response
+        return protocol.encode_frame(protocol.ok_response(request.id, payload))
 
-    async def _handle_simulate(self, request: Request, started: float) -> Dict[str, Any]:
+    def _refuse(
+        self, request_type: str, request_id: str, started: float, exc: ProtocolError
+    ) -> bytes:
+        """The typed error frame for a request that was not admitted."""
+        self._emit_completed(request_type, request_id, started, ok=False)
+        return protocol.encode_frame(
+            protocol.error_response(request_id, exc.code, exc.message, **exc.details)
+        )
+
+    def _emit_completed(
+        self,
+        request_type: str,
+        request_id: str,
+        started: float,
+        ok: bool,
+        cached: bool = False,
+    ) -> None:
+        if self.bus is not None and self.bus.wants(RequestCompleted):
+            self.bus.emit(
+                RequestCompleted(
+                    request_type=request_type,
+                    request_id=request_id,
+                    ok=ok,
+                    cached=cached,
+                    latency_ms=(time.monotonic() - started) * 1000.0,
+                )
+            )
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def _admit_simulate(self, request: Request) -> SimulateParams:
+        """The request's params, or :class:`ProtocolError` when refused.
+
+        Builds the ``config`` and overridden prefetcher of an extended
+        request once, so a payload that cannot build is refused here
+        with its field ``path``; a plain request is checked by name only.
+        """
+        if self._draining:
+            raise ProtocolError(ErrorCode.SHUTTING_DOWN, "service is draining; not admitting")
+        params = SimulateParams.from_dict(request.params)
+        if params.workload not in WORKLOADS:
+            raise ProtocolError(
+                ErrorCode.INVALID_REQUEST,
+                f"unknown workload '{params.workload}'",
+                known=sorted(WORKLOADS),
+            )
+        if params.prefetcher not in PREFETCHERS:
+            raise ProtocolError(
+                ErrorCode.INVALID_REQUEST,
+                f"unknown prefetcher '{params.prefetcher}'",
+                known=sorted(PREFETCHERS),
+            )
+        if params.config is not None or params.prefetcher_overrides:
+            from ..spec import SpecError
+            from ..spec.wire import config_from_wire, prefetcher_from_wire
+
+            try:
+                if params.config is not None:
+                    config_from_wire(params.config)
+                if params.prefetcher_overrides:
+                    prefetcher_from_wire(params)
+            except SpecError as exc:
+                raise ProtocolError(
+                    ErrorCode.INVALID_REQUEST, str(exc), path=exc.path
+                ) from None
+        return params
+
+    # ------------------------------------------------------------------
+    # Sweep streaming (v4)
+    # ------------------------------------------------------------------
+    def _decode_sweep(self, request: Request) -> Tuple[Any, Any]:
+        """The request's validated ``(SweepSpec, SweepPlan)``.
+
+        Raises :class:`ProtocolError`; a spec that fails validation is
+        ``invalid_request`` with the offending field's ``path``.
+        """
+        from ..spec import SpecError, SweepSpec, expand
+
+        if self._draining:
+            raise ProtocolError(ErrorCode.SHUTTING_DOWN, "service is draining; not admitting")
+        spec_payload = request.params.get("spec")
+        if not isinstance(spec_payload, dict):
+            raise ProtocolError(ErrorCode.INVALID_REQUEST, "sweep requires a 'spec' object")
+        try:
+            spec = SweepSpec.from_dict(spec_payload)
+            return spec, expand(spec)
+        except SpecError as exc:
+            raise ProtocolError(ErrorCode.INVALID_REQUEST, str(exc), path=exc.path) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            # expand() builds every candidate: overrides that do not fit
+            # a prefetcher's constructor fail there, not in the schema.
+            raise ProtocolError(
+                ErrorCode.INVALID_REQUEST,
+                f"cannot build the sweep's prefetchers: {exc}",
+                path="prefetchers",
+            ) from None
+
+    async def _sweep(
+        self, request: Request, writer: asyncio.StreamWriter, started: float
+    ) -> bytes:
+        """Expand a sweep spec and stream per-job frames as they settle.
+
+        Jobs are admitted in plan order through :meth:`_admit_sweep_job`
+        (which may block: a sweep is one request and its backpressure is
+        the stream itself); admission stops early when a drain begins.
+        """
+        from ..spec.wire import simulate_params_for
+
+        spec, plan = self._decode_sweep(request)
+        use_cache = bool(request.params.get("use_cache", True))
+
+        async def framed(meta: Any, job: Awaitable[Dict[str, Any]]) -> Dict[str, Any]:
+            frame = await job
+            frame["id"] = request.id
+            frame["job"] = {
+                "index": meta.index,
+                "kind": meta.kind,
+                "workload": meta.workload,
+                "seed": meta.seed,
+                "records": meta.records,
+                "n_threads": meta.n_threads,
+                "label": meta.label,
+                "config": meta.config_label,
+            }
+            return frame
+
+        settling = []
+        for meta in plan.meta:
+            if self._draining:
+                break
+            params = {**simulate_params_for(meta), "use_cache": use_cache}
+            job = Request(
+                type="simulate",
+                id=f"{request.id}#{meta.index}",
+                params=params,
+                trace=request.trace,
+            )
+            admitted = await self._admit_sweep_job(job, SimulateParams.from_dict(params))
+            settling.append(asyncio.ensure_future(framed(meta, admitted)))
+
+        errors = 0
+        for next_frame in asyncio.as_completed(settling):
+            frame = await next_frame
+            if not frame.get("ok"):
+                errors += 1
+            writer.write(protocol.encode_frame(frame))
+            await writer.drain()
+        aborted = len(settling) < len(plan.meta)
+        self._emit_completed("sweep", request.id, started, ok=not errors and not aborted)
+        done = protocol.ok_response(
+            request.id,
+            {
+                "name": spec.name,
+                "fingerprint": spec.fingerprint(),
+                "jobs": len(plan.meta),
+                "streamed": len(settling),
+                "errors": errors,
+                "aborted": aborted,
+                "elapsed_ms": (time.monotonic() - started) * 1000.0,
+            },
+        )
+        done["done"] = True
+        return protocol.encode_frame(done)
+
+    # ------------------------------------------------------------------
+    # Per-type handlers and payloads
+    # ------------------------------------------------------------------
+    async def _simulate(
+        self, request: Request, params: SimulateParams, line: bytes, started: float
+    ) -> bytes:  # pragma: no cover - abstract
+        """Serve one admitted simulate; emits its own completion event."""
+        raise NotImplementedError
+
+    async def _admit_sweep_job(
+        self, job: Request, params: SimulateParams
+    ) -> Awaitable[Dict[str, Any]]:  # pragma: no cover - abstract
+        """Admit one planned job (a simulate request named ``<sweep id>#<index>``).
+
+        The returned awaitable resolves to the job's result or error frame.
+        """
+        raise NotImplementedError
+
+    async def _admin(self, request: Request) -> bytes:
+        raise ProtocolError(
+            ErrorCode.INVALID_REQUEST,
+            "admin commands require a sharded front-end (serve --workers N)",
+        )
+
+    def _ping_payload(self) -> Dict[str, Any]:
+        return {
+            "pong": True,
+            "version": __version__,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "supported_versions": list(protocol.SUPPORTED_VERSIONS),
+            "pid": os.getpid(),
+        }
+
+    async def _stats_payload(self) -> Dict[str, Any]:  # pragma: no cover - abstract
+        """Everything in ``stats`` beyond ``pid``/``uptime_s``/``draining``."""
+        raise NotImplementedError
+
+    async def _live_metrics(self) -> Dict[str, Any]:  # pragma: no cover - abstract
+        """The registry snapshot the ``metrics`` request renders."""
+        raise NotImplementedError
+
+    async def _telemetry(self, drain: bool) -> Dict[str, Any]:  # pragma: no cover
+        """Spans, ``dropped_spans`` and registries; ``drain`` empties the spans."""
+        raise NotImplementedError
+
+    async def _telemetry_payload(self, drain: bool) -> Dict[str, Any]:
+        """Spans + registries for cross-process aggregation (v3).
+
+        ``drain`` removes the spans on read — what a sharded front-end
+        sends right before shutdown, so each span is shipped exactly
+        once.  The newest :data:`TELEMETRY_SPAN_CAP` spans are kept when
+        the backlog would overflow one frame; the count of dropped older
+        spans is reported instead of silently truncating.
+        """
+        payload = await self._telemetry(drain)
+        excess = len(payload["spans"]) - self.TELEMETRY_SPAN_CAP
+        if excess > 0:
+            payload["spans"] = payload["spans"][excess:]
+            payload["dropped_spans"] += excess
+        payload["pid"] = os.getpid()
+        return payload
+
+
+@dataclass
+class _PendingRequest:
+    """One admitted simulate request waiting for its batch."""
+
+    request_id: str
+    params: SimulateParams
+    future: "asyncio.Future[Tuple[SimulationResult, bool]]"
+    #: The server-side span context this request's downstream spans
+    #: (admission, batch, cache, worker jobs) parent to; None = untraced.
+    trace: Optional[TraceContext] = None
+    #: ``wall_us()`` at admission — start of the admission-wait span.
+    received_us: int = 0
+
+
+class SimulationService(FrontEnd):
+    """The single-process service: queue, micro-batcher, pool and cache."""
+
+    def __init__(
+        self,
+        config: Optional[ServiceConfig] = None,
+        policy: Optional[ExecutionPolicy] = None,
+        bus: Optional[EventBus] = None,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(config, policy, bus if bus is not None else EventBus())
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.metrics = ServiceMetrics(self.bus, self.registry)
+        self.cache = ResultCache(
+            self.config.cache_entries,
+            spill_dir=self.config.cache_dir,
+            max_disk_entries=self.config.max_disk_entries,
+        )
+        self.pool = PersistentPool(self.policy.resolved_jobs())
+        #: Server-side span collector; worker spans are absorbed here too,
+        #: so after a traced request it holds the whole cross-process tree.
+        self.recorder = SpanRecorder("server")
+        #: Worker simulation metrics, merged across jobs under a
+        #: per-prefetcher prefix (``ebcp.epoch_mlp``, ...).
+        self.sim_registry = MetricsRegistry()
+        self.sink = TelemetrySink(
+            registry=self.sim_registry if self.config.worker_metrics else None,
+            recorder=self.recorder,
+        )
+
+        self._queue: "Optional[asyncio.Queue[_PendingRequest]]" = None
+        self._batcher_task: Optional[asyncio.Task] = None
+        self._dispatch_gate: Optional[asyncio.Event] = None
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> Tuple[str, int]:
+        """Bind, start serving, and return the bound ``(host, port)``.
+
+        With :attr:`ServiceConfig.prewarm` set, the expected working
+        set (traces, filter planes, pool workers) is warmed *before*
+        binding, so a ready service is a warm service.
+        """
+        if self.config.prewarm:
+            await asyncio.get_running_loop().run_in_executor(None, self.prewarm)
+        if self.config.preload_disk and self.config.cache_dir:
+            loaded = await asyncio.get_running_loop().run_in_executor(
+                None, self.cache.preload
+            )
+            if loaded:
+                log.info("preloaded %d result(s) from the disk cache tier", loaded)
+        self._queue = asyncio.Queue(maxsize=self.config.queue_size)
+        self._dispatch_gate = asyncio.Event()
+        self._dispatch_gate.set()
+        await self._listen()
+        self._batcher_task = asyncio.create_task(self._batch_loop())
+        log.info("simulation service listening on %s:%d", *self.address)
+        return self.address
+
+    async def _until_drained(self) -> None:
+        # The batcher returns once draining with an empty queue, having
+        # resolved every admitted request's future.
+        assert self._batcher_task is not None
+        await self._batcher_task
+
+    async def _wind_down(self) -> None:
+        self.pool.shutdown()
+
+    def prewarm(self) -> None:
+        """Warm the configured working set (blocking; called off-loop).
+
+        Generates each prewarm triple's trace and filter planes through
+        the shared on-disk caches and pre-spawns the persistent pool's
+        workers, so the first real request hits warm state.
+        """
+        from ..parallel.jobs import warm_trace_cache
+
+        config = ProcessorConfig.scaled()
+        specs = [
+            JobSpec(workload=w, records=r, seed=s, config=config)
+            for (w, r, s) in self.config.prewarm
+        ]
+        try:
+            warm_trace_cache(specs)
+        except Exception as exc:  # warming is best-effort, never fatal
+            log.warning("prewarm failed (%s); serving cold", exc)
+        if self.pool.max_workers > 1 and (
+            (os.cpu_count() or 1) > 1 or os.environ.get("REPRO_FORCE_POOL") == "1"
+        ):
+            self.pool.warm()
+        log.info("prewarmed %d working-set entr(ies)", len(specs))
+
+    # ------------------------------------------------------------------
+    # Test seam: hold the dispatcher to observe queue/backpressure states
+    # deterministically (queue saturation, drain with work pending).
+    # ------------------------------------------------------------------
+    def hold_dispatch(self) -> None:
+        assert self._dispatch_gate is not None
+        self._dispatch_gate.clear()
+
+    def release_dispatch(self) -> None:
+        assert self._dispatch_gate is not None
+        self._dispatch_gate.set()
+
+    def release_dispatch_threadsafe(self) -> None:
+        self._call_threadsafe(self.release_dispatch)
+
+    # ------------------------------------------------------------------
+    # Simulate and sweep jobs
+    # ------------------------------------------------------------------
+    def _pending(
+        self, request_id: str, params: SimulateParams, trace: Optional[TraceContext]
+    ) -> _PendingRequest:
+        assert self._loop is not None
+        return _PendingRequest(
+            request_id=request_id,
+            params=params,
+            future=self._loop.create_future(),
+            trace=trace,
+            received_us=wall_us(),
+        )
+
+    async def _simulate(
+        self, request: Request, params: SimulateParams, line: bytes, started: float
+    ) -> bytes:
         """Serve one simulate, continuing the client's trace when present."""
         ctx = TraceContext.from_wire(request.trace)
         if ctx is None:
-            return await self._simulate_body(request, started, span=None)
-        with self.recorder.span(
-            "server:simulate", parent=ctx, request_id=request.id
-        ) as span:
-            response = await self._simulate_body(request, started, span=span)
-            span.set(ok=bool(response.get("ok")))
-            return response
+            frame = await self._simulate_body(request, params, started, span=None)
+        else:
+            with self.recorder.span(
+                "server:simulate", parent=ctx, request_id=request.id
+            ) as span:
+                frame = await self._simulate_body(request, params, started, span=span)
+                span.set(ok=bool(frame["ok"]))
+        return protocol.encode_frame(frame)
 
     async def _simulate_body(
-        self, request: Request, started: float, span: Optional[Any]
+        self,
+        request: Request,
+        params: SimulateParams,
+        started: float,
+        span: Optional[Any],
     ) -> Dict[str, Any]:
-        if self._draining:
-            self._emit_completed("simulate", request.id, started, ok=False)
-            return protocol.error_response(
-                request.id, ErrorCode.SHUTTING_DOWN, "service is draining; not admitting"
-            )
-        try:
-            params = SimulateParams.from_dict(request.params)
-            self._validate_names(params)
-        except ProtocolError as exc:
-            self._emit_completed("simulate", request.id, started, ok=False)
-            return protocol.error_response(request.id, exc.code, exc.message, **exc.details)
-
-        assert self._queue is not None and self._loop is not None
-        pending = _PendingRequest(
-            request_id=request.id,
-            params=params,
-            received_at=started,
-            future=self._loop.create_future(),
-            trace=span.context if span is not None else None,
-            received_us=wall_us(),
+        assert self._queue is not None
+        pending = self._pending(
+            request.id, params, span.context if span is not None else None
         )
         try:
             self._queue.put_nowait(pending)
@@ -480,130 +800,26 @@ class SimulationService:
             elapsed_ms=elapsed_ms,
         )
 
-    # ------------------------------------------------------------------
-    # Sweep streaming (v4)
-    # ------------------------------------------------------------------
+    async def _admit_sweep_job(
+        self, job: Request, params: SimulateParams
+    ) -> Awaitable[Dict[str, Any]]:
+        # The same queue and micro-batcher as a plain simulate (so results
+        # are bit-identical to individual requests), but admission blocks
+        # instead of answering queue_full.
+        assert self._queue is not None
+        pending = self._pending(job.id, params, TraceContext.from_wire(job.trace))
+        await self._queue.put(pending)
+        return self._job_frame(pending)
+
     @staticmethod
-    def _job_payload(meta: Any) -> Dict[str, Any]:
-        """The per-job identity block carried on every sweep frame."""
-        return {
-            "index": meta.index,
-            "kind": meta.kind,
-            "workload": meta.workload,
-            "seed": meta.seed,
-            "records": meta.records,
-            "n_threads": meta.n_threads,
-            "label": meta.label,
-            "config": meta.config_label,
-        }
-
-    async def _handle_sweep(
-        self,
-        request: Request,
-        writer: Optional[asyncio.StreamWriter],
-        started: float,
-    ) -> Dict[str, Any]:
-        """Expand a sweep spec and stream per-job frames as they settle.
-
-        Every job enters the same admission queue and micro-batching
-        dispatcher as a plain simulate (so results are bit-identical to
-        individual requests), but admission *blocks* instead of
-        answering ``queue_full`` — a sweep is one request and its
-        backpressure is the stream itself.
-        """
-        from ..spec import SpecError, SweepSpec, expand
-        from ..spec.wire import simulate_params_for
-
-        if writer is None:  # pragma: no cover - defensive
-            return protocol.error_response(
-                request.id, ErrorCode.INVALID_REQUEST, "sweep requires a streaming connection"
-            )
-        if self._draining:
-            self._emit_completed("sweep", request.id, started, ok=False)
-            return protocol.error_response(
-                request.id, ErrorCode.SHUTTING_DOWN, "service is draining; not admitting"
-            )
-        use_cache = request.params.get("use_cache", True)
+    async def _job_frame(pending: _PendingRequest) -> Dict[str, Any]:
         try:
-            spec_payload = request.params.get("spec")
-            if not isinstance(spec_payload, dict):
-                raise ProtocolError(ErrorCode.INVALID_REQUEST, "sweep requires a 'spec' object")
-            spec = SweepSpec.from_dict(spec_payload)
-        except SpecError as exc:
-            self._emit_completed("sweep", request.id, started, ok=False)
+            result, cached = await pending.future
+        except Exception as exc:
             return protocol.error_response(
-                request.id, ErrorCode.INVALID_REQUEST, str(exc), path=getattr(exc, "path", "")
+                pending.request_id, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
             )
-        except ProtocolError as exc:
-            self._emit_completed("sweep", request.id, started, ok=False)
-            return protocol.error_response(request.id, exc.code, exc.message, **exc.details)
-
-        plan = expand(spec)
-        ctx = TraceContext.from_wire(request.trace)
-        assert self._queue is not None and self._loop is not None
-        pendings: List[_PendingRequest] = []
-        aborted = False
-        for meta in plan.meta:
-            if self._draining:
-                aborted = True
-                break
-            params = SimulateParams.from_dict(
-                {**simulate_params_for(meta), "use_cache": bool(use_cache)}
-            )
-            pending = _PendingRequest(
-                request_id=f"{request.id}#{meta.index}",
-                params=params,
-                received_at=time.monotonic(),
-                future=self._loop.create_future(),
-                trace=ctx,
-                received_us=wall_us(),
-            )
-            await self._queue.put(pending)
-            pendings.append(pending)
-        self.metrics.queue_depth.set(float(self._queue.qsize()))
-
-        async def settle(pending: _PendingRequest, meta: Any):
-            try:
-                result, cached = await pending.future
-                return meta, result, cached, None
-            except Exception as exc:
-                return meta, None, False, exc
-
-        errors = 0
-        tasks = [
-            asyncio.ensure_future(settle(p, m)) for p, m in zip(pendings, plan.meta)
-        ]
-        for fut in asyncio.as_completed(tasks):
-            meta, result, cached, exc = await fut
-            if exc is not None:
-                errors += 1
-                frame = protocol.error_response(
-                    request.id, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
-                )
-            else:
-                frame = protocol.ok_response(
-                    request.id, result.snapshot(), cached=cached
-                )
-            frame["job"] = self._job_payload(meta)
-            writer.write(protocol.encode_frame(frame))
-            await writer.drain()
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        ok = not errors and not aborted
-        self._emit_completed("sweep", request.id, started, ok=ok)
-        terminal = protocol.ok_response(
-            request.id,
-            {
-                "name": spec.name,
-                "fingerprint": spec.fingerprint(),
-                "jobs": len(plan.meta),
-                "streamed": len(pendings),
-                "errors": errors,
-                "aborted": aborted,
-                "elapsed_ms": elapsed_ms,
-            },
-        )
-        terminal["done"] = True
-        return terminal
+        return protocol.ok_response(pending.request_id, result.snapshot(), cached=cached)
 
     # ------------------------------------------------------------------
     # Micro-batching dispatcher
@@ -650,18 +866,18 @@ class SimulationService:
                 with self.recorder.span(
                     "batch", parent=batch_ctx, size=len(batch)
                 ) as batch_span:
-                    outcome = await asyncio.to_thread(
+                    outcomes = await asyncio.to_thread(
                         self._run_batch, batch, batch_span.context
                     )
             else:
-                outcome = await asyncio.to_thread(self._run_batch, batch, None)
-            for i, pending in enumerate(batch):
+                outcomes = await asyncio.to_thread(self._run_batch, batch, None)
+            for pending, outcome in zip(batch, outcomes):
                 if pending.future.cancelled():  # pragma: no cover - defensive
                     continue
-                if outcome.error is not None:
-                    pending.future.set_exception(outcome.error)
+                if isinstance(outcome, BaseException):
+                    pending.future.set_exception(outcome)
                 else:
-                    pending.future.set_result((outcome.results[i], outcome.cached[i]))
+                    pending.future.set_result(outcome)
 
     async def _next_pending(self) -> Optional[_PendingRequest]:
         """The next queued request; None once draining with an empty queue."""
@@ -681,49 +897,47 @@ class SimulationService:
         self,
         batch: List[_PendingRequest],
         batch_ctx: Optional[TraceContext] = None,
-    ) -> _BatchOutcome:
+    ) -> List[Union[Tuple[SimulationResult, bool], Exception]]:
         """Resolve one micro-batch (worker thread; blocking is fine here).
 
+        Returns one ``(result, cached)`` or exception per request.
         Requests that hit the result cache are answered without a job;
         the rest — deduplicated, so identical concurrent requests share
         one simulation — go through :func:`repro.resilience.execute`
-        over the persistent pool.  ``batch_ctx`` is the batch span's
-        context; it propagates through the executor into worker jobs.
+        over the persistent pool.  A request whose key or job cannot be
+        built fails alone.  ``batch_ctx`` is the batch span's context;
+        it propagates through the executor into worker jobs.
         """
-        outcome = _BatchOutcome(
-            results=[None] * len(batch), cached=[False] * len(batch)
-        )
-        try:
-            from ..spec.wire import config_from_wire, extended_cache_key, jobspec_from_simulate
+        from ..spec.wire import config_from_wire, extended_cache_key, jobspec_from_simulate
 
-            config = ProcessorConfig.scaled()
-            specs: List[JobSpec] = []
-            spec_slots: Dict[tuple, List[int]] = {}
-            spec_order: List[tuple] = []
-            jobs_by_key: Dict[tuple, JobSpec] = {}
-            for i, pending in enumerate(batch):
-                params = pending.params
+        outcomes: List[Any] = [None] * len(batch)
+        scaled = ProcessorConfig.scaled()
+        scaled_fp = scaled.fingerprint()
+        jobs: List[JobSpec] = []
+        slots: Dict[tuple, List[int]] = {}
+        for i, pending in enumerate(batch):
+            params = pending.params
+            try:
                 if params.is_extended():
                     # Spec-expanded job (v4): content-address from the
                     # generation parameters themselves — no trace build
-                    # at admission (interleaved traces are expensive).
-                    job_config = config_from_wire(params.config)
-                    key = extended_cache_key(params, job_config.fingerprint())
-                    jobs_by_key[key] = jobspec_from_simulate(params, config=job_config)
+                    # here (interleaved traces are expensive).
+                    config = config_from_wire(params.config)
+                    key = extended_cache_key(params, config.fingerprint())
                 else:
                     # The registry memoises traces in-process, and Trace
                     # caches its fingerprint, so a warm repeat costs a dict
                     # lookup — this is what keys the result cache.
+                    config = scaled
                     trace = make_workload(
                         params.workload, records=params.records, seed=params.seed
                     )
                     key = ResultCache.key(
                         trace.fingerprint(),
-                        config.fingerprint(),
+                        scaled_fp,
                         params.prefetcher,
                         params.warmup_records,
                     )
-                pending.cache_key = key
                 if params.use_cache:
                     if pending.trace is not None:
                         with self.recorder.span(
@@ -734,98 +948,58 @@ class SimulationService:
                     else:
                         hit = self.cache.get(key)
                     if hit is not None:
-                        outcome.results[i] = hit
-                        outcome.cached[i] = True
+                        outcomes[i] = (hit, True)
                         continue
-                if key in spec_slots:
-                    spec_slots[key].append(i)
+                if key in slots:
+                    slots[key].append(i)
                     continue
-                spec_slots[key] = [i]
-                spec_order.append(key)
-                if key in jobs_by_key:
-                    specs.append(jobs_by_key[key])
-                else:
-                    specs.append(
-                        JobSpec(
-                            workload=params.workload,
-                            records=params.records,
-                            seed=params.seed,
-                            config=config,
-                            prefetcher=(
-                                None
-                                if params.prefetcher == "none"
-                                else build_prefetcher(params.prefetcher)
-                            ),
-                            label=params.prefetcher,
-                            warmup_records=params.warmup_records,
-                        )
-                    )
-            if specs:
-                job_results = execute(
-                    specs, self.policy, bus=self.bus, pool=self.pool,
-                    trace=batch_ctx, telemetry=self.sink,
-                )
-                for key, result in zip(spec_order, job_results):
-                    self.cache.put(key, result)
-                    for slot in spec_slots[key]:
-                        outcome.results[slot] = result
-        except BaseException as exc:  # delivered per-request as INTERNAL
-            outcome.error = exc
-        return outcome
+                job = jobspec_from_simulate(params, config=config)
+            except Exception as exc:  # delivered to this request as INTERNAL
+                outcomes[i] = exc
+                continue
+            slots[key] = [i]
+            jobs.append(job)
+        if not jobs:
+            return outcomes
+        try:
+            results = execute(
+                jobs, self.policy, bus=self.bus, pool=self.pool,
+                trace=batch_ctx, telemetry=self.sink,
+            )
+        except Exception as exc:  # the executor failed every job it was given
+            for indexes in slots.values():
+                for i in indexes:
+                    outcomes[i] = exc
+            return outcomes
+        for (key, indexes), result in zip(slots.items(), results):
+            self.cache.put(key, result)
+            for i in indexes:
+                outcomes[i] = (result, False)
+        return outcomes
 
     # ------------------------------------------------------------------
-    # Payloads and plumbing
+    # Payloads
     # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_names(params: SimulateParams) -> None:
-        if params.workload not in WORKLOADS:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"unknown workload '{params.workload}'",
-                known=sorted(WORKLOADS),
-            )
-        if params.prefetcher not in PREFETCHERS:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"unknown prefetcher '{params.prefetcher}'",
-                known=sorted(PREFETCHERS),
-            )
-
     def _ping_payload(self) -> Dict[str, Any]:
-        payload = {
-            "pong": True,
-            "version": __version__,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "supported_versions": list(protocol.SUPPORTED_VERSIONS),
-            "pid": os.getpid(),
-            # The health frame a supervising front-end probes (v5).
-            "uptime_s": time.monotonic() - self._started_at,
-            "state": "draining" if self._draining else "ready",
-        }
+        payload = super()._ping_payload()
+        # The health frame a supervising front-end probes (v5).
+        payload["uptime_s"] = time.monotonic() - self._started_at
+        payload["state"] = "draining" if self._draining else "ready"
         if self.config.shard_index is not None:
             payload["shard_index"] = self.config.shard_index
         return payload
 
-    def _stats_payload(self) -> Dict[str, Any]:
+    async def _stats_payload(self) -> Dict[str, Any]:
         assert self._queue is not None
-        latency = self.metrics.latency_ms
         return {
-            "pid": os.getpid(),
             "shard_index": self.config.shard_index,
-            "uptime_s": time.monotonic() - self._started_at,
             "queue": {"depth": self._queue.qsize(), "limit": self.config.queue_size},
             "cache": self.cache.info(),
             "pool": {
                 "workers": self.pool.max_workers,
                 "generation": self.pool.generation,
             },
-            "draining": self._draining,
-            "latency_ms": {
-                "p50": latency.quantile(0.5),
-                "p90": latency.quantile(0.9),
-                "p99": latency.quantile(0.99),
-                "count": latency.total,
-            },
+            "latency_ms": latency_summary(self.metrics.latency_ms),
             "metrics": self.registry.to_dict(),
             "simulation": self.sim_registry.to_dict(),
         }
@@ -841,57 +1015,17 @@ class SimulationService:
         snapshot.update(self.sim_registry.to_dict())
         return snapshot
 
-    def _metrics_payload(self) -> Dict[str, Any]:
+    async def _live_metrics(self) -> Dict[str, Any]:
+        return self.merged_metrics()
+
+    async def _telemetry(self, drain: bool) -> Dict[str, Any]:
         return {
-            "content_type": "text/plain; version=0.0.4",
-            "text": render_prometheus(self.merged_metrics()),
-        }
-
-    #: Span ceiling per telemetry response; keeps the frame under
-    #: ``protocol.MAX_FRAME_BYTES`` for long-lived shards.
-    TELEMETRY_SPAN_CAP = 2000
-
-    def _telemetry_payload(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Spans + registries for cross-process aggregation (v3).
-
-        ``params["drain"]`` removes the spans on read — what a sharded
-        front-end sends right before shutdown, so each span is shipped
-        exactly once.  The newest :data:`TELEMETRY_SPAN_CAP` spans are
-        kept when the backlog would overflow one frame; the count of
-        dropped older spans is reported instead of silently truncating.
-        """
-        drain = bool(params.get("drain")) if isinstance(params, dict) else False
-        spans = self.recorder.drain() if drain else self.recorder.snapshot()
-        dropped = max(0, len(spans) - self.TELEMETRY_SPAN_CAP)
-        if dropped:
-            spans = spans[-self.TELEMETRY_SPAN_CAP:]
-        return {
-            "pid": os.getpid(),
             "shard_index": self.config.shard_index,
-            "spans": spans,
-            "dropped_spans": dropped,
+            "spans": self.recorder.drain() if drain else self.recorder.snapshot(),
+            "dropped_spans": 0,
             "metrics": self.registry.to_dict(),
             "simulation": self.sim_registry.to_dict(),
         }
-
-    def _emit_completed(
-        self,
-        request_type: str,
-        request_id: str,
-        started: float,
-        ok: bool,
-        cached: bool = False,
-    ) -> None:
-        if self.bus.wants(RequestCompleted):
-            self.bus.emit(
-                RequestCompleted(
-                    request_type=request_type,
-                    request_id=request_id,
-                    ok=ok,
-                    cached=cached,
-                    latency_ms=(time.monotonic() - started) * 1000.0,
-                )
-            )
 
 
 async def serve(
@@ -909,8 +1043,8 @@ async def serve(
     ``workers > 1`` runs the sharded tier instead: a consistent-hash
     front-end over that many single-shard worker processes
     (:class:`~repro.service.router.ShardedService`), supervised every
-    ``heartbeat_s`` (``<= 0`` disables supervision) with at most
-    ``max_restarts`` respawns per shard.  ``metrics_out`` dumps the
+    ``heartbeat_s`` (must be positive) with at most ``max_restarts``
+    respawns per shard.  ``metrics_out`` dumps the
     merged registry (service + aggregated worker metrics) as JSON on
     shutdown; ``trace_out`` writes every span the service recorded (its
     own and the worker spans it absorbed) as a Chrome trace.

@@ -178,9 +178,8 @@ def wait_shard_ready(conn: Any, process: Any, timeout_s: float) -> Dict[str, Any
 class ShardSupervisor:
     """Owns shard lifecycle inside a :class:`ShardedService`.
 
-    ``heartbeat_s <= 0`` disables supervision entirely (the fleet
-    behaves exactly like the pre-supervisor static tier); the router
-    still uses :meth:`fork`/:meth:`spawn_shard` for its boot path.
+    Every fleet is supervised: ``heartbeat_s`` must be positive.  The
+    router's boot path also forks through :meth:`spawn_shard`.
     """
 
     def __init__(
@@ -191,6 +190,8 @@ class ShardSupervisor:
         probe_timeout_s: float = 5.0,
         suspect_probes: int = 2,
     ) -> None:
+        if heartbeat_s <= 0:
+            raise ValueError(f"heartbeat_s must be > 0, got {heartbeat_s}")
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         if suspect_probes < 1:
@@ -205,14 +206,8 @@ class ShardSupervisor:
         self._respawns: Dict[int, asyncio.Task] = {}
         self._resize_lock = asyncio.Lock()
 
-    @property
-    def enabled(self) -> bool:
-        return self.heartbeat_s > 0
-
     def retry_after_s(self) -> float:
         """The backpressure hint sent while a shard is being replaced."""
-        if not self.enabled:
-            return 0.25
         return max(0.05, min(1.0, self.heartbeat_s))
 
     # ------------------------------------------------------------------
@@ -270,7 +265,7 @@ class ShardSupervisor:
     # Heartbeat loop
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if not self.enabled or self._task is not None:
+        if self._task is not None:
             return
         self._wake = asyncio.Event()
         self._task = asyncio.create_task(self._run(), name="shard-supervisor")
@@ -368,8 +363,6 @@ class ShardSupervisor:
         wakes the heartbeat loop so death is confirmed on the loop, not
         in the middle of a request.
         """
-        if not self.enabled:
-            return
         if shard.state in (
             ShardState.RESPAWNING, ShardState.DEAD, ShardState.DRAINING
         ):
@@ -597,7 +590,7 @@ class ShardSupervisor:
             svc.recorder.extend(payload.get("spans", ()))
             # The payload's registries keep counting in fleet aggregates
             # after the process is gone (stats/metrics/final telemetry).
-            svc._retired.append((victim.index, payload))
+            svc._retired.append((victim, payload))
         await svc._shard_control(victim, "shutdown")
         drop_idle_links(victim)
         loop = asyncio.get_running_loop()

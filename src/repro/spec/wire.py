@@ -21,6 +21,7 @@ from typing import Any, Mapping, Optional, Tuple
 
 from ..engine.config import ProcessorConfig
 from ..parallel.jobs import JobSpec
+from ..prefetchers.base import Prefetcher
 from ..prefetchers.registry import build_prefetcher
 from .errors import SpecError
 from .expand import PlannedJob
@@ -28,10 +29,10 @@ from .schema import ConfigSpec
 
 __all__ = [
     "config_from_wire",
+    "prefetcher_from_wire",
     "simulate_params_for",
     "jobspec_from_simulate",
     "extended_cache_key",
-    "is_extended",
 ]
 
 
@@ -86,18 +87,26 @@ def simulate_params_for(meta: PlannedJob) -> dict:
     return params
 
 
-def is_extended(params: Any) -> bool:
-    """Whether duck-typed simulate params use any v4 extension field."""
-    return bool(
-        getattr(params, "config", None) is not None
-        or getattr(params, "prefetcher_overrides", None)
-        or getattr(params, "n_threads", 0)
-        or getattr(params, "scale", 1.0) != 1.0
-    )
+def prefetcher_from_wire(params: Any) -> Optional[Prefetcher]:
+    """A fresh prefetcher for simulate params (``None`` for ``"none"``).
+
+    Raises :class:`SpecError` at ``params.prefetcher_overrides`` when
+    the overrides do not fit the prefetcher's constructor.
+    """
+    if params.prefetcher == "none":
+        return None
+    overrides = getattr(params, "prefetcher_overrides", None) or {}
+    try:
+        return build_prefetcher(params.prefetcher, **dict(overrides))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(
+            "params.prefetcher_overrides",
+            f"cannot build {params.prefetcher!r}: {exc}",
+        ) from None
 
 
 def jobspec_from_simulate(params: Any, config: Optional[ProcessorConfig] = None) -> JobSpec:
-    """Build the :class:`JobSpec` an extended simulate request describes.
+    """Build the :class:`JobSpec` a simulate request describes.
 
     ``params`` is duck-typed (``protocol.SimulateParams`` or anything
     with the same fields).  ``config`` short-circuits the wire-config
@@ -106,22 +115,12 @@ def jobspec_from_simulate(params: Any, config: Optional[ProcessorConfig] = None)
     """
     if config is None:
         config = config_from_wire(getattr(params, "config", None))
-    prefetcher = None
-    if params.prefetcher != "none":
-        overrides = getattr(params, "prefetcher_overrides", None) or {}
-        try:
-            prefetcher = build_prefetcher(params.prefetcher, **dict(overrides))
-        except (KeyError, TypeError) as exc:
-            raise SpecError(
-                "params.prefetcher_overrides",
-                f"cannot build {params.prefetcher!r}: {exc}",
-            )
     return JobSpec(
         workload=params.workload,
         records=params.records,
         seed=params.seed,
         config=config,
-        prefetcher=prefetcher,
+        prefetcher=prefetcher_from_wire(params),
         label=getattr(params, "label", "") or params.prefetcher,
         scale=getattr(params, "scale", 1.0),
         n_threads=getattr(params, "n_threads", 0),

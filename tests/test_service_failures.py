@@ -4,6 +4,10 @@ Everything here is driven deterministically: raw sockets give exact
 control over what hits the wire, and the server's dispatch-gate test
 seam (``hold_dispatch``) freezes the batcher so queue saturation and
 drain-with-work-pending become observable states instead of races.
+
+Malformed frames, version negotiation, sweep decoding and simulate
+admission belong to the front-end core both services share, so those
+tests also run against a 2-shard :class:`ShardedService`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import time
 
 import pytest
 
+from repro.engine.config import ProcessorConfig
+from repro.parallel.jobs import JobSpec
+from repro.prefetchers.registry import build_prefetcher
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import (
     BackgroundService,
@@ -22,9 +29,13 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceError,
+    ShardedService,
+    SimulationService,
     protocol,
 )
-from repro.service.protocol import ErrorCode, ProtocolError
+from repro.service.protocol import ErrorCode, ProtocolError, SimulateParams
+from repro.service.server import _PendingRequest
+from repro.spec import SPEC_VERSION, SpecError
 
 RECORDS = 6_000
 WORKLOAD = "pointer_chase"
@@ -55,9 +66,42 @@ def hold_dispatch(svc: BackgroundService) -> None:
     time.sleep(0.05)
 
 
+def sweep_frame(spec) -> bytes:
+    return protocol.encode_frame(
+        {"v": 5, "id": "sw", "type": "sweep", "params": {"spec": spec}}
+    )
+
+
+def sweep_spec(**over) -> dict:
+    spec = {
+        "version": SPEC_VERSION,
+        "name": "bad",
+        "workloads": [WORKLOAD],
+        "grid": {"records": RECORDS, "seeds": [7]},
+        "prefetchers": [{"name": "ebcp"}],
+    }
+    spec.update(over)
+    return spec
+
+
+def front_end(kind: str, **config) -> BackgroundService:
+    """A single server or 2-shard router on an ephemeral port (unstarted)."""
+    config = ServiceConfig(port=0, **config)
+    if kind == "single":
+        return BackgroundService(config, policy=POLICY)
+    service = ShardedService(config=config, policy=POLICY, workers=2)
+    return BackgroundService(service=service, start_timeout_s=120.0)
+
+
 @pytest.fixture
 def service():
     with BackgroundService(ServiceConfig(port=0), policy=POLICY) as svc:
+        yield svc
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    with front_end("sharded") as svc:
         yield svc
 
 
@@ -126,6 +170,102 @@ class TestVersionNegotiation:
             with pytest.raises(ServiceError) as excinfo:
                 client.simulate("quake3", "none", records=RECORDS)
             assert excinfo.value.code is ErrorCode.INVALID_REQUEST
+
+    @pytest.mark.parametrize(
+        "spec, path",
+        [
+            pytest.param([1, 2], None, id="spec_not_an_object"),
+            pytest.param(sweep_spec(workloads=["quake3"]), "workloads[0]", id="schema"),
+            pytest.param(
+                sweep_spec(prefetchers=[{"name": "ebcp", "overrides": {"no_such_knob": 3}}]),
+                "prefetchers",
+                id="prefetcher_overrides",
+            ),
+        ],
+    )
+    def test_bad_sweep_rejected(self, service, spec, path):
+        frame = raw_roundtrip(service.address, sweep_frame(spec))
+        assert frame["ok"] is False
+        assert frame["id"] == "sw"
+        assert frame["error"]["code"] == "invalid_request"
+        assert frame["error"].get("path") == path
+
+
+class TestShardedMalformedFrames(TestMalformedFrames):
+    """The same frames against the router: one front-end core."""
+
+    @pytest.fixture
+    def service(self, sharded):
+        return sharded
+
+
+class TestShardedVersionNegotiation(TestVersionNegotiation):
+    @pytest.fixture
+    def service(self, sharded):
+        return sharded
+
+
+BAD_EXTENDED = [
+    pytest.param({"prefetcher_overrides": {"no_such_knob": 3}},
+                 "params.prefetcher_overrides", id="prefetcher_overrides"),
+    pytest.param({"config": {"base": "nonexistent"}}, "params.config.base", id="config"),
+]
+
+
+class TestBatchIsolation:
+    """A malformed extended simulate fails alone, never its micro-batch."""
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    @pytest.mark.parametrize("bad, path", BAD_EXTENDED)
+    def test_bad_request_does_not_poison_its_batch(self, kind, bad, path):
+        local = JobSpec(
+            workload=WORKLOAD,
+            records=RECORDS,
+            seed=7,
+            config=ProcessorConfig.scaled(),
+            prefetcher=build_prefetcher("ebcp"),
+            label="ebcp",
+        ).run()
+        frames = {}
+
+        def send(name: str, extra: dict) -> None:
+            frames[name] = raw_roundtrip(
+                svc.address, simulate_frame(name, prefetcher="ebcp", **extra)
+            )
+
+        # A wide batch window co-batches the pair on one server or one
+        # shard (same workload, records and seed route together).
+        with front_end(kind, batch_window_s=0.3) as svc:
+            threads = [
+                threading.Thread(target=send, args=("good", {})),
+                threading.Thread(target=send, args=("bad", bad)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+                assert not thread.is_alive()
+        assert frames["good"]["ok"] is True
+        assert frames["good"]["result"] == local.snapshot()
+        assert frames["bad"]["ok"] is False
+        assert frames["bad"]["error"]["code"] == "invalid_request"
+        assert frames["bad"]["error"]["path"] == path
+
+    @pytest.mark.parametrize("bad, path", BAD_EXTENDED)
+    def test_batch_build_failure_fails_only_its_request(self, bad, path):
+        service = SimulationService(ServiceConfig(port=0), policy=POLICY)
+        base = {"workload": WORKLOAD, "prefetcher": "ebcp", "records": RECORDS, "seed": 7}
+        batch = [
+            _PendingRequest(name, SimulateParams.from_dict({**base, **extra}), future=None)
+            for name, extra in (("good", {}), ("bad", bad))
+        ]
+        try:
+            good, failed = service._run_batch(batch)
+        finally:
+            service.pool.shutdown()
+        result, cached = good
+        assert cached is False and result.snapshot()["stats"]["instructions"] > 0
+        assert isinstance(failed, SpecError) and failed.path == path
 
 
 class TestBackpressure:

@@ -165,12 +165,16 @@ class TestCrashRecovery:
         for shard in service.shards:
             assert not shard.process.is_alive()
 
-    def test_unsupervised_fleet_keeps_legacy_errors(self, tmp_path):
-        service = fleet(tmp_path, workers=2, heartbeat_s=0.0)
-        assert service.supervisor.enabled is False
-        with BackgroundService(service=service, start_timeout_s=120.0) as svc:
-            with ServiceClient(*svc.address, timeout_s=120.0, retries=0) as client:
-                assert client.ping()["supervised"] is False
+    def test_heartbeat_must_be_positive(self, tmp_path):
+        from repro.cli import build_parser
+
+        for heartbeat_s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="heartbeat_s"):
+                fleet(tmp_path, workers=2, heartbeat_s=heartbeat_s)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["serve", "--workers", "2", "--heartbeat-s", str(heartbeat_s)]
+                )
 
 
 class TestLiveResize:
