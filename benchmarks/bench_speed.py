@@ -5,15 +5,16 @@ Emits ``BENCH_speed.json`` with
 * single-process throughput (trace records simulated per second) for the
   no-prefetching baseline and every EBCP variant (``ebcp``,
   ``ebcp_minus``, ``ebcp_onchip``) on the epoch-batched kernel path,
-  alongside the scalar (``REPRO_KERNEL=off``) and legacy
-  (record-by-record) reference paths,
+  alongside the scalar filter-plane walk (``REPRO_KERNEL=off``) and the
+  record-by-record test oracle (:func:`tests.helpers.walk_every_record`,
+  reported under the ``legacy`` keys),
 * the kernel-over-scalar speedup ratio per variant (the claim of the
-  epoch-batched kernel) and the compressed-over-legacy ratio (the claim
-  of the filter-plane layer),
+  epoch-batched kernel) and the filter-plane-over-oracle ratio (the
+  claim of the filter-plane layer),
 * wall-clock time of the same 8-job sweep grid at ``jobs=1`` vs
   ``jobs=4`` and the resulting speedup, and
-* bit-identity checks (hard assertions): parallelism, compressed
-  execution and the epoch-batched kernel must never change results.
+* bit-identity checks (hard assertions): parallelism and the
+  epoch-batched kernel must never change results.
 
 The rendered ``results/speed.txt`` is produced from the *same* payload
 dict that becomes ``BENCH_speed.json`` (see :func:`_render_speed_text`),
@@ -48,6 +49,7 @@ from repro.prefetchers.registry import build_prefetcher
 from repro.workloads.registry import COMMERCIAL_WORKLOADS, make_workload
 
 from conftest import publish
+from tests.helpers import walk_every_record
 
 #: Frozen reference numbers (tpcw at 40 K records, seed 7, best-of-N on
 #: the development machine).  Absolute records/sec are machine-specific;
@@ -57,9 +59,10 @@ REFERENCE = {
     "pre_optimization_records_per_sec": 48_908,
     "post_optimization_records_per_sec": 57_172,
     "pre_filter_plane_records_per_sec": {"none": 97_977, "ebcp": 58_882},
-    #: Compressed / legacy speedup on the same machine and trace — the
-    #: machine-independent claim of the filter-plane layer (measured
-    #: ~3.4x none / ~1.5x ebcp; floors hold 25 % slack below that).
+    #: Filter-plane walk / record-by-record walk speedup on the same
+    #: machine and trace — the machine-independent claim of the
+    #: filter-plane layer (measured ~3.4x none / ~1.5x ebcp; floors hold
+    #: 25 % slack below that).
     "filter_plane_speedup_floor": {"none": 3.0, "ebcp": 1.15},
     #: ebcp throughput before the epoch-batched kernel (scalar compressed
     #: path on the development machine) and the kernel-over-scalar ratio
@@ -80,12 +83,15 @@ _SPEED_RECORDS_CAP = 40_000
 _VARIANTS = ("ebcp", "ebcp_minus", "ebcp_onchip")
 
 
-def _run_once(trace, config, scheme: str, compressed: bool) -> EpochSimulator:
+def _run_once(trace, config, scheme: str, oracle: bool = False) -> EpochSimulator:
     prefetcher = None if scheme == "none" else build_prefetcher(scheme)
     sim = EpochSimulator(
         config, prefetcher, cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap
     )
-    sim.run(trace, compressed=compressed)
+    if oracle:
+        walk_every_record(sim, trace)
+    else:
+        sim.run(trace)
     return sim
 
 
@@ -94,20 +100,20 @@ def _throughput(
     records: int,
     seed: int,
     scheme: str,
-    compressed: bool,
+    oracle: bool = False,
     repeats: int = 5,
     kernel: "bool | None" = None,
 ):
-    """Best-of-N records/sec for one (workload, prefetcher, mode).
+    """Best-of-N records/sec for one (workload, prefetcher, walk).
 
-    ``kernel`` toggles ``REPRO_KERNEL`` around the timed runs: ``False``
-    forces the scalar reference path, ``True`` requires the kernel,
-    ``None`` leaves the environment alone.
+    ``oracle`` times the record-by-record test oracle instead of
+    ``EpochSimulator.run``.  ``kernel`` toggles ``REPRO_KERNEL`` around
+    the timed runs: ``False`` forces the scalar filter-plane walk,
+    ``True`` requires the kernel, ``None`` leaves the environment alone.
     """
     trace = make_workload(workload, records=records, seed=seed)
-    trace.columns()  # pre-pack so we time the simulator, not the conversion
     config = ProcessorConfig.scaled()
-    if compressed:
+    if not oracle:
         # Pre-warm the plane: it is computed once per (trace, L1 geometry)
         # and shared by every run, so it is setup cost, not run cost.
         l1i = (config.l1i.size_bytes, config.l1i.ways, config.line_size)
@@ -122,7 +128,7 @@ def _throughput(
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            sim = _run_once(trace, config, scheme, compressed)
+            sim = _run_once(trace, config, scheme, oracle)
             best = min(best, time.perf_counter() - start)
         if kernel is True:
             assert sim.last_run_path == "epoch_kernel", (
@@ -144,9 +150,9 @@ def _kernel_identity(records: int, seed: int) -> None:
     saved = os.environ.get("REPRO_KERNEL")
     try:
         os.environ.pop("REPRO_KERNEL", None)
-        kernel_sim = _run_once(trace, config, "ebcp", compressed=True)
+        kernel_sim = _run_once(trace, config, "ebcp")
         os.environ["REPRO_KERNEL"] = "off"
-        scalar_sim = _run_once(trace, config, "ebcp", compressed=True)
+        scalar_sim = _run_once(trace, config, "ebcp")
     finally:
         if saved is None:
             os.environ.pop("REPRO_KERNEL", None)
@@ -217,27 +223,22 @@ def test_speed(benchmark, bench_records, bench_seed):
     def run():
         # Warm the trace memo so both timed passes start from equal footing.
         for workload in COMMERCIAL_WORKLOADS:
-            make_workload(workload, records=records, seed=bench_seed).columns()
+            make_workload(workload, records=records, seed=bench_seed)
 
         # The kernel must match the scalar path before its speed counts.
         _kernel_identity(records, bench_seed)
 
-        throughput = {
-            "none": _throughput(
-                "tpcw", records, bench_seed, "none", compressed=True
-            )
-        }
+        throughput = {"none": _throughput("tpcw", records, bench_seed, "none")}
         scalar = {}
         for scheme in _VARIANTS:
             throughput[scheme] = _throughput(
-                "tpcw", records, bench_seed, scheme, compressed=True, kernel=True
+                "tpcw", records, bench_seed, scheme, kernel=True
             )
             scalar[scheme] = _throughput(
-                "tpcw", records, bench_seed, scheme,
-                compressed=True, repeats=3, kernel=False,
+                "tpcw", records, bench_seed, scheme, repeats=3, kernel=False
             )
         legacy = {
-            scheme: _throughput("tpcw", records, bench_seed, scheme, compressed=False)
+            scheme: _throughput("tpcw", records, bench_seed, scheme, oracle=True)
             for scheme in ("none", "ebcp")
         }
 
@@ -269,8 +270,9 @@ def test_speed(benchmark, bench_records, bench_seed):
     kernel_speedup = {s: throughput[s] / scalar[s] for s in _VARIANTS}
     plane_speedup = {
         "none": throughput["none"] / legacy["none"],
-        # The plane claim predates the kernel: compare scalar-compressed
-        # against legacy so the two optimisations are attributed separately.
+        # The plane claim predates the kernel: compare the scalar plane walk
+        # against the oracle so the two optimisations are attributed
+        # separately.
         "ebcp": scalar["ebcp"] / legacy["ebcp"],
     }
     speedup = jobs1_seconds / jobs4_seconds

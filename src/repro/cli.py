@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Sequence
@@ -625,13 +624,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     except (SpecError, OSError) as exc:
         print(f"{args.spec}: {exc}", file=sys.stderr)
         return 2
-    if args.no_kernel and spec.execution.kernel:
-        # The spec pins the kernel on; the explicit flag still wins.
-        import dataclasses
-
-        spec = spec.replace(
-            execution=dataclasses.replace(spec.execution, kernel=False)
-        )
     policy = _policy_from_args(args, execution=spec.execution)
     started = time.time()
     result = run_spec(spec, policy=policy)
@@ -764,7 +756,6 @@ def _policy_from_args(
 
     return ExecutionPolicy(
         jobs=pick(args.jobs, base.jobs),
-        compressed=False if args.no_compressed else base.compressed,
         timeout_s=pick(args.timeout, base.timeout_s),
         retries=pick(args.retries, base.retries, 1),
         backoff_s=pick(args.backoff, base.backoff_s, 0.25),
@@ -789,18 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-q", "--quiet", action="count", default=0,
         help="decrease logging verbosity (errors only)",
-    )
-    parser.add_argument(
-        "--no-compressed", action="store_true",
-        help="disable compressed execution over precomputed L1 filter "
-        "planes and walk every trace record (bit-identical, slower; "
-        "equivalent to REPRO_COMPRESSED=0)",
-    )
-    parser.add_argument(
-        "--no-kernel", action="store_true",
-        help="disable the epoch-batched EBCP execution kernel and use the "
-        "scalar reference path (bit-identical, slower; equivalent to "
-        "REPRO_KERNEL=off)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1080,13 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose - args.quiet)
-    if args.no_compressed:
-        # The env var is the single switch every layer (simulator, job
-        # specs, pool workers) already consults, so setting it here turns
-        # the whole run — including forked workers — legacy.
-        os.environ["REPRO_COMPRESSED"] = "0"
-    if args.no_kernel:
-        os.environ["REPRO_KERNEL"] = "off"
     return args.func(args)
 
 

@@ -30,10 +30,9 @@ pending transfers) are restored to exactly the state the scalar walk
 would have left, so ``_finish_run`` — and any later scalar run on the
 same simulator — behaves identically.
 
-``REPRO_KERNEL=0/off`` (or the ``--no-kernel`` CLI flag) forces the
-scalar reference path; :func:`kernel_fallback_cause` names why a run
-cannot use the kernel, and the simulator reports it as a
-``KernelFallback`` observability event.
+``REPRO_KERNEL=0/off`` forces the scalar filter-plane walk;
+:func:`kernel_fallback_cause` names why a run cannot use the kernel, and
+the simulator reports it as a ``KernelFallback`` observability event.
 """
 
 from __future__ import annotations

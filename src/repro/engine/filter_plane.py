@@ -22,8 +22,7 @@ columns (instructions, per-class L1 hits, store bytes), and caches it
 The mask kernel is a NumPy per-set grouped LRU (sets advance in lockstep,
 so the per-record Python loop disappears); a pure-Python reference
 implementation over :class:`~repro.memory.cache.SetAssociativeCache`
-exists for verification and as a fallback for degenerate geometries.
-``REPRO_FILTER_KERNEL=python`` forces the reference kernel.
+exists for verification and serves geometries with fewer than four sets.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "l1_hit_mask_reference",
     "l2_evolution",
     "l2_evolution_reference",
-    "compressed_enabled",
     "kernel_enabled",
 ]
 
@@ -59,7 +57,7 @@ log = logging.getLogger(__name__)
 #: :meth:`repro.memory.cache.SetAssociativeCache.geometry_key`.
 GeometryKey = Tuple[int, int, int]
 
-#: Values of ``REPRO_COMPRESSED`` that turn compressed execution off.
+#: Values of ``REPRO_KERNEL`` that turn the epoch-batched kernel off.
 _DISABLED_VALUES = {"0", "off", "none", "false", "no"}
 
 #: Traces shorter than this are not persisted to disk (the plane is
@@ -69,15 +67,6 @@ _MIN_PERSIST_RECORDS = 20_000
 _PLANE_FORMAT_VERSION = 1
 
 _SEGMENT_FORMAT_VERSION = 1
-
-
-def compressed_enabled() -> bool:
-    """Default for compressed execution: on unless ``REPRO_COMPRESSED``
-    is set to a disabled value (``0``/``off``/``false``/...)."""
-    value = os.environ.get("REPRO_COMPRESSED")
-    if value is None:
-        return True
-    return value.strip().lower() not in _DISABLED_VALUES
 
 
 def kernel_enabled() -> bool:
@@ -291,17 +280,12 @@ class FilterPlane:
 # Computation + caching
 # ----------------------------------------------------------------------
 def compute_filter_plane(
-    trace: "Trace",
-    l1i_key: GeometryKey,
-    l1d_key: GeometryKey,
-    kernel: str | None = None,
+    trace: "Trace", l1i_key: GeometryKey, l1d_key: GeometryKey
 ) -> FilterPlane:
-    """Compute a plane directly (no caching).  ``kernel``: numpy|python."""
-    if kernel is None:
-        kernel = os.environ.get("REPRO_FILTER_KERNEL", "numpy").strip().lower()
+    """Compute a plane directly (no caching)."""
     # Tiny set counts make the lockstep kernel degenerate to one set per
     # round; the reference loop is faster and trivially correct there.
-    if kernel == "python" or _geometry_sets(l1i_key)[0] < 4 or _geometry_sets(l1d_key)[0] < 4:
+    if _geometry_sets(l1i_key)[0] < 4 or _geometry_sets(l1d_key)[0] < 4:
         hit = l1_hit_mask_reference(trace.kind, trace.addr, l1i_key, l1d_key)
     else:
         hit = l1_hit_mask(trace.kind, trace.addr, l1i_key, l1d_key)
@@ -694,17 +678,14 @@ def compute_epoch_segments(
     plane: FilterPlane,
     l2_key: GeometryKey,
     rob_size: int,
-    kernel: str | None = None,
 ) -> EpochSegmentPlane:
     """Compute the segmentation directly (no caching)."""
-    if kernel is None:
-        kernel = os.environ.get("REPRO_FILTER_KERNEL", "numpy").strip().lower()
     idx = plane.miss_indices
     lines = (np.asarray(trace.addr, dtype=np.int64)[idx]) >> plane.line_shift
     kinds = np.asarray(trace.kind)[idx]
     store_mask = kinds == 2
     n_sets, ways = _geometry_sets(l2_key)
-    if kernel == "python" or n_sets < 4:
+    if n_sets < 4:
         hit, victims, victim_dirty, final = l2_evolution_reference(
             lines, store_mask, l2_key
         )

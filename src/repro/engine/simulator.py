@@ -46,7 +46,7 @@ from ..obs.events import (
 from ..prefetchers.base import Prefetcher
 from .config import ProcessorConfig
 from .epoch import Epoch, EpochTracker
-from .filter_plane import compressed_enabled, get_filter_plane
+from .filter_plane import get_filter_plane
 from .stats import SimulationResult, SimulationStats
 
 __all__ = ["EpochSimulator"]
@@ -117,12 +117,8 @@ class EpochSimulator:
         #: effective miss penalty.  Prefetch readiness is judged on this
         #: clock (see PrefetchBuffer's docstring).
         self._penalty_accum = 0.0
-        #: True while a compressed-execution run resolves the L1 filter
-        #: from a precomputed plane: _step_miss then passes ``l1=None`` to
-        #: the hierarchy so the (never again read) L1 fill is skipped.
-        self._l1_precomputed = False
         #: Which execution path the most recent ``run`` took:
-        #: ``"epoch_kernel"``, ``"compressed"`` or ``"legacy"``.
+        #: ``"epoch_kernel"`` or ``"compressed"``.
         self.last_run_path: str | None = None
         #: The observability event bus; None keeps the null-sink fast path
         #: (a single ``is None`` check per emission site).
@@ -142,117 +138,48 @@ class EpochSimulator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: Any,
-        warmup_records: int | None = None,
-        compressed: bool | None = None,
-    ) -> SimulationResult:
+    def run(self, trace: Any, warmup_records: int | None = None) -> SimulationResult:
         """Simulate ``trace`` and return the measured-region result.
 
-        ``trace`` must expose integer sequences ``gap``, ``kind``, ``pc``,
-        ``addr`` and ``serial`` of equal length (see
-        :class:`repro.workloads.trace.Trace`).  The first
+        ``trace`` is a :class:`repro.workloads.trace.Trace`.  The first
         ``warmup_records`` records warm the caches, the prefetcher and the
         correlation table without collecting statistics — mirroring the
         paper's 150 M-instruction warm-up before the 100 M-instruction
         measurement window.  The default warm-up is 30 % of the trace.
 
-        ``compressed`` selects miss-stream compressed execution: the L1
-        hit/miss outcome of every record is resolved ahead of time from
-        the trace's filter plane (:mod:`repro.engine.filter_plane`) and
-        the per-record loop visits only the L1 misses, folding each run of
-        L1 hits into O(1) prefix-sum updates.  Results are bit-identical
-        to the record-by-record path.  The default (``None``) enables it
-        for real :class:`~repro.workloads.trace.Trace` inputs unless
-        ``REPRO_COMPRESSED`` is set to ``0``/``off``/``false``.
+        The L1 hit/miss outcome of every record is resolved ahead of time
+        from the trace's filter plane (:mod:`repro.engine.filter_plane`),
+        so the walk visits only the L1 misses and folds each run of L1
+        hits into O(1) prefix-sum updates.  EBCP runs take the
+        epoch-batched kernel (:mod:`repro.engine.ebcp_kernel`) whenever
+        :func:`~repro.engine.ebcp_kernel.kernel_fallback_cause` allows it
+        and the filter-plane walk otherwise.  Both are bit-identical to
+        stepping every record through the L1s one at a time (the test
+        suite's ``walk_every_record`` oracle).
+
+        Each run filters its trace through *cold* L1s: the plane is a
+        function of the trace and the L1 geometries alone.  Everything
+        else — L2, prefetch buffer, correlation table, epoch and bandwidth
+        state — carries over when the same simulator runs again.
         """
         n = len(trace.gap)
         if warmup_records is None:
             warmup_records = int(0.3 * n)
         warmup_records = max(0, min(warmup_records, n))
-        if compressed is None:
-            compressed = compressed_enabled()
-        # Compressed execution needs the real Trace surface (fingerprint,
-        # numpy columns, the attached plane memo); duck-typed test traces
-        # fall back to the record-by-record loop.
-        compressed = compressed and hasattr(trace, "fingerprint") and n > 0
         log.info(
-            "run: %s records (%s warm-up), prefetcher=%s, observability=%s, compressed=%s",
+            "run: %s records (%s warm-up), prefetcher=%s, observability=%s",
             n,
             warmup_records,
             self.prefetcher.name if self.prefetcher is not None else "none",
             "on" if self.bus is not None else "off",
-            compressed,
         )
-        batchable = self.prefetcher is not None and getattr(
+        if self.prefetcher is not None and getattr(
             self.prefetcher, "supports_epoch_batch", False
-        )
-        if compressed:
-            if batchable:
-                result = self._try_epoch_kernel(trace, warmup_records, n)
-                if result is not None:
-                    return result
-            return self._run_compressed(trace, warmup_records, n)
-        if batchable:
-            # The kernel rides on compressed execution; report the silent
-            # scalar fallback so it is visible in the telemetry surface.
-            self._note_kernel_fallback("compressed_disabled")
-
-        if hasattr(trace, "columns"):
-            # Real Trace objects pack their columns once and reuse them
-            # across repeated runs of the same trace (sweeps run each trace
-            # dozens of times; the conversion used to dominate short runs).
-            gaps, kinds, pcs, addrs, serials, tids = trace.columns()
-        else:
-            gaps = trace.gap.tolist() if hasattr(trace.gap, "tolist") else list(trace.gap)
-            kinds = trace.kind.tolist() if hasattr(trace.kind, "tolist") else list(trace.kind)
-            pcs = trace.pc.tolist() if hasattr(trace.pc, "tolist") else list(trace.pc)
-            addrs = trace.addr.tolist() if hasattr(trace.addr, "tolist") else list(trace.addr)
-            serials = (
-                trace.serial.tolist() if hasattr(trace.serial, "tolist") else list(trace.serial)
-            )
-            tids = (
-                trace.tid.tolist()
-                if hasattr(trace, "tid") and hasattr(trace.tid, "tolist")
-                else [0] * n
-            )
-
-        self.last_run_path = "legacy"
-        self._measuring = False
-        inst = 0
-        measure_start_inst = 0
-        # Hot loop: the overwhelmingly common case is an L1 hit, which
-        # needs only the line lookup and a counter — handle it inline with
-        # every lookup hoisted to a local, and fall into _step_miss (the
-        # former _step body) only on an L1 miss.  Behaviour is bit-for-bit
-        # identical to the straightforward per-record _step call.
-        line_shift = self.hierarchy.line_shift
-        l1i_lookup = self.hierarchy.l1i.lookup
-        l1d_lookup = self.hierarchy.l1d.lookup
-        step_miss = self._step_miss
-        stats = self.stats
-        measuring = False
-        for i in range(n):
-            if i == warmup_records:
-                measure_start_inst = inst
-                self._begin_measurement()
-                stats = self.stats
-                measuring = True
-            inst += gaps[i]
-            kind_code = kinds[i]
-            line = addrs[i] >> line_shift
-            if measuring:
-                stats.accesses += 1
-            if l1i_lookup(line) if kind_code == 0 else l1d_lookup(line):
-                if measuring:
-                    if kind_code == 0:
-                        stats.l1i_hits += 1
-                    else:
-                        stats.l1d_hits += 1
-                continue
-            step_miss(kind_code, pcs[i], addrs[i], bool(serials[i]), inst, tids[i], line)
-        return self._finish_run(trace, inst, measure_start_inst)
+        ):
+            result = self._try_epoch_kernel(trace, warmup_records, n)
+            if result is not None:
+                return result
+        return self._run_compressed(trace, warmup_records, n)
 
     # ------------------------------------------------------------------
     # Compressed execution (precomputed L1 filter plane)
@@ -281,8 +208,8 @@ class EpochSimulator:
 
         The plane supplies the miss mask and the prefix sums needed to
         reconstruct every bulk statistic (accesses, per-class L1 hits, the
-        instruction clock at each miss) exactly as the record-by-record
-        loop would have accumulated them.
+        instruction clock at each miss) exactly as a walk of every record
+        would have accumulated them.
         """
         self.last_run_path = "compressed"
         hierarchy = self.hierarchy
@@ -297,7 +224,6 @@ class EpochSimulator:
         measure_start_inst = int(inst_prefix[warmup_records])
 
         self._measuring = False
-        self._l1_precomputed = True
         # Without a prefetcher or bus subscribers the miss path collapses
         # to L2 + epochs + bandwidth; a specialised loop skips the work
         # that is unobservable in that configuration.
@@ -306,29 +232,26 @@ class EpochSimulator:
         # One iterator consumed across the warm-up boundary: the measured
         # loop picks up exactly where the warm-up loop stopped.
         miss_args = zip(kinds, pcs, addrs, serials, insts, tids, lines)
-        try:
-            if simple:
-                self._run_misses_simple(kinds, pcs, serials, insts, lines, 0, split)
-            else:
-                for args in islice(miss_args, split):
-                    step_miss(*args)
-            if warmup_records < n:
-                self._begin_measurement()
-                stats = self.stats
-                stats.accesses = n - warmup_records
-                stats.l1i_hits = int(
-                    plane.l1i_hit_prefix[n] - plane.l1i_hit_prefix[warmup_records]
-                )
-                stats.l1d_hits = int(
-                    plane.l1d_hit_prefix[n] - plane.l1d_hit_prefix[warmup_records]
-                )
-            if simple:
-                self._run_misses_simple(kinds, pcs, serials, insts, lines, split, n_misses)
-            else:
-                for args in miss_args:
-                    step_miss(*args)
-        finally:
-            self._l1_precomputed = False
+        if simple:
+            self._run_misses_simple(kinds, pcs, serials, insts, lines, 0, split)
+        else:
+            for args in islice(miss_args, split):
+                step_miss(*args)
+        if warmup_records < n:
+            self._begin_measurement()
+            stats = self.stats
+            stats.accesses = n - warmup_records
+            stats.l1i_hits = int(
+                plane.l1i_hit_prefix[n] - plane.l1i_hit_prefix[warmup_records]
+            )
+            stats.l1d_hits = int(
+                plane.l1d_hit_prefix[n] - plane.l1d_hit_prefix[warmup_records]
+            )
+        if simple:
+            self._run_misses_simple(kinds, pcs, serials, insts, lines, split, n_misses)
+        else:
+            for args in miss_args:
+                step_miss(*args)
         return self._finish_run(trace, total_inst, measure_start_inst)
 
     def _run_misses_simple(
@@ -342,7 +265,7 @@ class EpochSimulator:
         the wall-clock cycle, the prefetch-buffer probe, interval
         tracking, request registration — is unobservable in this
         configuration and skipped; the L2, epoch, MSHR and bandwidth
-        mutations are performed in exactly the legacy order, so the
+        mutations are performed in exactly ``_step_miss``'s order, so the
         resulting statistics are bit-identical.
         """
         stats = self.stats
@@ -403,8 +326,7 @@ class EpochSimulator:
             else:
                 reason = "mshr_full"
             # Window terminated (EpochTracker.open_new, inlined): count
-            # the reason *before* closing so the close merges it, exactly
-            # like the legacy ordering.
+            # the reason *before* closing so the close merges it.
             term[reason] = term.get(reason, 0) + 1
             new_epoch = Epoch(
                 index=tracker.epoch_count,
@@ -470,51 +392,27 @@ class EpochSimulator:
         self._measuring = True
 
     # ------------------------------------------------------------------
-    # Per-record step
+    # Per-miss step
     # ------------------------------------------------------------------
-    def _step(
-        self, kind_code: int, pc: int, addr: int, serial: bool, inst: int, tid: int = 0
-    ) -> None:
-        """One trace record: L1 filter, then the miss path.
-
-        Retained as the single-record entry point (run() inlines the L1-hit
-        fast path for speed but is behaviourally identical).
-        """
-        stats = self.stats
-        if self._measuring:
-            stats.accesses += 1
-        line = addr >> self.hierarchy.line_shift
-        l1 = self.hierarchy.l1i if kind_code == 0 else self.hierarchy.l1d
-        if l1.lookup(line):
-            if self._measuring:
-                if kind_code == 0:
-                    stats.l1i_hits += 1
-                else:
-                    stats.l1d_hits += 1
-            return
-        self._step_miss(kind_code, pc, addr, serial, inst, tid, line)
-
     def _step_miss(
         self, kind_code: int, pc: int, addr: int, serial: bool, inst: int, tid: int, line: int
     ) -> None:
         """An L1 miss (== L2 access): epochs, prefetcher, hierarchy, timing.
 
-        The caller has already counted the access and performed the L1
-        lookup (whose LRU side effect is the same whether it hits or
-        misses).
+        The caller has already resolved the L1 filter and counted the
+        access; the simulator never fills the L1s itself (the filter
+        plane stands in for them).
         """
         stats = self.stats
         measuring = self._measuring
         hierarchy = self.hierarchy
         # L2-hit fast path: when no prefetcher observes the access stream
         # and no bus listens, a hit has no observer — the only effects are
-        # the L2 LRU touch, the L1 fill and two counters, so the Access
-        # and HierarchyResult objects need never exist.  (The epoch
+        # the L2 LRU touch and two counters, so the Access and
+        # HierarchyResult objects need never exist.  (The epoch
         # bookkeeping skipped here is pure computation on the miss path.)
         if not self._wants_access_stream and hierarchy.bus is None:
             if hierarchy.l2.lookup(line):
-                if not self._l1_precomputed:
-                    (hierarchy.l1i if kind_code == 0 else hierarchy.l1d).insert(line)
                 if measuring:
                     stats.l2_accesses += 1
                     stats.l2_hits += 1
@@ -560,11 +458,7 @@ class EpochSimulator:
         if self._wants_access_stream:
             requests.extend(prefetcher.observe_access(access, line, prospective))
 
-        if self._l1_precomputed:
-            l1 = None
-        else:
-            l1 = hierarchy.l1i if kind_code == 0 else hierarchy.l1d
-        result = hierarchy.access_after_l1_miss(access, line, l1, cycle, l2_known_miss)
+        result = hierarchy.access_after_l1_miss(access, line, None, cycle, l2_known_miss)
         if result.writeback_line is not None:
             # Dirty L2 victim: a memory write, visible to memory-side
             # prefetchers as part of the raw request stream.

@@ -103,10 +103,9 @@ class CacheHierarchy:
     ) -> HierarchyResult:
         """As :meth:`access`, for a caller that already probed ``l1``.
 
-        The epoch simulator filters the trace through the L1s itself on
-        its hot path; re-probing here would only burn time and double the
-        L1 miss counters.  ``l1`` may be ``None`` when the caller resolved
-        the L1 filter ahead of time (compressed execution over a
+        Re-probing here would only burn time and double the L1 miss
+        counters.  ``l1`` is ``None`` when the caller resolved the L1
+        filter ahead of time, as the epoch simulator always does (a
         precomputed filter plane, :mod:`repro.engine.filter_plane`): the
         L1 fill is then skipped entirely, which is safe because nothing
         downstream ever reads L1 contents the filter plane did not

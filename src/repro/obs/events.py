@@ -235,8 +235,10 @@ class KernelFallback(Event):
     silently took the scalar path instead.
 
     ``cause`` names the reason (``bus_attached``, ``warm_state``,
-    ``disabled``, ``compressed_disabled``, ...) — see
-    :func:`repro.engine.ebcp_kernel.kernel_fallback_cause`.
+    ``disabled``, ...) — see
+    :func:`repro.engine.ebcp_kernel.kernel_fallback_cause`.  The
+    scalar path is always the filter-plane walk, so the former
+    ``compressed_disabled`` cause can no longer occur.
     """
 
     prefetcher: str

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..engine.config import ProcessorConfig
-from ..engine.filter_plane import (
-    compressed_enabled,
-    get_epoch_segments,
-    get_filter_plane,
-    kernel_enabled,
-)
+from ..engine.filter_plane import get_epoch_segments, get_filter_plane, kernel_enabled
 from ..engine.simulator import EpochSimulator
 from ..engine.stats import SimulationResult
 from ..prefetchers.base import Prefetcher
@@ -95,11 +90,6 @@ class JobSpec:
     scale: float = 1.0
     n_threads: int = 0
     warmup_records: Optional[int] = None
-    #: Compressed execution over the precomputed L1 filter plane
-    #: (:mod:`repro.engine.filter_plane`); ``None`` defers to
-    #: ``$REPRO_COMPRESSED`` (on by default).  Results are bit-identical
-    #: either way — this exists for benchmarking the legacy path.
-    compressed: Optional[bool] = None
 
     def build_trace(self) -> Trace:
         if self.n_threads > 0:
@@ -130,13 +120,7 @@ class JobSpec:
             overlap=trace.meta.overlap,
             bus=bus,
         )
-        return sim.run(
-            trace, warmup_records=self.warmup_records, compressed=self.compressed
-        )
-
-    def wants_compressed(self) -> bool:
-        """Whether running this spec will consult the filter plane."""
-        return self.compressed if self.compressed is not None else compressed_enabled()
+        return sim.run(trace, warmup_records=self.warmup_records)
 
     def l1_geometry_keys(self) -> "tuple[tuple, tuple]":
         """The (L1I, L1D) geometry keys this spec's hierarchy will use."""
@@ -148,10 +132,8 @@ class JobSpec:
 
     def wants_kernel(self) -> bool:
         """Whether running this spec can take the epoch-batched kernel."""
-        return (
-            self.wants_compressed()
-            and kernel_enabled()
-            and getattr(self.prefetcher, "supports_epoch_batch", False)
+        return kernel_enabled() and getattr(
+            self.prefetcher, "supports_epoch_batch", False
         )
 
     def segment_geometry_key(self) -> "tuple[tuple, int]":
@@ -205,19 +187,14 @@ def _warm_trace_cache(
         if spec.n_threads > 0:
             continue  # CMP composites are built from cached per-thread traces
         key = (spec.workload, spec.records, spec.seed, spec.scale)
-        geometry = spec.l1_geometry_keys() if spec.wants_compressed() else None
-        plane_key = None if geometry is None else key + geometry
+        geometry = spec.l1_geometry_keys()
+        plane_key = key + geometry
         segment_key = (
-            plane_key + spec.segment_geometry_key()
-            if plane_key is not None and spec.wants_kernel()
-            else None
+            plane_key + spec.segment_geometry_key() if spec.wants_kernel() else None
         )
         with _WARM_LOCK:
             want_trace = ("trace",) + key not in _WARM_REGISTRY
-            want_plane = (
-                plane_key is not None
-                and ("plane",) + plane_key not in _WARM_REGISTRY
-            )
+            want_plane = ("plane",) + plane_key not in _WARM_REGISTRY
             want_segment = (
                 segment_key is not None
                 and ("segment",) + segment_key not in _WARM_REGISTRY
@@ -235,20 +212,19 @@ def _warm_trace_cache(
             new_traces += 1
         with _WARM_LOCK:
             _WARM_REGISTRY.add(("trace",) + key)
-        if plane_key is not None:
-            plane = get_filter_plane(trace, *geometry)
-            if want_plane:
-                new_planes += 1
+        plane = get_filter_plane(trace, *geometry)
+        if want_plane:
+            new_planes += 1
+        with _WARM_LOCK:
+            _WARM_REGISTRY.add(("plane",) + plane_key)
+        if want_segment:
+            # Kernel-eligible jobs also consult the epoch-segment plane
+            # (per distinct L2 geometry + ROB size) — warm it alongside.
+            l2_geometry, rob_size = spec.segment_geometry_key()
+            get_epoch_segments(trace, plane, l2_geometry, rob_size)
+            new_segments += 1
             with _WARM_LOCK:
-                _WARM_REGISTRY.add(("plane",) + plane_key)
-            if want_segment:
-                # Kernel-eligible jobs also consult the epoch-segment plane
-                # (per distinct L2 geometry + ROB size) — warm it alongside.
-                l2_geometry, rob_size = spec.segment_geometry_key()
-                get_epoch_segments(trace, plane, l2_geometry, rob_size)
-                new_segments += 1
-                with _WARM_LOCK:
-                    _WARM_REGISTRY.add(("segment",) + segment_key)
+                _WARM_REGISTRY.add(("segment",) + segment_key)
     if new_traces or new_planes or new_segments:
         from ..obs.bus import peek_global_bus
         from ..obs.events import TraceCacheWarmed

@@ -13,7 +13,7 @@ Modules
 -------
 ``policy``
     :class:`ExecutionPolicy` — the one frozen dataclass every runner and
-    experiment accepts instead of loose ``jobs=``/``compressed=`` kwargs.
+    experiment accepts instead of loose ``jobs=``/``timeout=`` kwargs.
 ``executor``
     :func:`execute` — the retry/timeout/checkpoint-aware engine behind
     :func:`repro.parallel.jobs.run_jobs` and both sweep runners.

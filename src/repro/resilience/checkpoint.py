@@ -12,9 +12,9 @@ Identity and bit-identical resume
 Each journal line is keyed by :func:`job_key`: a SHA-256 over the job's
 batch position and every spec field that influences its result (workload
 generation parameters, processor-configuration fingerprint, prefetcher
-class, label).  ``compressed`` is deliberately excluded — compressed and
-legacy execution are bit-identical by construction, so a resume may
-switch modes.  Results round-trip through
+class, label).  The execution path is deliberately excluded — the epoch
+kernel and the scalar walk are bit-identical by construction, so a
+resume may switch ``REPRO_KERNEL``.  Results round-trip through
 :meth:`~repro.engine.stats.SimulationResult.snapshot`, which preserves
 raw counters (and exact IEEE floats via JSON ``repr``), so a resumed
 sweep's merged result list is field-for-field identical to an
@@ -50,8 +50,8 @@ def job_key(spec: "JobSpec", index: int) -> str:
     """Stable identity of one job within a batch (hex SHA-256 prefix).
 
     Covers the batch position and every spec field that influences the
-    result.  Excludes ``compressed`` (bit-identical execution modes) so
-    a checkpoint taken in one mode resumes cleanly in the other.
+    result.  Excludes the execution path (bit-identical by construction)
+    so a checkpoint taken with the kernel resumes cleanly without it.
     """
     prefetcher = spec.prefetcher
     identity = (

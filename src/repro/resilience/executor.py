@@ -31,7 +31,6 @@ cost a few string comparisons per attempt.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import os
 import pickle
@@ -237,15 +236,6 @@ def execute(
         ctx = exec_span.context
     ctx_wire = ctx.to_wire() if ctx is not None else None
     faults = policy.faults()
-    if policy.compressed is not None:
-        # The policy decides for specs that left the mode open; a spec's
-        # explicit choice (benchmarks pinning the legacy path) wins.
-        specs = [
-            dataclasses.replace(s, compressed=policy.compressed)
-            if s.compressed is None
-            else s
-            for s in specs
-        ]
 
     keys = [job_key(spec, i) for i, spec in enumerate(specs)]
     results: "List[Optional[SimulationResult]]" = [None] * len(specs)

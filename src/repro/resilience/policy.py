@@ -2,9 +2,9 @@
 
 Before this module existed, execution behaviour was threaded through the
 codebase one keyword at a time: ``jobs=`` on every experiment ``run()``,
-``compressed=`` on :class:`~repro.parallel.jobs.JobSpec`, env knobs read
-ad hoc.  Adding per-job timeouts, retries and checkpointing the same way
-would have meant five more kwargs on a dozen signatures.
+env knobs read ad hoc.  Adding per-job timeouts, retries and
+checkpointing the same way would have meant five more kwargs on a dozen
+signatures.
 
 :class:`ExecutionPolicy` collapses all of it into one frozen, picklable
 value object that rides from the CLI through the sweep runners down to
@@ -35,10 +35,6 @@ class ExecutionPolicy:
         Worker-process count: ``None`` defers to ``$REPRO_JOBS`` (default
         1), ``0`` means one per core, ``1`` runs in-process, ``n > 1``
         fans out over a process pool.
-    compressed:
-        Force compressed miss-stream execution on (True) / off (False),
-        or ``None`` to let each job decide (``$REPRO_COMPRESSED``,
-        default on).
     timeout_s:
         Per-job wall-clock budget.  In pool mode a job that exceeds it is
         killed with its pool and retried; in-process it is detected after
@@ -60,7 +56,6 @@ class ExecutionPolicy:
     """
 
     jobs: Optional[int] = None
-    compressed: Optional[bool] = None
     timeout_s: Optional[float] = None
     retries: int = 1
     backoff_s: float = 0.25
@@ -106,8 +101,6 @@ class ExecutionPolicy:
     def describe(self) -> str:
         """One-line human summary (logs and run manifests)."""
         parts = [f"jobs={self.resolved_jobs()}"]
-        if self.compressed is not None:
-            parts.append(f"compressed={'on' if self.compressed else 'off'}")
         if self.timeout_s is not None:
             parts.append(f"timeout={self.timeout_s:g}s")
         parts.append(f"retries={self.retries}")

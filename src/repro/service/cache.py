@@ -18,10 +18,10 @@ of the run —
   mean identical initial predictor state;
 * the warmup split.
 
-``compressed`` execution mode is deliberately **not** part of the key:
-compressed and legacy execution are bit-identical by construction (the
-same argument the checkpoint journal makes), so a cache entry is valid
-in either mode.
+The execution path is deliberately **not** part of the key: the epoch
+kernel and the scalar filter-plane walk (``REPRO_KERNEL=off``) are
+bit-identical by construction (the same argument the checkpoint journal
+makes), so a cache entry is valid whichever path computed it.
 
 Tiers
 -----

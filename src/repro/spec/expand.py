@@ -159,7 +159,6 @@ def expand(spec: SweepSpec) -> SweepPlan:
                     scale=spec.grid.scale,
                     n_threads=n_threads,
                     warmup_records=spec.grid.warmup_records,
-                    compressed=spec.execution.compressed,
                 )
             )
 
@@ -187,7 +186,6 @@ def expand(spec: SweepSpec) -> SweepPlan:
                     scale=spec.grid.scale,
                     n_threads=n_threads,
                     warmup_records=spec.grid.warmup_records,
-                    compressed=spec.execution.compressed,
                 )
             )
 

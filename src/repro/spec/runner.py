@@ -10,8 +10,6 @@ cares which path ran the sweep.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -23,30 +21,6 @@ from .expand import PlannedJob, SweepPlan, expand
 from .schema import SweepSpec
 
 __all__ = ["SweepResult", "run_spec"]
-
-
-@contextlib.contextmanager
-def _kernel_env(enabled: Optional[bool]) -> Iterator[None]:
-    """Pin ``REPRO_KERNEL`` for the duration of a spec run.
-
-    The kernel switch is process-global (read per job via
-    ``kernel_enabled()``), so a spec that pins it must restore the
-    caller's environment afterwards.  ``None`` leaves the environment
-    alone.  Results are bit-identical either way — this is the same
-    guarantee as ``--no-kernel``.
-    """
-    if enabled is None:
-        yield
-        return
-    old = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = "on" if enabled else "off"
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = old
 
 
 @dataclass
@@ -185,6 +159,5 @@ def run_spec(
     plan = expand(spec)
     if policy is None:
         policy = spec.execution.to_policy()
-    with _kernel_env(spec.execution.kernel):
-        results = run_jobs(plan.jobs, policy=policy, bus=bus)
+    results = run_jobs(plan.jobs, policy=policy, bus=bus)
     return SweepResult(spec=spec, plan=plan, results=tuple(results))

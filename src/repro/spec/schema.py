@@ -381,15 +381,12 @@ class GridSpec:
 class ExecutionSpec:
     """The spec's execution-policy block (lowered to ``ExecutionPolicy``).
 
-    Everything here is *how* to run, never *what*: with the single
-    exception of ``compressed``/``kernel`` — both pinned bit-identical
-    by the goldens — no field may change results.  CLI flags override
-    these values; the spec provides the defaults.
+    Everything here is *how* to run, never *what*: no field may change
+    results.  CLI flags override these values; the spec provides the
+    defaults.
     """
 
     jobs: Optional[int] = None
-    compressed: Optional[bool] = None
-    kernel: Optional[bool] = None
     timeout_s: Optional[float] = None
     retries: int = 1
     backoff_s: float = 0.25
@@ -398,7 +395,6 @@ class ExecutionSpec:
     def to_policy(self, **overrides: Any) -> ExecutionPolicy:
         values = {
             "jobs": self.jobs,
-            "compressed": self.compressed,
             "timeout_s": self.timeout_s,
             "retries": self.retries,
             "backoff_s": self.backoff_s,
@@ -409,13 +405,7 @@ class ExecutionSpec:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for name in (
-            "jobs",
-            "compressed",
-            "kernel",
-            "timeout_s",
-            "checkpoint_dir",
-        ):
+        for name in ("jobs", "timeout_s", "checkpoint_dir"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -430,26 +420,12 @@ class ExecutionSpec:
         payload = _require_mapping(payload, path)
         _reject_unknown(
             payload,
-            (
-                "jobs",
-                "compressed",
-                "kernel",
-                "timeout_s",
-                "retries",
-                "backoff_s",
-                "checkpoint_dir",
-            ),
+            ("jobs", "timeout_s", "retries", "backoff_s", "checkpoint_dir"),
             path,
         )
         jobs = payload.get("jobs")
         if jobs is not None:
             jobs = _require_int(jobs, f"{path}.jobs", minimum=0)
-        compressed = payload.get("compressed")
-        if compressed is not None:
-            compressed = _require_bool(compressed, f"{path}.compressed")
-        kernel = payload.get("kernel")
-        if kernel is not None:
-            kernel = _require_bool(kernel, f"{path}.kernel")
         timeout_s = payload.get("timeout_s")
         if timeout_s is not None:
             timeout_s = _require_number(timeout_s, f"{path}.timeout_s")
@@ -464,8 +440,6 @@ class ExecutionSpec:
             checkpoint_dir = _require_str(checkpoint_dir, f"{path}.checkpoint_dir")
         return cls(
             jobs=jobs,
-            compressed=compressed,
-            kernel=kernel,
             timeout_s=timeout_s,
             retries=retries,
             backoff_s=backoff_s,

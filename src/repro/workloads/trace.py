@@ -80,8 +80,6 @@ class Trace:
             raise ValueError(f"array 'tid' has length {len(tid)}, expected {n}")
         self.tid = np.ascontiguousarray(tid, dtype=np.uint16)
         self.meta = meta or TraceMeta()
-        # Lazily packed plain-list columns (see :meth:`columns`).
-        self._columns: tuple[list, list, list, list, list, list] | None = None
         # Lazy derived state, all keyed to the immutable record arrays:
         # content fingerprint, instruction prefix sums, and the per-L1-
         # geometry filter planes (:mod:`repro.engine.filter_plane`).
@@ -109,26 +107,6 @@ class Trace:
                 int(self.addr[i]),
                 bool(self.serial[i]),
             )
-
-    def columns(self) -> tuple[list, list, list, list, list, list]:
-        """The six record columns as plain Python lists, packed once.
-
-        The epoch simulator iterates records as Python ints; converting the
-        numpy arrays costs more than a short simulation, and sweeps run the
-        same trace dozens of times.  The trace is immutable, so the packed
-        ``(gap, kind, pc, addr, serial, tid)`` lists are built on first use
-        and reused by every subsequent run.
-        """
-        if self._columns is None:
-            self._columns = (
-                self.gap.tolist(),
-                self.kind.tolist(),
-                self.pc.tolist(),
-                self.addr.tolist(),
-                self.serial.tolist(),
-                self.tid.tolist(),
-            )
-        return self._columns
 
     def fingerprint(self) -> str:
         """Content hash over all six record columns (hex, 32 chars).

@@ -286,19 +286,6 @@ class TestKernelFallback:
         assert [e.cause for e in events] == ["bus_attached"]
         assert events[0].prefetcher == "ebcp"
 
-    def test_legacy_path_emits_compressed_disabled(self):
-        trace = make_workload("tpcw", records=2_000, seed=7)
-        bus = EventBus()
-        events = _collect_fallbacks(bus)
-        sim = EpochSimulator(
-            ProcessorConfig.scaled(), EpochBasedCorrelationPrefetcher(),
-            cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
-            bus=bus,
-        )
-        sim.run(trace, compressed=False)
-        assert sim.last_run_path == "legacy"
-        assert [e.cause for e in events] == ["compressed_disabled"]
-
     def test_unsupported_prefetcher_no_kernel(self):
         trace = make_workload("tpcw", records=2_000, seed=7)
         sim = EpochSimulator(

@@ -1,12 +1,16 @@
-"""Tests for the precomputed L1 filter plane and compressed execution.
+"""Tests for the precomputed filter planes and the walks built on them.
 
 The load-bearing claims verified here:
 
 * the NumPy grouped-LRU mask kernel is *exactly* the simulator's L1
   filter (lookup-then-insert over ``SetAssociativeCache``) for arbitrary
-  geometries and access streams, and
-* compressed execution over the plane produces field-for-field identical
-  ``SimulationStats`` (and CPI) to the legacy record-by-record walk.
+  geometries and access streams,
+* the NumPy L2 evolution kernel is exactly the hierarchy's L2 protocol
+  (lookup, install, dirty marking, victim write-back), and
+* ``EpochSimulator.run`` — the epoch kernel and the scalar filter-plane
+  walk alike — produces field-for-field identical ``SimulationStats``
+  (and CPI) to the record-by-record oracle
+  :func:`tests.helpers.walk_every_record`, cold and on a warm re-run.
 """
 
 from __future__ import annotations
@@ -18,16 +22,20 @@ from hypothesis import strategies as st
 
 from repro.engine.config import ProcessorConfig
 from repro.engine.filter_plane import (
-    compressed_enabled,
     compute_filter_plane,
     get_filter_plane,
+    kernel_enabled,
     l1_hit_mask,
     l1_hit_mask_reference,
+    l2_evolution,
+    l2_evolution_reference,
 )
 from repro.engine.simulator import EpochSimulator
 from repro.memory.cache import SetAssociativeCache
 from repro.prefetchers.registry import build_prefetcher
 from repro.workloads.registry import WORKLOADS, make_workload
+
+from tests.helpers import walk_every_record
 
 LINE = 64
 
@@ -103,6 +111,37 @@ class TestMaskProperty:
 
 
 # ----------------------------------------------------------------------
+# L2 evolution kernel vs the hierarchy's L2 protocol
+# ----------------------------------------------------------------------
+class TestL2EvolutionProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geom=small_geometries,
+        records=st.lists(
+            st.tuples(st.integers(0, 63), st.booleans()),  # (line, is_store)
+            min_size=0,
+            max_size=300,
+        ),
+    )
+    def test_kernel_matches_reference(self, geom, records):
+        """Hit mask, victims, victim dirty bits and the final
+        (line, stamp, dirty) contents agree at 1-16 sets."""
+        n_sets, ways = geom
+        lines = np.array([line for line, _ in records], dtype=np.int64)
+        stores = np.array([store for _, store in records], dtype=bool)
+        hit, victims, dirty, final = l2_evolution(lines, stores, n_sets, ways)
+        ref_hit, ref_victims, ref_dirty, ref_final = l2_evolution_reference(
+            lines, stores, geometry(n_sets, ways)
+        )
+        assert np.array_equal(hit, ref_hit)
+        assert np.array_equal(victims, ref_victims)
+        assert np.array_equal(dirty, ref_dirty)
+        assert set(zip(*(col.tolist() for col in final))) == set(
+            zip(*(col.tolist() for col in ref_final))
+        )
+
+
+# ----------------------------------------------------------------------
 # Plane prefix sums
 # ----------------------------------------------------------------------
 class TestPlane:
@@ -146,52 +185,87 @@ class TestPlane:
         assert second is not first
         assert np.array_equal(first.miss_mask, second.miss_mask)
 
-    def test_python_kernel_env_override(self, monkeypatch):
-        trace = make_workload("pointer_chase", records=2_000, seed=5)
-        key = (8 * 1024, 2, 64)
-        numpy_plane = compute_filter_plane(trace, key, key, kernel="numpy")
-        monkeypatch.setenv("REPRO_FILTER_KERNEL", "python")
-        python_plane = compute_filter_plane(trace, key, key)
-        assert np.array_equal(numpy_plane.miss_mask, python_plane.miss_mask)
-
 
 # ----------------------------------------------------------------------
-# Compressed execution == legacy execution
+# Production run() == the record-by-record oracle
 # ----------------------------------------------------------------------
-def run_once(workload: str, scheme: str, compressed: bool, warmup: int | None):
-    trace = make_workload(workload, records=6_000, seed=7)
+RECORDS = 6_000
+#: The warm matrix also covers two prefetchers that have no kernel.
+WARM_SCHEMES = ["none", "ebcp", "ghb_small", "sms"]
+
+
+def make_sim(trace, scheme: str) -> EpochSimulator:
     prefetcher = None if scheme == "none" else build_prefetcher(scheme)
-    sim = EpochSimulator(
+    return EpochSimulator(
         ProcessorConfig.scaled(),
         prefetcher,
         cpi_perf=trace.meta.cpi_perf,
         overlap=trace.meta.overlap,
     )
-    return sim.run(trace, warmup_records=warmup, compressed=compressed)
+
+
+def assert_same_result(result, expected) -> None:
+    assert result.stats.to_dict() == expected.stats.to_dict()
+    assert result.cpi == expected.cpi
+    assert result.cycles == expected.cycles
 
 
 class TestCompressedIdentity:
+    """``run()`` equals the oracle with the kernel on and with it off.
+
+    With the defaults an ``ebcp`` run takes the epoch kernel; with
+    ``REPRO_KERNEL=off`` it takes the scalar filter-plane walk, so both
+    production walks are checked against the same reference.
+    """
+
+    def check(self, monkeypatch, workload: str, scheme: str, warmup) -> None:
+        trace = make_workload(workload, records=RECORDS, seed=7)
+        expected = walk_every_record(make_sim(trace, scheme), trace, warmup)
+        for kernel, path in ((None, "epoch_kernel"), ("off", "compressed")):
+            if kernel is None:
+                monkeypatch.delenv("REPRO_KERNEL", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_KERNEL", kernel)
+            sim = make_sim(trace, scheme)
+            assert_same_result(sim.run(trace, warmup_records=warmup), expected)
+            if scheme == "ebcp":
+                assert sim.last_run_path == path
+
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("scheme", ["none", "ebcp"])
-    def test_stats_field_for_field_identical(self, workload, scheme):
-        legacy = run_once(workload, scheme, compressed=False, warmup=None)
-        fast = run_once(workload, scheme, compressed=True, warmup=None)
-        assert legacy.stats.to_dict() == fast.stats.to_dict()
-        assert legacy.cpi == fast.cpi
-        assert legacy.cycles == fast.cycles
+    def test_stats_field_for_field_identical(self, monkeypatch, workload, scheme):
+        self.check(monkeypatch, workload, scheme, None)
 
     @pytest.mark.parametrize("warmup", [0, 1, 1_200, 5_999, 6_000])
-    def test_warmup_split_identical(self, warmup):
-        legacy = run_once("tpcw", "ebcp", compressed=False, warmup=warmup)
-        fast = run_once("tpcw", "ebcp", compressed=True, warmup=warmup)
-        assert legacy.stats.to_dict() == fast.stats.to_dict()
-        assert legacy.cpi == fast.cpi
+    def test_warmup_split_identical(self, monkeypatch, warmup):
+        self.check(monkeypatch, "tpcw", "ebcp", warmup)
+
+    @pytest.mark.parametrize("workload", ["tpcw", "database", "pointer_chase", "streaming"])
+    @pytest.mark.parametrize("scheme", WARM_SCHEMES)
+    def test_warm_rerun_identical(self, monkeypatch, workload, scheme):
+        """A second run() filters through cold L1s; everything else
+        (L2, buffer, table, epoch state) carries over.  The oracle
+        therefore flushes its L1s between its two walks."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        trace = make_workload(workload, records=RECORDS, seed=7)
+        oracle = make_sim(trace, scheme)
+        first_expected = walk_every_record(oracle, trace)
+        oracle.hierarchy.l1i.flush()
+        oracle.hierarchy.l1d.flush()
+        second_expected = walk_every_record(oracle, trace)
+
+        sim = make_sim(trace, scheme)
+        assert_same_result(sim.run(trace), first_expected)
+        if scheme == "ebcp":
+            assert sim.last_run_path == "epoch_kernel"
+        assert_same_result(sim.run(trace), second_expected)
+        assert sim.last_run_path == "compressed"
 
     def test_env_var_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPRESSED", raising=False)
-        assert compressed_enabled()  # on by default
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        assert kernel_enabled()  # on by default
         for value in ("0", "off", "OFF", "false", "no", " none "):
-            monkeypatch.setenv("REPRO_COMPRESSED", value)
-            assert not compressed_enabled()
-        monkeypatch.setenv("REPRO_COMPRESSED", "1")
-        assert compressed_enabled()
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            assert not kernel_enabled()
+        monkeypatch.setenv("REPRO_KERNEL", "1")
+        assert kernel_enabled()

@@ -138,13 +138,6 @@ class TestRunJobs:
         run_jobs([_spec(prefetcher=None), _spec(prefetcher=None)], jobs=2)
         assert started
 
-    def test_compressed_flag_is_bit_identical(self):
-        fast = _spec()
-        fast.compressed = True
-        legacy = _spec()
-        legacy.compressed = False
-        assert fast.run().stats.to_dict() == legacy.run().stats.to_dict()
-
     def test_simulation_errors_propagate(self):
         bad = _spec()
         bad.workload = "no-such-workload"

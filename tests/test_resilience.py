@@ -123,12 +123,6 @@ class TestJobKey:
         other.seed = 8
         assert job_key(base, 0) != job_key(other, 0)
 
-    def test_execution_mode_does_not_change_identity(self):
-        fast, legacy = _spec(), _spec()
-        fast.compressed = True
-        legacy.compressed = False
-        assert job_key(fast, 0) == job_key(legacy, 0)
-
 
 class TestFaultSpec:
     def test_inactive_by_default(self):

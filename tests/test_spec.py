@@ -135,6 +135,11 @@ class TestSchemaErrors:
         err = self.error(execution={"timeout_s": 0})
         assert err.path == "execution.timeout_s"
 
+    @pytest.mark.parametrize("field", ["compressed", "kernel"])
+    def test_execution_mode_fields_rejected(self, field):
+        err = self.error(execution={field: False})
+        assert err.path == f"execution.{field}"
+
     def test_empty_sweep_rejected(self):
         err = self.error(prefetchers=[], output={"baseline": False})
         assert err.path == "prefetchers"
