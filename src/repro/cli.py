@@ -401,7 +401,8 @@ def _cmd_call(args: argparse.Namespace) -> int:
 
 def _render_top(stats: dict, req_per_s: float) -> str:
     """One frame of the live service view, from a ``stats`` payload."""
-    lines = [banner("repro-ebcp top")]
+    versions = f"model v{stats.get('model_version')}, generator v{stats.get('generator_version')}"
+    lines = [banner(f"repro-ebcp top  ({versions})")]
     queue = stats.get("queue", {})
     cache = stats.get("cache", {})
     pool = stats.get("pool", {})

@@ -17,7 +17,7 @@ columns (instructions, per-class L1 hits, store bytes), and caches it
 * **on disk** as ``.npz`` beside the trace cache
   (:func:`repro.workloads.cache.plane_cache_root`, honouring
   ``$REPRO_TRACE_CACHE``), so parallel sweep workers and later processes
-  load instead of recomputing.
+  load instead of recomputing; file names carry ``MODEL_VERSION``.
 
 The mask kernel is a NumPy per-set grouped LRU (sets advance in lockstep,
 so the per-record Python loop disappears); a pure-Python reference
@@ -294,6 +294,7 @@ def compute_filter_plane(
 
 def _plane_path(trace: "Trace", l1i_key: GeometryKey, l1d_key: GeometryKey):
     from ..workloads.cache import plane_cache_root
+    from .simulator import MODEL_VERSION
 
     root = plane_cache_root()
     if root is None:
@@ -301,7 +302,7 @@ def _plane_path(trace: "Trace", l1i_key: GeometryKey, l1d_key: GeometryKey):
     geom = (
         f"i{l1i_key[0]}x{l1i_key[1]}-d{l1d_key[0]}x{l1d_key[1]}-l{l1i_key[2]}"
     )
-    return root / f"{trace.fingerprint()}-{geom}.npz"
+    return root / f"{trace.fingerprint()}-{geom}-m{MODEL_VERSION}.npz"
 
 
 def _load_plane(path, trace, l1i_key, l1d_key) -> Optional[FilterPlane]:
@@ -708,6 +709,7 @@ def compute_epoch_segments(
 
 def _segment_path(trace: "Trace", plane: FilterPlane, l2_key: GeometryKey, rob_size: int):
     from ..workloads.cache import plane_cache_root
+    from .simulator import MODEL_VERSION
 
     root = plane_cache_root()
     if root is None:
@@ -717,7 +719,7 @@ def _segment_path(trace: "Trace", plane: FilterPlane, l2_key: GeometryKey, rob_s
         f"i{l1i[0]}x{l1i[1]}-d{l1d[0]}x{l1d[1]}-l{l1i[2]}"
         f"-seg-l2{l2_key[0]}x{l2_key[1]}-r{rob_size}"
     )
-    return root / f"{trace.fingerprint()}-{geom}.npz"
+    return root / f"{trace.fingerprint()}-{geom}-m{MODEL_VERSION}.npz"
 
 
 def _load_segments(path, plane, l2_key, rob_size) -> Optional[EpochSegmentPlane]:

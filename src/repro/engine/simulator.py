@@ -49,9 +49,14 @@ from .epoch import Epoch, EpochTracker
 from .filter_plane import get_filter_plane
 from .stats import SimulationResult, SimulationStats
 
-__all__ = ["EpochSimulator"]
+__all__ = ["EpochSimulator", "MODEL_VERSION"]
 
 log = logging.getLogger(__name__)
+
+#: Version of the simulation model: bump it with any change that alters a
+#: result for unchanged inputs.  Stored results and planes are keyed on
+#: it, so a bump retires them; ``tests/test_versions.py`` pins its digests.
+MODEL_VERSION = 1
 
 #: Trace kind-code -> AccessKind, avoiding the enum-constructor call (a
 #: surprisingly large share of per-record time) on the hot path.

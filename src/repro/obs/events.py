@@ -330,7 +330,7 @@ class RequestCompleted(Event):
 
     ``latency_ms`` is the end-to-end server-side latency (admission to
     response ready); ``cached`` marks a simulate request answered from
-    the fingerprint-keyed result cache without running a job.
+    the identity-keyed result cache without running a job.
     """
 
     request_type: str

@@ -594,15 +594,22 @@ class ServiceMetrics:
 
     Subscribes to the service events (``RequestReceived``,
     ``RequestCompleted``, ``QueueSaturated``) and exposes the gauges the
-    server updates directly (queue depth).  A ``stats`` protocol request
-    is answered with ``registry.to_dict()`` of this registry, so every
+    server updates directly (queue depth), plus the model and generator
+    versions the process serves.  A ``stats`` protocol request is
+    answered with ``registry.to_dict()`` of this registry, so every
     instrument here is remotely scrapeable.
     """
 
     def __init__(self, bus: EventBus, registry: Optional[MetricsRegistry] = None) -> None:
+        # Lazy: the simulator and the generators import the obs package.
+        from ..engine.simulator import MODEL_VERSION
+        from ..workloads.commercial import GENERATOR_VERSION
+
         self.bus = bus
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
+        r.gauge("model_version", "simulation model version served").set(MODEL_VERSION)
+        r.gauge("generator_version", "workload generator version served").set(GENERATOR_VERSION)
         self.received = r.counter("requests_received", "protocol requests admitted")
         self.completed = r.counter("requests_completed", "protocol requests answered ok")
         self.failed = r.counter("requests_failed", "protocol requests answered with an error")

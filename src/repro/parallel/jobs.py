@@ -16,22 +16,32 @@ A job's result depends only on its spec: traces are deterministic in
 between runs, and the simulator is single-threaded.  ``run_jobs`` returns
 results in input order regardless of completion order, so parallel and
 sequential execution are bit-for-bit identical.
+
+Identity
+--------
+:func:`job_identity` is the one key every store finds a job under: the
+checkpoint journal, both result-cache tiers and the service's batch
+dedup.  It carries the model and generator versions.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
 import logging
 import os
+import pickle
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..engine.config import ProcessorConfig
 from ..engine.filter_plane import get_epoch_segments, get_filter_plane, kernel_enabled
-from ..engine.simulator import EpochSimulator
+from ..engine.simulator import MODEL_VERSION, EpochSimulator
 from ..engine.stats import SimulationResult
 from ..prefetchers.base import Prefetcher
+from ..workloads.commercial import GENERATOR_VERSION
 from ..workloads.registry import make_workload
 from ..workloads.trace import Trace
 
@@ -41,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - cycle: resilience.executor imports us
 
 __all__ = [
     "JobSpec",
+    "job_identity",
     "run_job",
     "run_jobs",
     "resolve_jobs",
@@ -70,6 +81,23 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
+def job_identity(
+    workload: str, records: int, seed: int, scale: float, n_threads: int,
+    warmup_records: Optional[int], config_fp: tuple, prefetcher: str, overrides: str,
+) -> str:
+    """The versioned identity of one simulation: a sha256 hex digest.
+
+    ``prefetcher`` is the registry name (``"none"`` for none) and
+    ``overrides`` its :func:`~repro.prefetchers.registry.canonical_overrides`.
+    The label (results carry none) and the execution path (the kernel
+    and the scalar walk are bit-identical) are left out.
+    """
+    fields = [workload, records, seed, float(scale), n_threads, warmup_records,
+              config_fp, prefetcher, overrides, MODEL_VERSION, GENERATOR_VERSION]
+    canonical = json.dumps(fields, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class JobSpec:
     """One simulator run, described by picklable state only.
@@ -90,6 +118,31 @@ class JobSpec:
     scale: float = 1.0
     n_threads: int = 0
     warmup_records: Optional[int] = None
+
+    def identity(self) -> str:
+        """This job's :func:`job_identity`.
+
+        A prefetcher built by hand, without the ``built_as`` pair that
+        ``build_prefetcher`` records, is named by its class and a sha256
+        of its pickled state; ``TypeError`` if it does not pickle.
+        """
+        pf = self.prefetcher
+        if pf is None:
+            name, overrides = "none", ""
+        elif pf.built_as is not None:
+            name, overrides = pf.built_as
+        else:
+            cls = type(pf)
+            try:
+                state = pickle.dumps(pf)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise TypeError(f"cannot identify hand-built {cls.__qualname__}: {exc}") from None
+            name = f"{cls.__module__}.{cls.__qualname__}"
+            overrides = hashlib.sha256(state).hexdigest()
+        return job_identity(
+            self.workload, self.records, self.seed, self.scale, self.n_threads,
+            self.warmup_records, self.config.fingerprint(), name, overrides,
+        )
 
     def build_trace(self) -> Trace:
         if self.n_threads > 0:

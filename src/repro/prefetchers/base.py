@@ -116,6 +116,9 @@ class Prefetcher(abc.ABC):
     #: (weak consistency, Section 3.4.2); a memory-side engine (Solihin)
     #: sees every request that reaches memory, stores included.
     observes_stores: bool = False
+    #: ``(registry name, canonical overrides)`` when built by
+    #: ``build_prefetcher`` (job identities hash it); ``None`` by hand.
+    built_as: tuple[str, str] | None = None
 
     def __init__(self) -> None:
         self.traffic = TrafficMeter()

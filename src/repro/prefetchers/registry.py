@@ -8,7 +8,8 @@ builds the idealized sweep point.
 
 from __future__ import annotations
 
-from typing import Callable
+import json
+from typing import Any, Callable, Mapping, Optional
 
 from .base import Prefetcher
 from .ghb import make_ghb_large, make_ghb_small
@@ -18,7 +19,7 @@ from .solihin import make_solihin_3_2, make_solihin_6_1
 from .stream import StreamPrefetcher
 from .tcp import make_tcp_large, make_tcp_small
 
-__all__ = ["PREFETCHERS", "build_prefetcher"]
+__all__ = ["PREFETCHERS", "build_prefetcher", "canonical_overrides"]
 
 
 # The EBCP factories live in repro.core, which subclasses this package's
@@ -76,10 +77,20 @@ _FACTORIES: dict[str, Callable[..., Prefetcher]] = {
 PREFETCHERS: tuple[str, ...] = tuple(_FACTORIES)
 
 
+def canonical_overrides(overrides: Optional[Mapping[str, Any]]) -> str:
+    """Constructor overrides as the canonical JSON job identities hash."""
+    if not overrides:
+        return ""
+    return json.dumps(dict(overrides), sort_keys=True, separators=(",", ":"))
+
+
 def build_prefetcher(name: str, **overrides: object) -> Prefetcher:
-    """Construct a prefetcher by its evaluation label."""
+    """Construct a prefetcher by its evaluation label, recording
+    ``(name, canonical overrides)`` on it as ``built_as``."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown prefetcher '{name}'; choose from {PREFETCHERS}") from None
-    return factory(**overrides)
+    prefetcher = factory(**overrides)
+    prefetcher.built_as = (name, canonical_overrides(overrides))
+    return prefetcher

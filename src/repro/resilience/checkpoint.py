@@ -10,11 +10,13 @@ jobs from disk instead of re-simulating them.
 Identity and bit-identical resume
 ---------------------------------
 Each journal line is keyed by :func:`job_key`: a SHA-256 over the job's
-batch position and every spec field that influences its result (workload
-generation parameters, processor-configuration fingerprint, prefetcher
-class, label).  The execution path is deliberately excluded — the epoch
-kernel and the scalar walk are bit-identical by construction, so a
-resume may switch ``REPRO_KERNEL``.  Results round-trip through
+batch position and its :meth:`~repro.parallel.jobs.JobSpec.identity`
+(generation parameters, configuration fingerprint, prefetcher name and
+overrides, model and generator versions).  A cell re-run with other
+overrides, or after a version bump, therefore resumes nothing.  The
+execution path is deliberately excluded — the epoch kernel and the
+scalar walk are bit-identical by construction, so a resume may switch
+``REPRO_KERNEL``.  Results round-trip through
 :meth:`~repro.engine.stats.SimulationResult.snapshot`, which preserves
 raw counters (and exact IEEE floats via JSON ``repr``), so a resumed
 sweep's merged result list is field-for-field identical to an
@@ -49,24 +51,12 @@ PathLike = Union[str, "os.PathLike[str]"]
 def job_key(spec: "JobSpec", index: int) -> str:
     """Stable identity of one job within a batch (hex SHA-256 prefix).
 
-    Covers the batch position and every spec field that influences the
-    result.  Excludes the execution path (bit-identical by construction)
-    so a checkpoint taken with the kernel resumes cleanly without it.
+    Covers the batch position, because the journal's contract is a
+    re-run of the same batch (two equal jobs at different positions
+    resume separately), and the job's versioned
+    :meth:`~repro.parallel.jobs.JobSpec.identity`.
     """
-    prefetcher = spec.prefetcher
-    identity = (
-        index,
-        spec.workload,
-        spec.records,
-        spec.seed,
-        spec.scale,
-        spec.n_threads,
-        spec.warmup_records,
-        spec.label,
-        type(prefetcher).__name__ if prefetcher is not None else "",
-        spec.config.fingerprint(),
-    )
-    digest = hashlib.sha256(repr(identity).encode("utf-8"))
+    digest = hashlib.sha256(f"{index}:{spec.identity()}".encode("utf-8"))
     return digest.hexdigest()[:32]
 
 

@@ -237,27 +237,26 @@ def execute(
     ctx_wire = ctx.to_wire() if ctx is not None else None
     faults = policy.faults()
 
-    keys = [job_key(spec, i) for i, spec in enumerate(specs)]
     results: "List[Optional[SimulationResult]]" = [None] * len(specs)
-
-    journal: Optional[CheckpointJournal] = None
-    if policy.checkpoint_dir:
-        journal = CheckpointJournal(policy.checkpoint_dir)
-        if journal.load():
-            for i, key in enumerate(keys):
-                restored = journal.lookup(key)
-                if restored is None:
-                    continue
-                results[i] = restored
-                _emit(bus, JobResumed(label=specs[i].label, index=i, key=key))
-            n_resumed = sum(r is not None for r in results)
-            if n_resumed:
-                log.info(
-                    "resumed %d/%d job(s) from checkpoint %s",
-                    n_resumed,
-                    len(specs),
-                    journal.path,
-                )
+    journal = CheckpointJournal(policy.checkpoint_dir) if policy.checkpoint_dir else None
+    # Only the journal needs the versioned identity (a hand-built
+    # prefetcher pays a pickle for it); fault claims need the position.
+    keys = [job_key(s, i) if journal is not None else str(i) for i, s in enumerate(specs)]
+    if journal is not None and journal.load():
+        for i, key in enumerate(keys):
+            restored = journal.lookup(key)
+            if restored is None:
+                continue
+            results[i] = restored
+            _emit(bus, JobResumed(label=specs[i].label, index=i, key=key))
+        n_resumed = sum(r is not None for r in results)
+        if n_resumed:
+            log.info(
+                "resumed %d/%d job(s) from checkpoint %s",
+                n_resumed,
+                len(specs),
+                journal.path,
+            )
 
     try:
         pending = [i for i, r in enumerate(results) if r is None]

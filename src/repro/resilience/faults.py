@@ -24,8 +24,10 @@ Environment knobs
 ``REPRO_FAULT_CRASH=<match>:<count>``
     Kill the worker process (``os._exit``) at the start of the first
     ``count`` attempts of every job whose key contains ``match``
-    (``*`` matches every job).  In-process execution raises
-    :class:`WorkerCrashError` instead of exiting.
+    (``*`` matches every job).  A job's key is its label, ``#``, then
+    its batch position (its journal key when checkpointing).
+    In-process execution raises :class:`WorkerCrashError` instead of
+    exiting.
 ``REPRO_FAULT_HANG=<match>:<count>:<seconds>``
     Sleep ``seconds`` at the start of matching attempts — long enough to
     trip a per-job timeout.

@@ -8,7 +8,7 @@ observability bus (:mod:`repro.obs`), parallel job fan-out
 into shared warm infrastructure: one long-lived process that serves
 simulate requests over TCP, micro-batching concurrent requests into one
 executor batch over a persistent process pool and answering repeats
-from a fingerprint-keyed result cache.
+from an identity-keyed result cache.
 
 Quick tour
 ----------
@@ -42,7 +42,7 @@ Modules
 ``protocol``  newline-delimited versioned JSON frames, typed error codes
 ``server``    :class:`SimulationService` — queue, batcher, drain logic
 ``client``    :class:`ServiceClient` / :class:`AsyncServiceClient`
-``cache``     :class:`ResultCache` — fingerprint-keyed LRU of results
+``cache``     :class:`ResultCache` — identity-keyed LRU of results
               with an optional checksummed disk spill tier
 ``sharding``  :class:`HashRing` / :func:`routing_key` — consistent-hash
               request routing

@@ -1,22 +1,15 @@
-"""Fingerprint-keyed result cache for served simulations — now tiered.
+"""Identity-keyed result cache for served simulations — now tiered.
 
 A resident service sees the same request many times — dashboards poll,
 sweeps overlap, users rerun.  Simulation is deterministic in its inputs,
 so a repeat request need not re-simulate: the cache keys a completed
-:class:`~repro.engine.stats.SimulationResult` by the *content identity*
-of the run —
-
-* :meth:`Trace.fingerprint() <repro.workloads.trace.Trace.fingerprint>`
-  — a content hash over all six record columns, so two requests that
-  generate byte-identical traces share an entry no matter how they were
-  parameterised;
-* :meth:`ProcessorConfig.fingerprint()
-  <repro.engine.config.ProcessorConfig.fingerprint>` — the exact
-  hierarchy/latency/bandwidth tuple;
-* the prefetcher's *registry name* — the service only accepts registered
-  prefetcher names and builds a fresh instance per job, so equal names
-  mean identical initial predictor state;
-* the warmup split.
+:class:`~repro.engine.stats.SimulationResult` by the job's
+:func:`~repro.parallel.jobs.job_identity` — a sha256 over the generation
+parameters, the warm-up split, the processor-config fingerprint, the
+prefetcher's registry name and canonical overrides, and the model and
+generator versions.  A plain request and its spelling with explicit
+default fields share one key, no key needs the trace built, and an
+entry written by another model or generator version is never found.
 
 The execution path is deliberately **not** part of the key: the epoch
 kernel and the scalar filter-plane walk (``REPRO_KERNEL=off``) are
@@ -31,8 +24,8 @@ every hit rehydrates a fresh ``SimulationResult`` so callers can never
 mutate the cached copy.
 
 With ``spill_dir`` set, every ``put`` also writes the snapshot through
-to disk as a content-addressed JSON entry (file name = sha256 of the
-canonical key) with a sha256 sidecar from
+to disk as a content-addressed JSON entry (``<identity>.json``, whose
+payload repeats the key) with a sha256 sidecar from
 :mod:`repro.resilience.integrity`.  A memory miss then falls through to
 the disk tier: the sidecar is verified *before* decoding, a bad entry is
 quarantined (``quarantine/`` sibling + ``CacheQuarantined`` event) and
@@ -46,14 +39,13 @@ ring resizes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 from collections import OrderedDict
 from pathlib import Path
 from threading import Lock
-from typing import Any, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..engine.stats import SimulationResult
 from ..resilience.integrity import quarantine_entry, verify_checksum, write_checksum
@@ -62,28 +54,7 @@ __all__ = ["ResultCache"]
 
 log = logging.getLogger(__name__)
 
-CacheKey = Tuple[str, tuple, str, Optional[int]]
-
 PathLike = Union[str, "os.PathLike[str]"]
-
-
-def _key_jsonable(key: CacheKey) -> List[Any]:
-    """The key as canonical JSON-safe data (tuples become lists)."""
-    return json.loads(
-        json.dumps(list(key), separators=(",", ":"), default=list)
-    )
-
-
-def _tupled(value: Any) -> Any:
-    """Recursively turn JSON lists back into tuples.
-
-    The inverse of :func:`_key_jsonable` for cache keys: keys are built
-    from scalars and (nested) tuples only, so list→tuple recursion
-    reconstructs the exact in-memory key a disk entry was stored under.
-    """
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
 
 
 class ResultCache:
@@ -102,7 +73,7 @@ class ResultCache:
         self.max_entries = max_entries
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.max_disk_entries = max_disk_entries
-        self._entries: "OrderedDict[CacheKey, dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = Lock()
         self.hits = 0
         self.misses = 0
@@ -116,16 +87,7 @@ class ResultCache:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def key(
-        trace_fingerprint: str,
-        config_fingerprint: tuple,
-        prefetcher: str,
-        warmup_records: Optional[int],
-    ) -> CacheKey:
-        return (trace_fingerprint, config_fingerprint, prefetcher, warmup_records)
-
-    def get(self, key: CacheKey) -> Optional[SimulationResult]:
+    def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key`` (a fresh object), or None.
 
         Checks the memory tier first, then — when spilling is enabled —
@@ -147,7 +109,7 @@ class ResultCache:
             self.misses += 1
         return None
 
-    def put(self, key: CacheKey, result: SimulationResult) -> None:
+    def put(self, key: str, result: SimulationResult) -> None:
         if self.max_entries == 0 and self.spill_dir is None:
             return
         snapshot = result.snapshot()
@@ -156,7 +118,7 @@ class ResultCache:
                 self._remember(key, snapshot)
         self._disk_put(key, snapshot)
 
-    def _remember(self, key: CacheKey, snapshot: dict) -> None:
+    def _remember(self, key: str, snapshot: dict) -> None:
         """Insert into the memory LRU (caller holds the lock)."""
         self._entries[key] = snapshot
         self._entries.move_to_end(key)
@@ -166,18 +128,16 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Disk tier
     # ------------------------------------------------------------------
-    def entry_path(self, key: CacheKey) -> Path:
+    def entry_path(self, key: str) -> Path:
         """The content-addressed disk path of ``key``'s entry."""
         assert self.spill_dir is not None
-        canonical = json.dumps(_key_jsonable(key), separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        return self.spill_dir / f"{digest}.json"
+        return self.spill_dir / f"{key}.json"
 
-    def _disk_put(self, key: CacheKey, snapshot: dict) -> None:
+    def _disk_put(self, key: str, snapshot: dict) -> None:
         if self.spill_dir is None:
             return
         path = self.entry_path(key)
-        payload = {"key": _key_jsonable(key), "snapshot": snapshot}
+        payload = {"key": key, "snapshot": snapshot}
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
             tmp.write_text(
@@ -196,41 +156,42 @@ class ResultCache:
         self.spilled += 1
         self._prune_disk()
 
-    def _disk_get(self, key: CacheKey) -> Optional[dict]:
+    def _disk_get(self, key: str) -> Optional[dict]:
         if self.spill_dir is None:
             return None
         path = self.entry_path(key)
         if not path.exists():
             return None
-        reason = verify_checksum(path)
-        if reason is not None:
-            self.quarantined += 1
-            quarantine_entry(path, "result", reason)
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            stored_key = payload["key"]
-            snapshot = payload["snapshot"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.quarantined += 1
-            quarantine_entry(path, "result", f"undecodable entry ({exc})")
-            return None
-        if stored_key != _key_jsonable(key):
-            # A sha256 collision is not a realistic cause; a mismatch
-            # means the entry was tampered with or mis-written.
-            self.quarantined += 1
-            quarantine_entry(path, "result", "stored key does not match its address")
-            return None
-        if not isinstance(snapshot, dict):
-            self.quarantined += 1
-            quarantine_entry(path, "result", "snapshot is not an object")
-            return None
-        # Touch the entry so disk pruning tracks recency, not write age.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
+        snapshot = self._read_entry(path)
+        if snapshot is not None:
+            # Touch the entry so disk pruning tracks recency, not write age.
+            try:
+                os.utime(path)
+            except OSError:
+                pass
         return snapshot
+
+    def _read_entry(self, path: Path) -> Optional[dict]:
+        """A verified entry's snapshot, or None after quarantining it."""
+        reason = verify_checksum(path)
+        if reason is None:
+            try:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                stored_key, snapshot = payload["key"], payload["snapshot"]
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                reason = f"undecodable entry ({exc})"
+            else:
+                if stored_key != path.stem:
+                    # The address is the key, so a mismatch means the
+                    # entry was copied, tampered with or mis-written.
+                    reason = "stored key does not match its address"
+                elif not isinstance(snapshot, dict):
+                    reason = "snapshot is not an object"
+                else:
+                    return snapshot
+        self.quarantined += 1
+        quarantine_entry(path, "result", reason)
+        return None
 
     def _prune_disk(self) -> None:
         """Drop the oldest disk entries beyond ``max_disk_entries``."""
@@ -287,27 +248,12 @@ class ResultCache:
         # the LRU's eviction order matches disk recency.
         newest = sorted(entries, key=mtime, reverse=True)[:budget]
         for path in reversed(newest):
-            reason = verify_checksum(path)
-            if reason is not None:
-                self.quarantined += 1
-                quarantine_entry(path, "result", reason)
+            snapshot = self._read_entry(path)
+            if snapshot is None:
                 continue
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                stored_key = payload["key"]
-                snapshot = payload["snapshot"]
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                self.quarantined += 1
-                quarantine_entry(path, "result", f"undecodable entry ({exc})")
-                continue
-            if not isinstance(stored_key, list) or not isinstance(snapshot, dict):
-                self.quarantined += 1
-                quarantine_entry(path, "result", "malformed preload entry")
-                continue
-            key = _tupled(stored_key)
             with self._lock:
-                if key not in self._entries:
-                    self._remember(key, snapshot)
+                if path.stem not in self._entries:
+                    self._remember(path.stem, snapshot)
                     loaded += 1
         return loaded
 

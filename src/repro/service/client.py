@@ -68,7 +68,7 @@ class ServedResult:
     """One simulate response: the result plus its service disposition."""
 
     result: SimulationResult
-    #: True when the service answered from its fingerprint result cache.
+    #: True when the service answered from its result cache.
     cached: bool
     #: Server-side end-to-end latency of this request, in milliseconds.
     elapsed_ms: float

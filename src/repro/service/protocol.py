@@ -160,7 +160,7 @@ class SimulateParams:
 
     Deliberately *names*, not objects: the client names a registered
     workload and prefetcher, and the server constructs both — which is
-    what makes the fingerprint-keyed result cache safe (every request
+    what makes the identity-keyed result cache safe (every request
     with equal parameters starts from identical predictor state).
     """
 
@@ -186,8 +186,9 @@ class SimulateParams:
             raise ProtocolError(ErrorCode.INVALID_REQUEST, "prefetcher must be a non-empty string")
         if not isinstance(self.records, int) or self.records <= 0:
             raise ProtocolError(ErrorCode.INVALID_REQUEST, "records must be a positive integer")
-        if not isinstance(self.seed, int):
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "seed must be an integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            # No generator accepts a negative seed (numpy's default_rng).
+            raise ProtocolError(ErrorCode.INVALID_REQUEST, "seed must be a non-negative integer")
         if self.warmup_records is not None and (
             not isinstance(self.warmup_records, int) or self.warmup_records < 0
         ):
@@ -261,15 +262,6 @@ class SimulateParams:
         if "workload" not in payload:
             raise ProtocolError(ErrorCode.INVALID_REQUEST, "simulate requires 'workload'")
         return cls(**payload)
-
-    def is_extended(self) -> bool:
-        """True when any v4-only field departs from its v1-v3 default."""
-        return (
-            self.config is not None
-            or self.prefetcher_overrides is not None
-            or self.n_threads != 0
-            or self.scale != 1.0
-        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ where it runs:
 * **graceful drain**: SIGTERM/SIGINT (or a ``shutdown`` request) stops
   admission, finishes every admitted request, delivers the responses,
   then stops;
-* the common ``ping`` fields and the ``telemetry`` span cap.
+* the common ``ping`` and ``stats`` fields (``model_version`` and
+  ``generator_version`` among them) and the ``telemetry`` span cap.
 
 :class:`SimulationService` supplies the execution, keeping everything a
 cold CLI invocation pays for — interpreter startup, trace generation,
@@ -41,7 +42,7 @@ filter-plane warming, process-pool spin-up — warm across requests:
   :class:`~repro.resilience.executor.PersistentPool` owned by the
   service, so pool workers (and their inherited trace/filter-plane
   memos) survive across batches;
-* **result cache**: completed runs are cached by content fingerprint
+* **result cache**: completed runs are cached by job identity
   (:mod:`repro.service.cache`); a repeat request is answered in
   microseconds without touching the queue's *execution* cost (it still
   passes admission, so backpressure semantics stay uniform).
@@ -67,6 +68,7 @@ from typing import Any, Awaitable, Dict, List, Optional, Tuple, Union
 
 from .. import __version__
 from ..engine.config import ProcessorConfig
+from ..engine.simulator import MODEL_VERSION
 from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus
 from ..obs.events import Event, QueueSaturated, RequestCompleted, RequestReceived
@@ -77,7 +79,8 @@ from ..parallel.jobs import JobSpec
 from ..prefetchers.registry import PREFETCHERS
 from ..resilience.executor import PersistentPool, execute
 from ..resilience.policy import ExecutionPolicy
-from ..workloads.registry import WORKLOADS, make_workload
+from ..workloads.commercial import GENERATOR_VERSION
+from ..workloads.registry import WORKLOADS
 from . import protocol
 from .cache import ResultCache
 from .protocol import ErrorCode, ProtocolError, Request, SimulateParams
@@ -352,6 +355,8 @@ class FrontEnd:
                     "pid": os.getpid(),
                     "uptime_s": time.monotonic() - self._started_at,
                     "draining": self._draining,
+                    "model_version": MODEL_VERSION,
+                    "generator_version": GENERATOR_VERSION,
                     **await self._stats_payload(),
                 }
             elif request.type == "metrics":
@@ -564,6 +569,8 @@ class FrontEnd:
             "version": __version__,
             "protocol": protocol.PROTOCOL_VERSION,
             "supported_versions": list(protocol.SUPPORTED_VERSIONS),
+            "model_version": MODEL_VERSION,
+            "generator_version": GENERATOR_VERSION,
             "pid": os.getpid(),
         }
 
@@ -901,6 +908,7 @@ class SimulationService(FrontEnd):
         """Resolve one micro-batch (worker thread; blocking is fine here).
 
         Returns one ``(result, cached)`` or exception per request.
+        Each request is keyed by its job identity, which needs no trace.
         Requests that hit the result cache are answered without a job;
         the rest — deduplicated, so identical concurrent requests share
         one simulation — go through :func:`repro.resilience.execute`
@@ -908,36 +916,16 @@ class SimulationService(FrontEnd):
         built fails alone.  ``batch_ctx`` is the batch span's context;
         it propagates through the executor into worker jobs.
         """
-        from ..spec.wire import config_from_wire, extended_cache_key, jobspec_from_simulate
+        from ..spec.wire import config_from_wire, identity_from_simulate, jobspec_from_simulate
 
         outcomes: List[Any] = [None] * len(batch)
-        scaled = ProcessorConfig.scaled()
-        scaled_fp = scaled.fingerprint()
         jobs: List[JobSpec] = []
-        slots: Dict[tuple, List[int]] = {}
+        slots: Dict[str, List[int]] = {}
         for i, pending in enumerate(batch):
             params = pending.params
             try:
-                if params.is_extended():
-                    # Spec-expanded job (v4): content-address from the
-                    # generation parameters themselves — no trace build
-                    # here (interleaved traces are expensive).
-                    config = config_from_wire(params.config)
-                    key = extended_cache_key(params, config.fingerprint())
-                else:
-                    # The registry memoises traces in-process, and Trace
-                    # caches its fingerprint, so a warm repeat costs a dict
-                    # lookup — this is what keys the result cache.
-                    config = scaled
-                    trace = make_workload(
-                        params.workload, records=params.records, seed=params.seed
-                    )
-                    key = ResultCache.key(
-                        trace.fingerprint(),
-                        scaled_fp,
-                        params.prefetcher,
-                        params.warmup_records,
-                    )
+                config = config_from_wire(params.config)
+                key = identity_from_simulate(params, config)
                 if params.use_cache:
                     if pending.trace is not None:
                         with self.recorder.span(

@@ -10,9 +10,9 @@ requests that reuse it) applied to the service tier itself.
 
 Two pieces deliver that:
 
-* :func:`routing_key` — the deterministic string identity of a request.
-  It is the *preimage* of the cache key: ``(workload, records, seed)``
-  plus the processor-config fingerprint.  The prefetcher is deliberately
+* :func:`routing_key` — the deterministic string placement of a request:
+  ``(workload, records, seed)`` plus the processor-config fingerprint,
+  part of what the job identity hashes.  The prefetcher is deliberately
   excluded, so every prefetcher variant of one trace shares a shard and
   therefore one warmed trace/filter-plane memo.
 * :class:`HashRing` — classic consistent hashing with virtual nodes.
@@ -52,12 +52,13 @@ def _hash64(data: str) -> int:
 def routing_key(
     workload: str, records: int, seed: int, config_fingerprint: Any
 ) -> str:
-    """The shard-routing identity of one simulate request.
+    """The shard-routing key of one simulate request.
 
-    Matches the result-cache key's preimage minus the prefetcher: the
-    trace fingerprint is fully determined by ``(workload, records,
-    seed)``, so routing on the generation parameters gives the same
-    placement without generating the trace in the front-end.
+    It is the job identity's generation params ``(workload, records,
+    seed)`` plus its config fingerprint, and leaves out the rest of the
+    identity (scale, threads, prefetcher, overrides, warm-up): it is
+    deliberately coarser, so one shard keeps every variant of a trace
+    warm.  Nothing is generated to compute it.
     """
     return json.dumps(
         [workload, records, seed, config_fingerprint],

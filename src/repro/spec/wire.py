@@ -8,6 +8,8 @@ request — plain v1–v3 params plus optional ``config`` /
 Shards therefore never see a ``sweep`` frame; they execute ordinary
 (extended) simulate requests, which is what lets the existing
 micro-batching, dedup and cache machinery serve sweep traffic unchanged.
+Both spellings of a request are keyed by :func:`identity_from_simulate`,
+the identity its planned :class:`~repro.parallel.jobs.JobSpec` has.
 
 This module is deliberately protocol-agnostic (it works on plain dicts
 and duck-typed params), so :mod:`repro.service` can depend on it without
@@ -16,13 +18,12 @@ a cycle.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 from ..engine.config import ProcessorConfig
-from ..parallel.jobs import JobSpec
+from ..parallel.jobs import JobSpec, job_identity
 from ..prefetchers.base import Prefetcher
-from ..prefetchers.registry import build_prefetcher
+from ..prefetchers.registry import build_prefetcher, canonical_overrides
 from .errors import SpecError
 from .expand import PlannedJob
 from .schema import ConfigSpec
@@ -32,7 +33,7 @@ __all__ = [
     "prefetcher_from_wire",
     "simulate_params_for",
     "jobspec_from_simulate",
-    "extended_cache_key",
+    "identity_from_simulate",
 ]
 
 
@@ -93,9 +94,11 @@ def prefetcher_from_wire(params: Any) -> Optional[Prefetcher]:
     Raises :class:`SpecError` at ``params.prefetcher_overrides`` when
     the overrides do not fit the prefetcher's constructor.
     """
-    if params.prefetcher == "none":
-        return None
     overrides = getattr(params, "prefetcher_overrides", None) or {}
+    if params.prefetcher == "none":
+        if overrides:
+            raise SpecError("params.prefetcher_overrides", "'none' takes no overrides")
+        return None
     try:
         return build_prefetcher(params.prefetcher, **dict(overrides))
     except (KeyError, TypeError, ValueError) as exc:
@@ -111,7 +114,7 @@ def jobspec_from_simulate(params: Any, config: Optional[ProcessorConfig] = None)
     ``params`` is duck-typed (``protocol.SimulateParams`` or anything
     with the same fields).  ``config`` short-circuits the wire-config
     build when the caller already resolved it (the batch path resolves
-    it once per request for the cache key).
+    it once per request, for the identity and the job).
     """
     if config is None:
         config = config_from_wire(getattr(params, "config", None))
@@ -128,31 +131,14 @@ def jobspec_from_simulate(params: Any, config: Optional[ProcessorConfig] = None)
     )
 
 
-def _canonical_overrides(overrides: Optional[Mapping]) -> str:
-    if not overrides:
-        return ""
-    return json.dumps(dict(overrides), sort_keys=True, separators=(",", ":"))
+def identity_from_simulate(params: Any, config: ProcessorConfig) -> str:
+    """The :meth:`JobSpec.identity` of a simulate request's job.
 
-
-def extended_cache_key(params: Any, config_fp: tuple) -> Tuple:
-    """The content-addressed cache key of an extended simulate request.
-
-    Built from *generation parameters* rather than a trace fingerprint,
-    so admission never has to construct the trace: the extra identity
-    axes (threads, scale, config, prefetcher overrides) are all explicit
-    here.  Plain v1–v3 requests keep their historical
-    :meth:`ResultCache.key` shape — existing caches and disk spills stay
-    valid.
+    Equal to ``jobspec_from_simulate(params, config).identity()``, but
+    builds neither the prefetcher nor the trace.
     """
-    return (
-        "jobv4",
-        params.workload,
-        params.records,
-        params.seed,
-        getattr(params, "n_threads", 0),
-        getattr(params, "scale", 1.0),
-        params.warmup_records,
-        config_fp,
-        params.prefetcher,
-        _canonical_overrides(getattr(params, "prefetcher_overrides", None)),
+    return job_identity(
+        params.workload, params.records, params.seed, getattr(params, "scale", 1.0),
+        getattr(params, "n_threads", 0), params.warmup_records, config.fingerprint(),
+        params.prefetcher, canonical_overrides(getattr(params, "prefetcher_overrides", None)),
     )

@@ -14,7 +14,8 @@ Layout and control
 * Location: ``$REPRO_TRACE_CACHE`` if set to a path, else
   ``~/.cache/repro-ebcp/traces``.
 * Disable: ``REPRO_TRACE_CACHE=0`` (or ``off``/``none``/empty).
-* Invalidation: keys encode every generation parameter, so stale entries
+* Invalidation: keys encode every generation parameter and
+  :data:`~repro.workloads.commercial.GENERATOR_VERSION`, so stale entries
   cannot be returned; delete the directory to reclaim space.
 * Robustness: writes go through a temp file + atomic rename (concurrent
   workers may race to fill the same key) and gain a ``.sha256`` sidecar;
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
+from .commercial import GENERATOR_VERSION
 from .trace import Trace
 
 __all__ = ["TraceCache", "trace_cache", "cache_key", "plane_cache_root"]
@@ -42,8 +44,9 @@ _DISABLED_VALUES = {"", "0", "off", "none", "false"}
 
 
 def cache_key(name: str, records: int, seed: int, scale: float) -> str:
-    """Filename stem encoding every trace-generation parameter."""
-    return f"{name}-r{records}-s{seed}-x{scale:g}"
+    """Filename stem encoding every trace-generation parameter and the
+    generator version."""
+    return f"{name}-r{records}-s{seed}-x{scale:g}-g{GENERATOR_VERSION}"
 
 
 class TraceCache:

@@ -35,7 +35,13 @@ from .patterns import Region, RegionAllocator, spatial_page_lines
 from .templates import EPOCH_SPLIT_GAP, Op, TransactionTemplate
 from .trace import Trace, TraceBuilder, TraceMeta
 
-__all__ = ["WorkloadProfile", "PROFILES", "build_commercial_trace"]
+__all__ = ["GENERATOR_VERSION", "WorkloadProfile", "PROFILES", "build_commercial_trace"]
+
+#: Version of every workload generator (this module, the synthetic ones
+#: and CMP interleaving): bump it with any change that alters a trace.
+#: Stored traces and results are keyed on it, so a bump retires them;
+#: ``tests/test_versions.py`` pins its trace fingerprints.
+GENERATOR_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ prefetchers — and runs it three ways:
 * ``submit_spec`` against a running service.
 
 All three must agree snapshot for snapshot: kernel == scalar reference,
-and served == local.
+and served == local.  Each planned job's identity must also equal the
+one the server computes from that job's wire params, so a served result
+is stored and found under the key a local run would use.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,9 @@ from hypothesis import strategies as st
 
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import BackgroundService, ServiceConfig
-from repro.spec import SPEC_VERSION, SweepSpec, run_spec, submit_spec
+from repro.service.protocol import SimulateParams
+from repro.spec import SPEC_VERSION, SweepSpec, expand, run_spec, submit_spec
+from repro.spec.wire import config_from_wire, identity_from_simulate, simulate_params_for
 from repro.workloads.registry import WORKLOADS
 
 POLICY = ExecutionPolicy(jobs=1)
@@ -95,6 +101,12 @@ def service_address():
 @settings(max_examples=20, deadline=None)
 @given(spec=sweep_specs())
 def test_kernel_scalar_and_served_agree(service_address, spec):
+    plan = expand(spec)
+    for job, meta in zip(plan.jobs, plan.meta):
+        wire = json.loads(json.dumps(simulate_params_for(meta)))
+        params = SimulateParams.from_dict(wire)
+        served_key = identity_from_simulate(params, config_from_wire(params.config))
+        assert job.identity() == served_key, wire
     host, port = service_address
     with pytest.MonkeyPatch.context() as env:
         env.delenv("REPRO_KERNEL", raising=False)

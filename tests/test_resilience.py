@@ -24,6 +24,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import ResilienceMetrics
 from repro.parallel import JobSpec, run_jobs
+from repro.prefetchers.ghb import GHBPrefetcher
 from repro.prefetchers.registry import build_prefetcher
 from repro.resilience import (
     CheckpointJournal,
@@ -122,6 +123,35 @@ class TestJobKey:
         other = _spec()
         other.seed = 8
         assert job_key(base, 0) != job_key(other, 0)
+        # Results carry no label, so the label is not part of the key.
+        assert job_key(_spec("alpha"), 0) == job_key(_spec("bravo"), 0)
+
+    def test_unpicklable_hand_built_prefetcher_has_no_identity(self):
+        prefetcher = GHBPrefetcher()
+        prefetcher.poison = lambda: None  # lambdas don't pickle
+        spec = JobSpec("tpcw", RECORDS, 7, ProcessorConfig.scaled(), prefetcher, "ghb")
+        with pytest.raises(TypeError, match="GHBPrefetcher"):
+            spec.identity()
+
+    def test_unpicklable_hand_built_prefetcher_runs_without_a_journal(self, monkeypatch):
+        """Only a checkpoint needs the identity; a plain run never asks."""
+
+        def spec():
+            prefetcher = GHBPrefetcher()
+            prefetcher.poison = lambda: None
+            return JobSpec("tpcw", RECORDS, 7, ProcessorConfig.scaled(), prefetcher, "ghb")
+
+        clean = JobSpec(
+            "tpcw", RECORDS, 7, ProcessorConfig.scaled(), GHBPrefetcher(), "ghb"
+        ).run()
+        [result] = run_jobs([spec()])
+        assert result.snapshot() == clean.snapshot()
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        bus = EventBus()
+        degraded = _collect(bus, ExecutionDegraded)
+        pooled = execute([spec(), spec()], ExecutionPolicy(jobs=2), bus=bus)
+        assert [r.snapshot() for r in pooled] == [clean.snapshot()] * 2
+        assert [event.reason for event in degraded] == ["unpicklable"]
 
 
 class TestFaultSpec:
@@ -280,6 +310,33 @@ class TestCheckpoint:
             c.stats.to_dict() for c in clean
         ]
         assert [event.index for event in resumed] == [0]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda degree: build_prefetcher("ghb_small", degree=degree),
+            lambda degree: GHBPrefetcher(degree=degree),
+        ],
+        ids=["registry", "hand_built"],
+    )
+    def test_changed_overrides_resume_nothing(self, tmp_path, build):
+        def cell(degree):
+            return JobSpec(
+                workload="tpcw",
+                records=RECORDS,
+                seed=7,
+                config=ProcessorConfig.scaled(),
+                prefetcher=build(degree),
+                label="ghb",
+            )
+
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        execute([cell(6)], policy)
+        bus = EventBus()
+        resumed = _collect(bus, JobResumed)
+        [result] = execute([cell(1)], policy, bus=bus)
+        assert resumed == []
+        assert result.snapshot() == cell(1).run().snapshot()
 
     def test_completed_batch_resumes_without_any_simulation(self, tmp_path):
         policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))

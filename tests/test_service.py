@@ -14,9 +14,11 @@ import dataclasses
 
 import pytest
 
+from repro.cli import _render_top
 from repro.engine.config import ProcessorConfig
+from repro.engine.simulator import MODEL_VERSION
 from repro.engine.stats import SimulationResult
-from repro.parallel.jobs import JobSpec
+from repro.parallel.jobs import JobSpec, job_identity
 from repro.prefetchers.registry import build_prefetcher
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import (
@@ -25,7 +27,9 @@ from repro.service import (
     ResultCache,
     ServiceClient,
     ServiceConfig,
+    ShardedService,
 )
+from repro.workloads.commercial import GENERATOR_VERSION
 
 RECORDS = 8_000
 WORKLOAD = "pointer_chase"
@@ -100,6 +104,23 @@ class TestResultCache:
         assert second.cached is True
         assert second.result.snapshot() == first.result.snapshot()
 
+    def test_extended_spelling_shares_the_plain_entry(self, client):
+        plain = client.simulate(WORKLOAD, "ebcp", records=RECORDS)
+        # The same job with the default config spelled out (a v4 field).
+        spelled = client._request(
+            "simulate",
+            {
+                "workload": WORKLOAD,
+                "prefetcher": "ebcp",
+                "records": RECORDS,
+                "seed": 7,
+                "config": {"base": "scaled"},
+            },
+        )
+        assert plain.cached is False
+        assert spelled["cached"] is True
+        assert spelled["result"] == plain.result.snapshot()
+
     def test_no_cache_forces_rerun(self, client):
         client.simulate(WORKLOAD, "none", records=RECORDS)
         again = client.simulate(WORKLOAD, "none", records=RECORDS, use_cache=False)
@@ -123,8 +144,8 @@ class TestResultCache:
     def test_unit_lru_eviction(self):
         cache = ResultCache(max_entries=1)
         result = local_run(WORKLOAD, "none", records=4_000)
-        k1 = ResultCache.key("t1", ("c",), "none", None)
-        k2 = ResultCache.key("t2", ("c",), "none", None)
+        k1 = job_identity(WORKLOAD, 4_000, 1, 1.0, 0, None, ("c",), "none", "")
+        k2 = job_identity(WORKLOAD, 4_000, 2, 1.0, 0, None, ("c",), "none", "")
         cache.put(k1, result)
         cache.put(k2, result)
         assert cache.get(k1) is None  # evicted
@@ -146,6 +167,37 @@ class TestStats:
         assert metrics["result_cache_misses"]["value"] >= 1
         assert "request_latency_ms" in metrics
         assert "service_queue_depth" in metrics
+
+
+class TestVersions:
+    """Which model and generator serve, on every existing surface."""
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_ping_stats_metrics_and_top_carry_the_versions(self, kind):
+        if kind == "single":
+            svc = BackgroundService(ServiceConfig(port=0), policy=POLICY)
+        else:
+            svc = BackgroundService(
+                service=ShardedService(
+                    config=ServiceConfig(port=0), policy=POLICY, workers=2
+                ),
+                start_timeout_s=120.0,
+            )
+        with svc, ServiceClient(*svc.address, timeout_s=120.0, retries=0) as client:
+            ping = client.ping()
+            stats = client.stats()
+            text = client.metrics()
+        for payload in (ping, stats):
+            assert payload["model_version"] == MODEL_VERSION
+            assert payload["generator_version"] == GENERATOR_VERSION
+        samples = dict(
+            line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")
+        )
+        assert float(samples["repro_model_version"]) == MODEL_VERSION
+        assert float(samples["repro_generator_version"]) == GENERATOR_VERSION
+        header = _render_top(stats, 0.0).splitlines()[1]
+        assert f"model v{MODEL_VERSION}" in header
+        assert f"generator v{GENERATOR_VERSION}" in header
 
 
 class TestMicroBatching:

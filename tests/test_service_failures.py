@@ -209,14 +209,19 @@ BAD_EXTENDED = [
     pytest.param({"prefetcher_overrides": {"no_such_knob": 3}},
                  "params.prefetcher_overrides", id="prefetcher_overrides"),
     pytest.param({"config": {"base": "nonexistent"}}, "params.config.base", id="config"),
+    pytest.param({"prefetcher": "none", "prefetcher_overrides": {"degree": 2}},
+                 "params.prefetcher_overrides", id="none_with_overrides"),
 ]
+# A plain request no trace generator accepts; refused while parsing its
+# params, so the error carries no ``path``.
+NEGATIVE_SEED = pytest.param({"seed": -1}, None, id="negative_seed")
 
 
 class TestBatchIsolation:
-    """A malformed extended simulate fails alone, never its micro-batch."""
+    """A malformed simulate fails alone, never its micro-batch."""
 
     @pytest.mark.parametrize("kind", ["single", "sharded"])
-    @pytest.mark.parametrize("bad, path", BAD_EXTENDED)
+    @pytest.mark.parametrize("bad, path", BAD_EXTENDED + [NEGATIVE_SEED])
     def test_bad_request_does_not_poison_its_batch(self, kind, bad, path):
         local = JobSpec(
             workload=WORKLOAD,
@@ -230,11 +235,12 @@ class TestBatchIsolation:
 
         def send(name: str, extra: dict) -> None:
             frames[name] = raw_roundtrip(
-                svc.address, simulate_frame(name, prefetcher="ebcp", **extra)
+                svc.address, simulate_frame(name, **{"prefetcher": "ebcp", **extra})
             )
 
         # A wide batch window co-batches the pair on one server or one
-        # shard (same workload, records and seed route together).
+        # shard (same workload, records and seed route together); the
+        # router refuses a negative seed before routing it.
         with front_end(kind, batch_window_s=0.3) as svc:
             threads = [
                 threading.Thread(target=send, args=("good", {})),
@@ -249,7 +255,7 @@ class TestBatchIsolation:
         assert frames["good"]["result"] == local.snapshot()
         assert frames["bad"]["ok"] is False
         assert frames["bad"]["error"]["code"] == "invalid_request"
-        assert frames["bad"]["error"]["path"] == path
+        assert frames["bad"]["error"].get("path") == path
 
     @pytest.mark.parametrize("bad, path", BAD_EXTENDED)
     def test_batch_build_failure_fails_only_its_request(self, bad, path):
@@ -432,6 +438,8 @@ class TestProtocolUnits:
 
         with pytest.raises(ProtocolError):
             SimulateParams(workload="db", records=0)
+        with pytest.raises(ProtocolError, match="non-negative"):
+            SimulateParams(workload="db", seed=-1)
         with pytest.raises(ProtocolError):
             SimulateParams(workload="")
         with pytest.raises(ProtocolError):

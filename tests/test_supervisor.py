@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.engine.config import ProcessorConfig
-from repro.parallel.jobs import JobSpec
+from repro.parallel.jobs import JobSpec, job_identity
 from repro.prefetchers.registry import build_prefetcher
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import (
@@ -75,7 +75,7 @@ def shard_rows(client: ServiceClient) -> dict:
 class TestCachePreload:
     def test_preload_warms_memory_without_counting_traffic(self, tmp_path):
         result = local_run(WORKLOAD, "none", records=1_000)
-        key = ResultCache.key("trace-fp", (64, (4, 8)), "none", None)
+        key = job_identity(WORKLOAD, 1_000, 7, 1.0, 0, None, (64, (4, 8)), "none", "")
         first = ResultCache(max_entries=8, spill_dir=tmp_path)
         first.put(key, result)
 
@@ -92,7 +92,8 @@ class TestCachePreload:
         result = local_run(WORKLOAD, "none", records=1_000)
         cache = ResultCache(max_entries=8, spill_dir=tmp_path)
         keys = [
-            ResultCache.key(f"trace-{i}", (1,), "none", None) for i in range(4)
+            job_identity(WORKLOAD, 1_000, i, 1.0, 0, None, (1,), "none", "")
+            for i in range(4)
         ]
         for key in keys:
             cache.put(key, result)

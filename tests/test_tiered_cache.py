@@ -17,8 +17,9 @@ import shutil
 
 import pytest
 
+import repro.parallel.jobs as jobs_mod
 from repro.engine.config import ProcessorConfig
-from repro.parallel.jobs import JobSpec
+from repro.parallel.jobs import JobSpec, job_identity
 from repro.resilience.integrity import checksum_path, write_checksum
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import BackgroundService, ResultCache, ServiceClient, ServiceConfig
@@ -42,7 +43,7 @@ def result():
 
 
 def make_key(seed: int = 7):
-    return ResultCache.key(f"trace-fp-{seed}", (1, (2, 3)), "none", None)
+    return job_identity(WORKLOAD, RECORDS, seed, 1.0, 0, None, (1, (2, 3)), "none", "")
 
 
 class TestDiskTier:
@@ -202,6 +203,16 @@ class TestServiceRestartSurvival:
         )
         assert second.result.to_dict() == first.result.to_dict()
         assert stats["cache"]["disk"]["hits"] == 1
+
+    def test_entry_from_another_model_version_is_a_miss(self, tmp_path, monkeypatch):
+        first, _ = self._serve_once(tmp_path, expect_cached=False)
+        # The identity reads the constant here; a bumped model must not
+        # be answered by what the previous model stored.
+        monkeypatch.setattr(jobs_mod, "MODEL_VERSION", jobs_mod.MODEL_VERSION + 1)
+        second, stats = self._serve_once(tmp_path, expect_cached=False)
+        assert stats["cache"]["disk"]["hits"] == 0
+        assert stats["cache"]["disk"]["entries"] == 2
+        assert second.result.to_dict() == first.result.to_dict()
 
     def test_corrupt_entry_is_quarantined_and_recomputed(self, tmp_path):
         first, _ = self._serve_once(tmp_path, expect_cached=False)
