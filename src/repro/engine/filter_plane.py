@@ -15,9 +15,10 @@ columns (instructions, per-class L1 hits, store bytes), and caches it
   itself (the workload registry memoises traces per process, so every
   simulator run of the same trace shares one plane), and
 * **on disk** as ``.npz`` beside the trace cache
-  (:func:`repro.workloads.cache.plane_cache_root`, honouring
-  ``$REPRO_TRACE_CACHE``), so parallel sweep workers and later processes
-  load instead of recomputing; file names carry ``MODEL_VERSION``.
+  (:func:`repro.workloads.cache.plane_cache_root`), through the shared
+  persisted-entry protocol of :mod:`repro.resilience.integrity`, so
+  parallel sweep workers and later processes load instead of
+  recomputing; file names carry ``MODEL_VERSION``.
 
 The mask kernel is a NumPy per-set grouped LRU (sets advance in lockstep,
 so the per-record Python loop disappears); a pure-Python reference
@@ -27,12 +28,12 @@ exists for verification and serves geometries with fewer than four sets.
 
 from __future__ import annotations
 
-import logging
 import os
-import tempfile
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Optional, Tuple
 
 import numpy as np
+
+from ..resilience.integrity import load_entry, store_entry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads.trace import Trace
@@ -50,8 +51,6 @@ __all__ = [
     "l2_evolution_reference",
     "kernel_enabled",
 ]
-
-log = logging.getLogger(__name__)
 
 #: Geometry key: (size_bytes, ways, line_size) — see
 #: :meth:`repro.memory.cache.SetAssociativeCache.geometry_key`.
@@ -292,7 +291,10 @@ def compute_filter_plane(
     return FilterPlane(~hit, trace, l1i_key, l1d_key)
 
 
-def _plane_path(trace: "Trace", l1i_key: GeometryKey, l1d_key: GeometryKey):
+def _plane_path(
+    trace: "Trace", l1i_key: GeometryKey, l1d_key: GeometryKey, extra: str = ""
+):
+    """The plane's ``.npz`` path; ``extra`` names an entry derived from it."""
     from ..workloads.cache import plane_cache_root
     from .simulator import MODEL_VERSION
 
@@ -300,54 +302,31 @@ def _plane_path(trace: "Trace", l1i_key: GeometryKey, l1d_key: GeometryKey):
     if root is None:
         return None
     geom = (
-        f"i{l1i_key[0]}x{l1i_key[1]}-d{l1d_key[0]}x{l1d_key[1]}-l{l1i_key[2]}"
+        f"i{l1i_key[0]}x{l1i_key[1]}-d{l1d_key[0]}x{l1d_key[1]}-l{l1i_key[2]}{extra}"
     )
     return root / f"{trace.fingerprint()}-{geom}-m{MODEL_VERSION}.npz"
 
 
 def _load_plane(path, trace, l1i_key, l1d_key) -> Optional[FilterPlane]:
-    from ..resilience.integrity import quarantine_entry, verify_checksum
-
-    reason = verify_checksum(path)
-    if reason is not None:
-        quarantine_entry(path, "plane", reason)
-        return None
-    try:
-        with np.load(path) as data:
+    def read(entry) -> Optional[FilterPlane]:
+        with np.load(entry) as data:
             if int(data["version"][0]) != _PLANE_FORMAT_VERSION:
                 return None
             miss_mask = np.unpackbits(data["miss_mask"], count=len(trace.gap)).astype(bool)
         return FilterPlane(miss_mask, trace, l1i_key, l1d_key)
-    except Exception as exc:  # corrupt/truncated/incompatible entry
-        quarantine_entry(path, "plane", f"unreadable entry ({exc})")
-        return None
+
+    return load_entry(path, "plane", read)
 
 
 def _store_plane(path, plane: FilterPlane) -> None:
-    """Atomic write, mirroring the trace cache; failures only cost speed."""
-    from ..resilience.faults import FaultSpec
-    from ..resilience.integrity import write_checksum
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.stem, suffix=".tmp.npz"
+    def write(fh: BinaryIO) -> None:
+        np.savez_compressed(
+            fh,
+            version=np.array([_PLANE_FORMAT_VERSION], dtype=np.int64),
+            miss_mask=np.packbits(plane.miss_mask),
         )
-        os.close(fd)
-        try:
-            np.savez_compressed(
-                tmp_name,
-                version=np.array([_PLANE_FORMAT_VERSION], dtype=np.int64),
-                miss_mask=np.packbits(plane.miss_mask),
-            )
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-        write_checksum(path)
-        FaultSpec.from_env().maybe_corrupt(path, "plane")
-    except OSError as exc:
-        log.warning("could not write filter-plane cache entry %s (%s)", path, exc)
+
+    store_entry(path, "plane", write)
 
 
 def get_filter_plane(
@@ -708,29 +687,13 @@ def compute_epoch_segments(
 
 
 def _segment_path(trace: "Trace", plane: FilterPlane, l2_key: GeometryKey, rob_size: int):
-    from ..workloads.cache import plane_cache_root
-    from .simulator import MODEL_VERSION
-
-    root = plane_cache_root()
-    if root is None:
-        return None
-    l1i, l1d = plane.l1i_key, plane.l1d_key
-    geom = (
-        f"i{l1i[0]}x{l1i[1]}-d{l1d[0]}x{l1d[1]}-l{l1i[2]}"
-        f"-seg-l2{l2_key[0]}x{l2_key[1]}-r{rob_size}"
-    )
-    return root / f"{trace.fingerprint()}-{geom}-m{MODEL_VERSION}.npz"
+    segments = f"-seg-l2{l2_key[0]}x{l2_key[1]}-r{rob_size}"
+    return _plane_path(trace, plane.l1i_key, plane.l1d_key, segments)
 
 
 def _load_segments(path, plane, l2_key, rob_size) -> Optional[EpochSegmentPlane]:
-    from ..resilience.integrity import quarantine_entry, verify_checksum
-
-    reason = verify_checksum(path)
-    if reason is not None:
-        quarantine_entry(path, "plane", reason)
-        return None
-    try:
-        with np.load(path) as data:
+    def read(entry) -> Optional[EpochSegmentPlane]:
+        with np.load(entry) as data:
             if int(data["version"][0]) != _SEGMENT_FORMAT_VERSION:
                 return None
             n_misses = int(data["n_misses"][0])
@@ -751,42 +714,26 @@ def _load_segments(path, plane, l2_key, rob_size) -> Optional[EpochSegmentPlane]
         return EpochSegmentPlane(
             l2_hit, victims, victim_dirty, trigger, final, l2_key, rob_size
         )
-    except Exception as exc:  # corrupt/truncated/incompatible entry
-        quarantine_entry(path, "plane", f"unreadable entry ({exc})")
-        return None
+
+    return load_entry(path, "plane", read)
 
 
 def _store_segments(path, seg: EpochSegmentPlane) -> None:
-    from ..resilience.faults import FaultSpec
-    from ..resilience.integrity import write_checksum
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.stem, suffix=".tmp.npz"
+    def write(fh: BinaryIO) -> None:
+        np.savez_compressed(
+            fh,
+            version=np.array([_SEGMENT_FORMAT_VERSION], dtype=np.int64),
+            n_misses=np.array([seg.l2_hit_mask.size], dtype=np.int64),
+            l2_hit=np.packbits(seg.l2_hit_mask),
+            victims=seg.victims,
+            victim_dirty=np.packbits(seg.victim_dirty),
+            trigger=np.packbits(seg.trigger),
+            final_lines=seg.final_state[0],
+            final_stamps=seg.final_state[1],
+            final_dirty=np.packbits(seg.final_state[2]),
         )
-        os.close(fd)
-        try:
-            np.savez_compressed(
-                tmp_name,
-                version=np.array([_SEGMENT_FORMAT_VERSION], dtype=np.int64),
-                n_misses=np.array([seg.l2_hit_mask.size], dtype=np.int64),
-                l2_hit=np.packbits(seg.l2_hit_mask),
-                victims=seg.victims,
-                victim_dirty=np.packbits(seg.victim_dirty),
-                trigger=np.packbits(seg.trigger),
-                final_lines=seg.final_state[0],
-                final_stamps=seg.final_state[1],
-                final_dirty=np.packbits(seg.final_state[2]),
-            )
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-        write_checksum(path)
-        FaultSpec.from_env().maybe_corrupt(path, "plane")
-    except OSError as exc:
-        log.warning("could not write epoch-segment cache entry %s (%s)", path, exc)
+
+    store_entry(path, "plane", write)
 
 
 def get_epoch_segments(

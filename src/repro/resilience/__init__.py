@@ -25,7 +25,9 @@ Modules
     hangs and cache corruption (``REPRO_FAULT_*``), used by the tests
     and the CI chaos drill.
 ``integrity``
-    Checksum sidecars and quarantine for the on-disk ``.npz`` caches.
+    The persisted-entry protocol (atomic write, checksum sidecar,
+    quarantine) shared by the trace, filter-plane, epoch-segment and
+    result-cache stores.
 """
 
 from .checkpoint import CheckpointJournal, job_key

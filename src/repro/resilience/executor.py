@@ -11,7 +11,9 @@ execution — and layers the failure handling an overnight sweep needs:
   survivor jobs are requeued without spending an attempt);
 * **``BrokenProcessPool`` recovery**: when a worker dies, the jobs that
   were in flight replay in-process (each spending one attempt) and the
-  pool is rebuilt for the remaining queue;
+  pool is rebuilt for the remaining queue; a casualty with no attempt
+  left raises :class:`~repro.resilience.faults.WorkerCrashError`, the
+  same error an in-process crash raises;
 * **checkpoint resume**: with ``policy.checkpoint_dir`` set, completed
   jobs are journalled durably and a re-run of the same batch loads them
   from disk instead of re-simulating;
@@ -51,7 +53,7 @@ from ..obs.events import (
 )
 from ..obs.tracing import SpanRecorder, TelemetrySink, TraceContext
 from .checkpoint import CheckpointJournal, job_key
-from .faults import FaultSpec
+from .faults import FaultSpec, WorkerCrashError
 from .policy import ExecutionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: parallel.jobs imports us
@@ -593,7 +595,10 @@ def _run_pooled(
                 for index in casualties:
                     attempts[index] += 1
                     if attempts[index] > policy.retries:
-                        raise broken
+                        raise WorkerCrashError(
+                            f"job {specs[index].label or index} lost its worker "
+                            f"with no retries left ({broken})"
+                        ) from broken
                     _emit(
                         bus,
                         JobRetried(

@@ -32,9 +32,11 @@ Environment knobs
     Sleep ``seconds`` at the start of matching attempts — long enough to
     trip a per-job timeout.
 ``REPRO_FAULT_CORRUPT=<kind>:<count>``
-    Corrupt the first ``count`` freshly written cache entries whose kind
-    (``trace``, ``plane`` or ``*``) matches, by truncating the file —
-    the next read must detect, quarantine and regenerate.
+    Corrupt the first ``count`` fresh writes of each cache entry whose
+    kind (``trace``, ``plane`` for filter planes and epoch segments,
+    ``result`` for the result-cache disk tier, or ``*``) matches, by
+    truncating the file — the next read must detect, quarantine and
+    regenerate.
 ``REPRO_FAULT_STATE=<dir>``
     Marker directory for cross-process attempt claims (required for
     deterministic pool-mode injection).
@@ -151,9 +153,12 @@ class FaultSpec:
     def maybe_crash(self, job_key: str) -> None:
         """Crash this attempt if the crash fault matches and has budget.
 
-        Inside a pool worker the process dies outright (the parent sees
-        ``BrokenProcessPool``); in-process a :class:`WorkerCrashError`
-        is raised (an ordinary, retryable job failure).
+        Inside a pool worker the process dies outright: the executor
+        sees ``BrokenProcessPool``, charges every in-flight job one
+        attempt and raises :class:`WorkerCrashError` for a job with no
+        attempt left.  In-process a :class:`WorkerCrashError` is raised
+        directly (an ordinary, retryable job failure).  So a crash that
+        outlives the retry budget surfaces as one type in either mode.
         """
         parsed = _parse(self.crash, "crash", 2)
         if parsed is None or not self._matches(parsed[0], job_key):
@@ -191,8 +196,8 @@ class FaultSpec:
     def maybe_corrupt(self, path: "os.PathLike | str", kind: str) -> bool:
         """Truncate a freshly written cache entry if the fault matches.
 
-        ``kind`` is ``"trace"`` or ``"plane"``.  Returns True when the
-        file was corrupted.
+        ``kind`` is ``"trace"``, ``"plane"`` or ``"result"``.  Returns
+        True when the file was corrupted.
         """
         parsed = _parse(self.corrupt, "corrupt", 2)
         if parsed is None or not (parsed[0] == "*" or parsed[0] == kind):

@@ -1,20 +1,24 @@
-"""Cache-entry integrity: checksum sidecars and quarantine.
+"""The persisted-entry protocol shared by every on-disk cache.
 
-The trace cache and the filter-plane cache persist ``.npz`` archives that
-are expensive to rebuild.  A half-written or bit-rotted entry used to be
-deleted on decode failure; this module upgrades that story in two ways:
+The trace cache, the filter-plane and epoch-segment stores and the
+result cache's disk tier each own only an entry's path and format;
+:func:`store_entry` and :func:`load_entry` own everything else:
 
-* every stored entry gets a ``<name>.sha256`` sidecar written after the
-  atomic rename, and readers verify it *before* attempting to decode —
-  catching corruption that still decodes (silently wrong data), not just
-  corruption that raises;
-* a bad entry is moved into a ``quarantine/`` sibling directory (with its
-  sidecar and a short ``.reason`` note) instead of being unlinked, so a
-  recurring corruption source stays diagnosable, and a
-  :class:`~repro.obs.events.CacheQuarantined` event is published on the
-  process-wide bus.
-
-Both caches then simply regenerate the entry; corruption is never fatal.
+* a write goes to a temp file beside the entry (``.<name>.*.part``, which
+  no store's entry glob matches) and is renamed into place, so racing
+  workers never expose half an entry; the temp file never survives;
+* after the rename a ``<name>.sha256`` sidecar is written, and readers
+  verify it *before* decoding, catching corruption that still decodes
+  (an entry without a sidecar is unverifiable, not bad);
+* a bad sidecar or a decoder that raises moves the entry, its sidecar
+  and a ``.reason`` note into a ``quarantine/`` sibling (so a recurring
+  corruption source stays diagnosable), publishes a
+  :class:`~repro.obs.events.CacheQuarantined` event, and reads as a miss
+  that the store regenerates — corruption is never fatal;
+* a write that fails with ``OSError`` logs one warning and costs only
+  the speedup;
+* every fresh entry passes the ``REPRO_FAULT_CORRUPT`` hook under its
+  kind (``trace``, ``plane`` or ``result``).
 """
 
 from __future__ import annotations
@@ -22,14 +26,19 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Callable, Optional, TypeVar, Union
+
+from .faults import FaultSpec
 
 __all__ = [
     "checksum_path",
     "write_checksum",
     "verify_checksum",
     "quarantine_entry",
+    "load_entry",
+    "store_entry",
 ]
 
 log = logging.getLogger(__name__)
@@ -37,6 +46,8 @@ log = logging.getLogger(__name__)
 _CHUNK = 1 << 20
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+T = TypeVar("T")
 
 
 def _digest(path: Path) -> str:
@@ -93,10 +104,10 @@ def verify_checksum(path: PathLike) -> Optional[str]:
 def quarantine_entry(path: PathLike, kind: str, reason: str) -> Optional[Path]:
     """Move a corrupt cache entry (and sidecar) into ``quarantine/``.
 
-    ``kind`` is ``"trace"`` or ``"plane"``.  Returns the quarantined
-    path, or ``None`` when the entry had already vanished.  Emits
-    :class:`~repro.obs.events.CacheQuarantined` on the process-wide bus
-    when one exists.
+    ``kind`` is ``"trace"``, ``"plane"`` or ``"result"``.  Returns the
+    quarantined path, or ``None`` when the entry had already vanished.
+    Emits :class:`~repro.obs.events.CacheQuarantined` on the process-wide
+    bus when one exists.
     """
     p = Path(path)
     qdir = p.parent / "quarantine"
@@ -141,3 +152,52 @@ def _emit_quarantined(path: str, kind: str, reason: str) -> None:
     bus = peek_global_bus()
     if bus is not None and bus.wants(CacheQuarantined):
         bus.emit(CacheQuarantined(path=path, kind=kind, reason=reason))
+
+
+def load_entry(
+    path: PathLike, kind: str, read: Callable[[Path], Optional[T]]
+) -> Optional[T]:
+    """Verify and decode the entry at ``path``; ``None`` means a miss.
+
+    A missing file is a miss.  Otherwise the sidecar is checked, then
+    ``read(path)`` decodes the entry; a ``None`` from ``read`` is a stale
+    entry and a plain miss.  A bad sidecar, or a ``read`` that raises,
+    quarantines the entry under ``kind`` and is a miss too.
+    """
+    p = Path(path)
+    if not p.exists():
+        return None
+    reason = verify_checksum(p)
+    if reason is None:
+        try:
+            return read(p)
+        except Exception as exc:  # corrupt/truncated/incompatible entry
+            reason = f"unreadable entry ({exc})"
+    quarantine_entry(p, kind, reason)
+    return None
+
+
+def store_entry(path: PathLike, kind: str, write: Callable[[BinaryIO], object]) -> bool:
+    """Atomically persist an entry; ``write`` fills an open binary file.
+
+    Writes a temp file beside ``path``, renames it into place, writes the
+    sidecar and runs the corrupt-fault hook.  Returns False (after one
+    warning) when the filesystem refuses; the temp file never survives.
+    """
+    p = Path(path)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".part")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
+            os.replace(tmp, p)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        write_checksum(p)
+        FaultSpec.from_env().maybe_corrupt(p, kind)
+    except OSError as exc:
+        log.warning("could not write %s cache entry %s (%s)", kind, p, exc)
+        return False
+    return True

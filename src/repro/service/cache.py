@@ -25,36 +25,39 @@ mutate the cached copy.
 
 With ``spill_dir`` set, every ``put`` also writes the snapshot through
 to disk as a content-addressed JSON entry (``<identity>.json``, whose
-payload repeats the key) with a sha256 sidecar from
+payload repeats the key) by the shared persisted-entry protocol of
 :mod:`repro.resilience.integrity`.  A memory miss then falls through to
-the disk tier: the sidecar is verified *before* decoding, a bad entry is
-quarantined (``quarantine/`` sibling + ``CacheQuarantined`` event) and
-treated as a miss, and a good entry is promoted back into memory.
-Because entries are content-addressed and written atomically
-(``tmp`` + ``os.replace``), several shard processes can safely share one
-``spill_dir`` — concurrent writers of the same key write identical
-bytes — and a warm result survives worker crashes, full restarts and
-ring resizes.
+the disk tier, where a bad entry is quarantined and treated as a miss,
+and a good entry is promoted back into memory.  Because entries are
+content-addressed and written atomically, several shard processes can
+safely share one ``spill_dir`` (concurrent writers of the same key write
+identical bytes), and a warm result survives worker crashes, full
+restarts and ring resizes.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections import OrderedDict
 from pathlib import Path
 from threading import Lock
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 from ..engine.stats import SimulationResult
-from ..resilience.integrity import quarantine_entry, verify_checksum, write_checksum
+from ..resilience.integrity import checksum_path, load_entry, store_entry
 
 __all__ = ["ResultCache"]
 
-log = logging.getLogger(__name__)
-
 PathLike = Union[str, "os.PathLike[str]"]
+
+
+def _mtime(path: Path) -> float:
+    """A disk entry's recency (``get`` refreshes it on every disk hit)."""
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return 0.0
 
 
 class ResultCache:
@@ -136,25 +139,12 @@ class ResultCache:
     def _disk_put(self, key: str, snapshot: dict) -> None:
         if self.spill_dir is None:
             return
-        path = self.entry_path(key)
-        payload = {"key": key, "snapshot": snapshot}
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            tmp.write_text(
-                json.dumps(payload, separators=(",", ":"), sort_keys=True),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
-            write_checksum(path)
-        except OSError as exc:
-            log.warning("could not spill result cache entry %s (%s)", path.name, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return
-        self.spilled += 1
-        self._prune_disk()
+        payload = json.dumps(
+            {"key": key, "snapshot": snapshot}, separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+        if store_entry(self.entry_path(key), "result", lambda fh: fh.write(payload)):
+            self.spilled += 1
+            self._prune_disk()
 
     def _disk_get(self, key: str) -> Optional[dict]:
         if self.spill_dir is None:
@@ -172,48 +162,39 @@ class ResultCache:
         return snapshot
 
     def _read_entry(self, path: Path) -> Optional[dict]:
-        """A verified entry's snapshot, or None after quarantining it."""
-        reason = verify_checksum(path)
-        if reason is None:
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                stored_key, snapshot = payload["key"], payload["snapshot"]
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                reason = f"undecodable entry ({exc})"
-            else:
-                if stored_key != path.stem:
-                    # The address is the key, so a mismatch means the
-                    # entry was copied, tampered with or mis-written.
-                    reason = "stored key does not match its address"
-                elif not isinstance(snapshot, dict):
-                    reason = "snapshot is not an object"
-                else:
-                    return snapshot
-        self.quarantined += 1
-        quarantine_entry(path, "result", reason)
-        return None
+        """An existing entry's snapshot, or None after quarantining it."""
+
+        def read(entry: Path) -> dict:
+            payload = json.loads(entry.read_text(encoding="utf-8"))
+            if payload["key"] != entry.stem:
+                # The address is the key, so a mismatch means the entry
+                # was copied, tampered with or mis-written.
+                raise ValueError("stored key does not match its address")
+            if not isinstance(payload["snapshot"], dict):
+                raise ValueError("snapshot is not an object")
+            return payload["snapshot"]
+
+        snapshot = load_entry(path, "result", read)
+        if snapshot is None:  # ``read`` never reports stale, so: quarantined
+            self.quarantined += 1
+        return snapshot
+
+    def _disk_files(self) -> List[Path]:
+        """The disk tier's entry files (never a sidecar or a temp file)."""
+        assert self.spill_dir is not None
+        try:
+            return [p for p in self.spill_dir.glob("*.json") if p.is_file()]
+        except OSError:
+            return []
 
     def _prune_disk(self) -> None:
         """Drop the oldest disk entries beyond ``max_disk_entries``."""
-        assert self.spill_dir is not None
-        try:
-            entries = [
-                p for p in self.spill_dir.glob("*.json") if p.is_file()
-            ]
-        except OSError:
-            return
+        entries = self._disk_files()
         excess = len(entries) - self.max_disk_entries
         if excess <= 0:
             return
-
-        def mtime(p: Path) -> float:
-            try:
-                return p.stat().st_mtime
-            except OSError:
-                return 0.0
-
-        for victim in sorted(entries, key=mtime)[:excess]:
-            for path in (victim, victim.with_name(victim.name + ".sha256")):
+        for victim in sorted(entries, key=_mtime)[:excess]:
+            for path in (victim, checksum_path(victim)):
                 try:
                     path.unlink()
                 except OSError:
@@ -232,21 +213,10 @@ class ResultCache:
         if self.spill_dir is None or self.max_entries == 0:
             return 0
         budget = self.max_entries if limit is None else min(limit, self.max_entries)
-        try:
-            entries = [p for p in self.spill_dir.glob("*.json") if p.is_file()]
-        except OSError:
-            return 0
-
-        def mtime(p: Path) -> float:
-            try:
-                return p.stat().st_mtime
-            except OSError:
-                return 0.0
-
         loaded = 0
         # Take the newest ``budget`` entries, but insert oldest-first so
         # the LRU's eviction order matches disk recency.
-        newest = sorted(entries, key=mtime, reverse=True)[:budget]
+        newest = sorted(self._disk_files(), key=_mtime, reverse=True)[:budget]
         for path in reversed(newest):
             snapshot = self._read_entry(path)
             if snapshot is None:

@@ -17,28 +17,22 @@ Layout and control
 * Invalidation: keys encode every generation parameter and
   :data:`~repro.workloads.commercial.GENERATOR_VERSION`, so stale entries
   cannot be returned; delete the directory to reclaim space.
-* Robustness: writes go through a temp file + atomic rename (concurrent
-  workers may race to fill the same key) and gain a ``.sha256`` sidecar;
-  readers verify the checksum before decoding, and a corrupted or
-  unreadable entry is quarantined (``quarantine/`` beside the cache, via
-  :mod:`repro.resilience.integrity`) and regenerated instead of failing
-  the run.
+* Robustness: entries are written and read through the shared
+  persisted-entry protocol of :mod:`repro.resilience.integrity` (atomic
+  write, ``.sha256`` sidecar, quarantine and regenerate).
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import tempfile
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
+from ..resilience.integrity import load_entry, store_entry
 from .commercial import GENERATOR_VERSION
 from .trace import Trace
 
 __all__ = ["TraceCache", "trace_cache", "cache_key", "plane_cache_root"]
-
-log = logging.getLogger(__name__)
 
 _DISABLED_VALUES = {"", "0", "off", "none", "false"}
 
@@ -81,73 +75,40 @@ class TraceCache:
         Any filesystem or decode failure degrades to ``build()`` — the
         cache is a pure accelerator and never affects results.
         """
-        from ..resilience.integrity import quarantine_entry, verify_checksum
-
         path = self.path_for(name, records, seed, scale)
         if path is None:
             return build()
-        if path.exists():
-            reason = verify_checksum(path)
-            if reason is not None:
-                quarantine_entry(path, "trace", reason)
-            else:
-                try:
-                    trace = Trace.load(path)
-                    self.hits += 1
-                    return trace
-                except Exception as exc:  # corrupt/truncated/incompatible file
-                    quarantine_entry(path, "trace", f"unreadable entry ({exc})")
+        trace = load_entry(path, "trace", Trace.load)
+        if trace is not None:
+            self.hits += 1
+            return trace
         self.misses += 1
         trace = build()
-        self._store(path, trace)
+        store_entry(path, "trace", trace.save)
         return trace
 
-    def _store(self, path: Path, trace: Trace) -> None:
-        """Atomically persist a trace; failures only cost the speedup."""
-        from ..resilience.faults import FaultSpec
-        from ..resilience.integrity import write_checksum
 
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(path.parent), prefix=path.stem, suffix=".tmp.npz"
-            )
-            os.close(fd)
-            try:
-                trace.save(tmp_name)
-                os.replace(tmp_name, path)
-            finally:
-                if os.path.exists(tmp_name):
-                    os.unlink(tmp_name)
-            write_checksum(path)
-            FaultSpec.from_env().maybe_corrupt(path, "trace")
-        except OSError as exc:
-            log.warning("could not write trace cache entry %s (%s)", path, exc)
+def _cache_roots() -> Optional[Tuple[Path, Path]]:
+    """``(trace root, filter-plane root)`` from ``$REPRO_TRACE_CACHE``.
 
-
-def _default_root() -> Optional[Path]:
+    A custom path holds the traces and gains a ``filter-planes/``
+    subdirectory; unset means ``~/.cache/repro-ebcp/{traces,filter-planes}``;
+    the disabled values return ``None`` (in-memory planes still work).
+    """
     value = os.environ.get("REPRO_TRACE_CACHE")
-    if value is not None:
-        if value.strip().lower() in _DISABLED_VALUES:
-            return None
-        return Path(value).expanduser()
-    return Path.home() / ".cache" / "repro-ebcp" / "traces"
+    if value is None:
+        base = Path.home() / ".cache" / "repro-ebcp"
+        return base / "traces", base / "filter-planes"
+    if value.strip().lower() in _DISABLED_VALUES:
+        return None
+    root = Path(value).expanduser()
+    return root, root / "filter-planes"
 
 
 def plane_cache_root() -> Optional[Path]:
-    """Directory for cached L1 filter planes, beside the trace cache.
-
-    Follows ``$REPRO_TRACE_CACHE`` exactly like the trace cache itself: a
-    custom path gains a ``filter-planes/`` subdirectory, the default is
-    ``~/.cache/repro-ebcp/filter-planes``, and the disabled values disable
-    plane persistence too (in-memory planes still work).
-    """
-    value = os.environ.get("REPRO_TRACE_CACHE")
-    if value is not None:
-        if value.strip().lower() in _DISABLED_VALUES:
-            return None
-        return Path(value).expanduser() / "filter-planes"
-    return Path.home() / ".cache" / "repro-ebcp" / "filter-planes"
+    """Directory for cached L1 filter planes and epoch segments."""
+    roots = _cache_roots()
+    return roots[1] if roots is not None else None
 
 
 def trace_cache() -> TraceCache:
@@ -157,4 +118,5 @@ def trace_cache() -> TraceCache:
     able to re-point or disable the cache mid-process; the ``TraceCache``
     object itself is cheap.
     """
-    return TraceCache(_default_root())
+    roots = _cache_roots()
+    return TraceCache(roots[0] if roots is not None else None)

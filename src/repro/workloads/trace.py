@@ -27,7 +27,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -189,8 +189,8 @@ class Trace:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
+    def save(self, path: str | Path | BinaryIO) -> None:
+        """Write the trace as ``.npz`` to a path or an open binary file."""
         np.savez_compressed(
             path,
             gap=self.gap,

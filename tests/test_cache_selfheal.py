@@ -12,9 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.config import ProcessorConfig
 from repro.engine.filter_plane import _plane_path, get_filter_plane
+from repro.engine.simulator import EpochSimulator
 from repro.obs.bus import global_bus, reset_global_bus
 from repro.obs.events import CacheQuarantined
+from repro.prefetchers.registry import build_prefetcher
 from repro.resilience.integrity import (
     checksum_path,
     quarantine_entry,
@@ -196,3 +199,67 @@ class TestPlaneCacheSelfHealing:
         assert (healed.miss_mask == plane.miss_mask).all()
         assert verify_checksum(path) is None
         assert [e.kind for e in quarantine_events] == ["plane"]
+
+
+class TestSegmentCacheSelfHealing:
+    """Epoch-segment files (kind ``plane``) heal like the planes."""
+
+    @pytest.fixture()
+    def trace(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        # Above the persistence floor (20k records), so segments persist.
+        trace = make_workload("tpcw", records=20_000, seed=11)
+        trace._plane_cache.clear()  # planes hold their segments
+        return trace
+
+    @staticmethod
+    def _ebcp_stats(trace) -> dict:
+        sim = EpochSimulator(
+            ProcessorConfig.scaled(),
+            build_prefetcher("ebcp"),
+            cpi_perf=trace.meta.cpi_perf,
+            overlap=trace.meta.overlap,
+        )
+        return sim.run(trace).stats.to_dict()
+
+    @staticmethod
+    def _segment_file(tmp_path):
+        [path] = (tmp_path / "filter-planes").glob("*-seg-*.npz")
+        return path
+
+    def test_stored_segments_have_valid_sidecar(self, tmp_path, trace):
+        self._ebcp_stats(trace)
+        path = self._segment_file(tmp_path)
+        assert checksum_path(path).exists()
+        assert verify_checksum(path) is None
+
+    def test_truncated_segments_quarantined_and_recomputed(
+        self, tmp_path, trace, quarantine_events
+    ):
+        clean = self._ebcp_stats(trace)
+        path = self._segment_file(tmp_path)
+        _truncate(path)
+
+        trace._plane_cache.clear()
+        assert self._ebcp_stats(trace) == clean
+        assert (path.parent / "quarantine" / path.name).exists()
+        assert [e.kind for e in quarantine_events] == ["plane"]
+        assert [e.reason for e in quarantine_events] == ["checksum_mismatch"]
+        assert verify_checksum(path) is None
+
+    def test_injected_segment_corruption_self_heals(
+        self, tmp_path, trace, monkeypatch, quarantine_events
+    ):
+        monkeypatch.setenv("REPRO_FAULT_CORRUPT", "plane:1")
+        monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fault-state"))
+        clean = self._ebcp_stats(trace)
+        path = self._segment_file(tmp_path)
+        assert verify_checksum(path) == "checksum_mismatch"
+
+        trace._plane_cache.clear()
+        assert self._ebcp_stats(trace) == clean
+        assert verify_checksum(path) is None
+        # The plane and its segments were both corrupted, both healed.
+        assert [e.kind for e in quarantine_events] == ["plane", "plane"]
+        assert any(e.path == str(path) for e in quarantine_events)

@@ -290,7 +290,10 @@ class TestCheckpoint:
         clean = [s.run() for s in batch()]
 
         # First run: 'bravo' fails permanently after 'alpha' completed.
+        # Only sequential execution guarantees that order ($REPRO_JOBS
+        # may ask for a pool), hence jobs=1.
         failing = ExecutionPolicy(
+            jobs=1,
             retries=0,
             checkpoint_dir=str(tmp_path),
             fault_spec=FaultSpec(crash="bravo:9"),
@@ -310,6 +313,41 @@ class TestCheckpoint:
             c.stats.to_dict() for c in clean
         ]
         assert [event.index for event in resumed] == [0]
+
+    def test_pool_crash_surfaces_as_worker_crash_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+
+        def batch():
+            return [_spec("alpha"), _spec("bravo"), _spec("charlie", None)]
+
+        clean = [s.run() for s in batch()]
+
+        # A pool worker dies on 'bravo' with no retries left: the same
+        # error type as the in-process crash above.
+        failing = ExecutionPolicy(
+            jobs=2,
+            retries=0,
+            checkpoint_dir=str(tmp_path / "run"),
+            fault_spec=FaultSpec(
+                crash="bravo:9", state_dir=str(tmp_path / "fault-state")
+            ),
+        )
+        with pytest.raises(WorkerCrashError):
+            execute(batch(), failing)
+
+        # Whatever reached the journal resumes; 'bravo' never did.
+        bus = EventBus()
+        resumed = _collect(bus, JobResumed)
+        policy = ExecutionPolicy(
+            jobs=2, checkpoint_dir=str(tmp_path / "run"), fault_spec=FaultSpec()
+        )
+        results = execute(batch(), policy, bus=bus)
+        assert [r.stats.to_dict() for r in results] == [
+            c.stats.to_dict() for c in clean
+        ]
+        assert 1 not in [event.index for event in resumed]
 
     @pytest.mark.parametrize(
         "build",

@@ -19,8 +19,10 @@ import pytest
 
 import repro.parallel.jobs as jobs_mod
 from repro.engine.config import ProcessorConfig
+from repro.obs.bus import global_bus, reset_global_bus
+from repro.obs.events import CacheQuarantined
 from repro.parallel.jobs import JobSpec, job_identity
-from repro.resilience.integrity import checksum_path, write_checksum
+from repro.resilience.integrity import checksum_path, verify_checksum, write_checksum
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import BackgroundService, ResultCache, ServiceClient, ServiceConfig
 from repro.service.client import _ClientBase
@@ -179,6 +181,55 @@ class TestDiskTier:
         cache = ResultCache(max_entries=4)
         cache.put(make_key(), result)
         assert "disk" not in cache.info()
+        assert cache.disk_entries() == 0
+
+
+class TestSharedEntryProtocol:
+    """The disk tier rides the protocol every persisted store shares
+    (:mod:`repro.resilience.integrity`): the corrupt-fault hook and the
+    temp-file naming."""
+
+    def test_injected_corruption_is_quarantined(self, result, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_CORRUPT", "result:1")
+        monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fault-state"))
+        spill = tmp_path / "spill"
+        key = make_key()
+        cache = ResultCache(max_entries=4, spill_dir=spill)
+        cache.put(key, result)
+        path = cache.entry_path(key)
+        assert verify_checksum(path) == "checksum_mismatch"
+
+        reset_global_bus()
+        events = []
+        global_bus().subscribe(CacheQuarantined, events.append)
+        try:
+            reborn = ResultCache(max_entries=4, spill_dir=spill)
+            assert reborn.get(key) is None
+        finally:
+            reset_global_bus()
+        assert reborn.quarantined == 1
+        assert [event.kind for event in events] == ["result"]
+        # The fault budget is spent: the re-put entry verifies clean.
+        reborn.put(key, result)
+        assert verify_checksum(path) is None
+        assert ResultCache(max_entries=4, spill_dir=spill).get(key) is not None
+
+    def test_stray_temp_file_is_not_an_entry(self, result, tmp_path):
+        cache = ResultCache(max_entries=4, spill_dir=tmp_path)
+        cache.put(make_key(seed=1), result)
+        assert not list(tmp_path.glob("*.part"))  # a finished write leaves none
+        # What a writer killed between write and rename leaves behind.
+        entry = cache.entry_path(make_key(seed=2))
+        stray = entry.with_name(f".{entry.name}.k3y7q0.part")
+        stray.write_bytes(cache.entry_path(make_key(seed=1)).read_bytes())
+
+        assert cache.disk_entries() == 1
+        reborn = ResultCache(max_entries=4, spill_dir=tmp_path)
+        assert reborn.preload() == 1
+        assert len(reborn) == 1
+        assert reborn.quarantined == 0
+        cache.clear(disk=True)
+        assert not stray.exists()
         assert cache.disk_entries() == 0
 
 
