@@ -710,8 +710,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="journal completed jobs under DIR so an interrupted run "
-        "resumes from where it stopped (bit-identical results)",
+        help="store each completed job under DIR so an interrupted run "
+        "resumes from where it stopped (bit-identical results; DIR also "
+        "works as a serve --cache-dir)",
     )
 
 
@@ -854,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "itself covers the whole run (default: 0, so event counts match "
         "the reported stats)",
     )
-    _add_execution_flags(p_tr)  # single observed run; accepted for interface parity
     p_tr.set_defaults(func=_cmd_trace)
 
     p_srv = sub.add_parser(

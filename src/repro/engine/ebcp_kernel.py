@@ -227,16 +227,16 @@ def run_epoch_batched(
     iU = int(Priority.TABLE_UPDATE)
     iW = int(Priority.LRU_WRITEBACK)
 
-    # Correlation table, inlined against its own arrays (CorrelationTable
-    # lookup/train/touch semantics, including the shared LRU stamp).
+    # Correlation table: lookup and touch inlined against its own arrays
+    # (CorrelationTable semantics, including the shared LRU stamp); train
+    # is the table's own method, which counts its own stats.
     table = prefetcher.table
     tbl_tags = table._tags
     tbl_addrs = table._addrs
     tbl_n = table.n_entries
-    tbl_cap = table.addrs_per_entry
     tbl_stamp = table._stamp
-    n_lookups = n_lookup_hits = n_trains = n_allocs = 0
-    n_conflicts = n_repl = n_touches = 0
+    table_train = table.train
+    n_lookups = n_lookup_hits = n_touches = 0
 
     # Traffic meter (TrafficMeter add_*/drain), as pending + total locals.
     traffic = prefetcher.traffic
@@ -347,41 +347,11 @@ def run_epoch_batched(
                     if boundary_ordinal:
                         view = views[boundary_ordinal]
                         if view is not None:
-                            # table.train(view[0], view[1]), inlined.
-                            vk = view[0]
-                            n_trains += 1
-                            ti = ((vk * _HASH_MULT) & _HASH_MASK) % tbl_n
-                            capped = view[1][:tbl_cap]
-                            if tbl_tags[ti] != vk:
-                                if tbl_tags[ti] != -1:
-                                    n_conflicts += 1
-                                n_allocs += 1
-                                addrs = {}
-                                st = tbl_stamp
-                                for ln in capped:
-                                    st += 1
-                                    addrs[ln] = st
-                                tbl_stamp = st
-                                tbl_tags[ti] = vk
-                                tbl_addrs[ti] = addrs
-                            else:
-                                addrs = tbl_addrs[ti]
-                                inserted = set()
-                                for ln in capped:
-                                    tbl_stamp += 1
-                                    if ln in addrs:
-                                        addrs[ln] = tbl_stamp
-                                        inserted.add(ln)
-                                        continue
-                                    if len(addrs) >= tbl_cap:
-                                        cands = [a for a in addrs if a not in inserted]
-                                        if not cands:
-                                            break
-                                        vv = min(cands, key=addrs.__getitem__)
-                                        del addrs[vv]
-                                        n_repl += 1
-                                    addrs[ln] = tbl_stamp
-                                    inserted.add(ln)
+                            # The table mutates its arrays in place; only
+                            # the shared LRU stamp lives in a local.
+                            table._stamp = tbl_stamp
+                            table_train(view[0], view[1])
+                            tbl_stamp = table._stamp
                             if in_memory:
                                 tm_update_r += entry_bytes
                                 tm_update_w += entry_bytes
@@ -571,41 +541,11 @@ def run_epoch_batched(
                 if boundary_ordinal:
                     view = views[boundary_ordinal]
                     if view is not None:
-                        # table.train(view[0], view[1]), inlined.
-                        vk = view[0]
-                        n_trains += 1
-                        ti = ((vk * _HASH_MULT) & _HASH_MASK) % tbl_n
-                        capped = view[1][:tbl_cap]
-                        if tbl_tags[ti] != vk:
-                            if tbl_tags[ti] != -1:
-                                n_conflicts += 1
-                            n_allocs += 1
-                            addrs = {}
-                            st = tbl_stamp
-                            for ln in capped:
-                                st += 1
-                                addrs[ln] = st
-                            tbl_stamp = st
-                            tbl_tags[ti] = vk
-                            tbl_addrs[ti] = addrs
-                        else:
-                            addrs = tbl_addrs[ti]
-                            inserted = set()
-                            for ln in capped:
-                                tbl_stamp += 1
-                                if ln in addrs:
-                                    addrs[ln] = tbl_stamp
-                                    inserted.add(ln)
-                                    continue
-                                if len(addrs) >= tbl_cap:
-                                    cands = [a for a in addrs if a not in inserted]
-                                    if not cands:
-                                        break
-                                    vv = min(cands, key=addrs.__getitem__)
-                                    del addrs[vv]
-                                    n_repl += 1
-                                addrs[ln] = tbl_stamp
-                                inserted.add(ln)
+                        # The table mutates its arrays in place; only
+                        # the shared LRU stamp lives in a local.
+                        table._stamp = tbl_stamp
+                        table_train(view[0], view[1])
+                        tbl_stamp = table._stamp
                         if in_memory:
                             tm_update_r += entry_bytes
                             tm_update_w += entry_bytes
@@ -752,10 +692,6 @@ def run_epoch_batched(
     tstats = table.stats
     tstats.lookups += n_lookups
     tstats.lookup_hits += n_lookup_hits
-    tstats.trains += n_trains
-    tstats.allocations += n_allocs
-    tstats.tag_conflicts += n_conflicts
-    tstats.address_replacements += n_repl
     tstats.touches += n_touches
 
     # Traffic meter: pending (undrained) bytes + lifetime totals.

@@ -196,7 +196,7 @@ class SimulationResult:
         return 1.0 - self.epochs_per_kilo_inst / base
 
     # ------------------------------------------------------------------
-    # Lossless serialisation (checkpoint journal)
+    # Lossless serialisation (checkpoint entries, result-cache disk tier)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """Lossless JSON-safe dump, invertible via :meth:`from_snapshot`.
@@ -204,8 +204,8 @@ class SimulationResult:
         Unlike :meth:`to_dict` (which reports *derived* metrics for
         tables and manifests), a snapshot keeps the raw counters so the
         restored object is field-for-field identical to the original —
-        the property the checkpoint journal's bit-identical-resume
-        guarantee rests on.  Floats survive the JSON round trip exactly
+        the property bit-identical checkpoint resume and disk-tier hits
+        rest on.  Floats survive the JSON round trip exactly
         because ``repr``/``float()`` are inverse for IEEE doubles.
         """
         return {

@@ -281,7 +281,10 @@ class WorkerCrashed(Event):
 
 @dataclass(frozen=True)
 class JobResumed(Event):
-    """A job's result was loaded from a checkpoint journal, not re-run."""
+    """A job's result was loaded from a checkpoint entry, not re-run.
+
+    ``key`` is the job's identity, the entry's file stem.
+    """
 
     label: str
     index: int

@@ -494,7 +494,7 @@ class ResilienceMetrics:
         self.retries = r.counter("jobs_retried", "job attempts that failed and were retried")
         self.timeouts = r.counter("jobs_timed_out", "pooled jobs that exceeded timeout_s")
         self.crashes = r.counter("worker_crashes", "process-pool breakages recovered")
-        self.resumed = r.counter("jobs_resumed", "jobs loaded from a checkpoint journal")
+        self.resumed = r.counter("jobs_resumed", "jobs loaded from a checkpoint entry")
         self.degraded = r.counter("execution_degraded", "fallbacks to in-process execution")
         self.quarantined = r.counter("cache_quarantined", "corrupt cache entries quarantined")
         self._unsubscribe = [

@@ -24,12 +24,11 @@ to ``JobSpec`` lists by :func:`repro.spec.expand`.
 >>> results = run_jobs(specs, jobs=2)  # doctest: +SKIP
 """
 
-from .jobs import JobSpec, resolve_jobs, run_job, run_jobs, warm_trace_cache
+from .jobs import JobSpec, resolve_jobs, run_jobs, warm_trace_cache
 
 __all__ = [
     "JobSpec",
     "resolve_jobs",
-    "run_job",
     "run_jobs",
     "warm_trace_cache",
 ]

@@ -20,8 +20,9 @@ sequential execution are bit-for-bit identical.
 Identity
 --------
 :func:`job_identity` is the one key every store finds a job under: the
-checkpoint journal, both result-cache tiers and the service's batch
-dedup.  It carries the model and generator versions.
+result entries of checkpoint directories and the result cache's disk
+tier, the cache's memory tier and the service's batch dedup.  It carries
+the model and generator versions.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - cycle: resilience.executor imports us
 __all__ = [
     "JobSpec",
     "job_identity",
-    "run_job",
     "run_jobs",
     "resolve_jobs",
     "warm_trace_cache",
@@ -193,11 +193,6 @@ class JobSpec:
         """The (L2 geometry, ROB size) key of this spec's epoch segments."""
         cfg = self.config
         return ((cfg.l2.size_bytes, cfg.l2.ways, cfg.line_size), cfg.rob_size)
-
-
-def run_job(spec: JobSpec) -> SimulationResult:
-    """Process-pool entry point (must be a module-level callable)."""
-    return spec.run()
 
 
 #: Process-wide registry of already-warmed content keys.  A spec-expanded

@@ -18,8 +18,9 @@ Modules
     :func:`execute` — the retry/timeout/checkpoint-aware engine behind
     :func:`repro.parallel.jobs.run_jobs` and both sweep runners.
 ``checkpoint``
-    :class:`CheckpointJournal` — durable JSONL journal keyed by
-    :func:`job_key`; interrupted sweeps resume bit-identically.
+    The one on-disk format of a finished result (``<identity>.json``),
+    shared by checkpoint directories and the result cache's disk tier;
+    interrupted sweeps resume bit-identically.
 ``faults``
     :class:`FaultSpec` — deterministic injection of worker crashes, job
     hangs and cache corruption (``REPRO_FAULT_*``), used by the tests
@@ -27,10 +28,9 @@ Modules
 ``integrity``
     The persisted-entry protocol (atomic write, checksum sidecar,
     quarantine) shared by the trace, filter-plane, epoch-segment and
-    result-cache stores.
+    result stores.
 """
 
-from .checkpoint import CheckpointJournal, job_key
 from .executor import PersistentPool, execute
 from .faults import FaultSpec, WorkerCrashError
 from .integrity import (
@@ -42,14 +42,12 @@ from .integrity import (
 from .policy import ExecutionPolicy
 
 __all__ = [
-    "CheckpointJournal",
     "ExecutionPolicy",
     "FaultSpec",
     "PersistentPool",
     "WorkerCrashError",
     "checksum_path",
     "execute",
-    "job_key",
     "quarantine_entry",
     "verify_checksum",
     "write_checksum",

@@ -1,155 +1,90 @@
-"""JSONL checkpoint journal for interruptible sweeps.
+"""One on-disk entry format for finished simulation results.
 
-A sweep of several hundred simulations that dies at job 180 of 200 used
-to restart from zero.  With ``ExecutionPolicy(checkpoint_dir=...)`` the
-executor journals every completed job to ``<dir>/journal.jsonl`` — one
-line per result, written with flush + fsync so a SIGKILL loses at most
-the job in flight — and a re-run of the *same* batch loads completed
-jobs from disk instead of re-simulating them.
+Two stores keep a finished :class:`~repro.engine.stats.SimulationResult`
+on disk, and both write the entry this module defines:
 
-Identity and bit-identical resume
----------------------------------
-Each journal line is keyed by :func:`job_key`: a SHA-256 over the job's
-batch position and its :meth:`~repro.parallel.jobs.JobSpec.identity`
-(generation parameters, configuration fingerprint, prefetcher name and
-overrides, model and generator versions).  A cell re-run with other
-overrides, or after a version bump, therefore resumes nothing.  The
-execution path is deliberately excluded — the epoch kernel and the
-scalar walk are bit-identical by construction, so a resume may switch
-``REPRO_KERNEL``.  Results round-trip through
-:meth:`~repro.engine.stats.SimulationResult.snapshot`, which preserves
-raw counters (and exact IEEE floats via JSON ``repr``), so a resumed
-sweep's merged result list is field-for-field identical to an
-uninterrupted run.
+* a **checkpoint directory** (``ExecutionPolicy(checkpoint_dir=...)``,
+  ``--checkpoint-dir``, a spec's ``[execution] checkpoint_dir``): the
+  executor looks every job up when it starts and stores each result as
+  it settles, so a sweep that dies at job 180 of 200 resumes there;
+* the **result cache's disk tier** (``ResultCache(spill_dir=...)``,
+  ``serve --cache-dir``), which serves repeat requests across restarts.
 
-A journal written for one batch is harmless to another: unknown keys are
-simply never looked up, and a corrupt trailing line (the half-written
-record of a crash) is skipped with a warning.
+An entry is ``<dir>/<identity>.json`` holding ``{"key": identity,
+"snapshot": snapshot}``.  The identity is
+:meth:`~repro.parallel.jobs.JobSpec.identity` (generation parameters,
+warm-up, configuration fingerprint, prefetcher name and canonical
+overrides, model and generator versions), so a cell re-run with other
+overrides or after a version bump finds nothing, and equal jobs share
+one entry.  The execution path is deliberately excluded: the epoch
+kernel and the scalar walk are bit-identical by construction, so an
+entry is valid whichever path computed it.  The snapshot is
+:meth:`~repro.engine.stats.SimulationResult.snapshot`, which keeps raw
+counters and exact IEEE floats, so a restored result is field-for-field
+identical to a fresh run.
+
+Entries are written and read by the persisted-entry protocol of
+:mod:`repro.resilience.integrity` under kind ``result``: an fsynced temp
+file renamed into place, a checksum sidecar verified before decoding,
+and quarantine of anything that fails it.  A stored key that differs
+from its address, or a snapshot that does not restore, is quarantined
+too.  Because both stores share the format, a checkpoint directory is a
+warm ``serve --cache-dir`` and the other way round.  The executor never
+prunes a checkpoint directory; a result cache prunes its ``spill_dir``
+to ``max_disk_entries`` (``--max-disk-entries``), whichever store wrote
+the entries.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import List, Optional, Union
 
 from ..engine.stats import SimulationResult
+from .integrity import load_entry, store_entry
 
-if TYPE_CHECKING:  # pragma: no cover - cycle: parallel.jobs imports us
-    from ..parallel.jobs import JobSpec
-
-__all__ = ["CheckpointJournal", "job_key"]
-
-log = logging.getLogger(__name__)
+__all__ = ["load_result", "result_entries", "result_path", "store_result"]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 
-def job_key(spec: "JobSpec", index: int) -> str:
-    """Stable identity of one job within a batch (hex SHA-256 prefix).
+def result_path(directory: PathLike, key: str) -> Path:
+    """The entry path of identity ``key`` under ``directory``."""
+    return Path(directory) / f"{key}.json"
 
-    Covers the batch position, because the journal's contract is a
-    re-run of the same batch (two equal jobs at different positions
-    resume separately), and the job's versioned
-    :meth:`~repro.parallel.jobs.JobSpec.identity`.
+
+def result_entries(directory: PathLike) -> List[Path]:
+    """The entry files under ``directory`` (never a sidecar or temp file)."""
+    try:
+        return [p for p in Path(directory).glob("*.json") if p.is_file()]
+    except OSError:
+        return []
+
+
+def load_result(path: Path) -> Optional[dict]:
+    """The snapshot stored at ``path``; None when missing or quarantined."""
+
+    def read(entry: Path) -> dict:
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        if payload["key"] != entry.stem:
+            # The address is the key, so a mismatch means the entry was
+            # copied, tampered with or mis-written.
+            raise ValueError("stored key does not match its address")
+        snapshot = payload["snapshot"]
+        SimulationResult.from_snapshot(snapshot)  # restorable, or quarantined
+        return snapshot
+
+    return load_entry(path, "result", read)
+
+
+def store_result(path: Path, snapshot: dict) -> bool:
+    """Persist ``snapshot`` at ``path``, whose stem is its key.
+
+    Returns False (after one warning) when the filesystem refuses.
     """
-    digest = hashlib.sha256(f"{index}:{spec.identity()}".encode("utf-8"))
-    return digest.hexdigest()[:32]
-
-
-class CheckpointJournal:
-    """Append-only JSONL journal of completed jobs under a run directory."""
-
-    FILENAME = "journal.jsonl"
-
-    def __init__(self, run_dir: PathLike) -> None:
-        self.run_dir = Path(run_dir)
-        self.path = self.run_dir / self.FILENAME
-        self._completed: Dict[str, dict] = {}
-        self._fh = None
-
-    # ------------------------------------------------------------------
-    # Loading (resume)
-    # ------------------------------------------------------------------
-    def load(self) -> int:
-        """Read the journal from disk; returns the number of usable entries.
-
-        Tolerates a missing file (fresh run) and a corrupt trailing line
-        (the half-written record of whatever killed the previous run).
-        """
-        self._completed.clear()
-        try:
-            raw = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return 0
-        except OSError as exc:
-            log.warning("checkpoint journal %s unreadable (%s)", self.path, exc)
-            return 0
-        dropped = 0
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                key = entry["key"]
-                snapshot = entry["result"]
-                # Validate eagerly: a restorable snapshot or no entry at all.
-                SimulationResult.from_snapshot(snapshot)
-            except (ValueError, KeyError, TypeError) as exc:
-                dropped += 1
-                log.warning(
-                    "skipping corrupt checkpoint line %d in %s (%s)",
-                    lineno,
-                    self.path,
-                    exc,
-                )
-                continue
-            self._completed[key] = snapshot
-        if dropped:
-            log.warning(
-                "checkpoint journal %s: %d corrupt line(s) ignored, "
-                "%d job(s) resumable",
-                self.path,
-                dropped,
-                len(self._completed),
-            )
-        return len(self._completed)
-
-    def lookup(self, key: str) -> Optional[SimulationResult]:
-        """The journalled result for ``key``, or None if not completed."""
-        snapshot = self._completed.get(key)
-        if snapshot is None:
-            return None
-        return SimulationResult.from_snapshot(snapshot)
-
-    def __len__(self) -> int:
-        return len(self._completed)
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def record(self, key: str, result: SimulationResult) -> None:
-        """Journal one completed job durably (flush + fsync)."""
-        entry = {"key": key, "result": result.snapshot()}
-        if self._fh is None:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._completed[key] = entry["result"]
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    payload = json.dumps(
+        {"key": path.stem, "snapshot": snapshot}, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
+    return store_entry(path, "result", lambda fh: fh.write(payload))

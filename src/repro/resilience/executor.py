@@ -14,8 +14,10 @@ execution — and layers the failure handling an overnight sweep needs:
   pool is rebuilt for the remaining queue; a casualty with no attempt
   left raises :class:`~repro.resilience.faults.WorkerCrashError`, the
   same error an in-process crash raises;
-* **checkpoint resume**: with ``policy.checkpoint_dir`` set, completed
-  jobs are journalled durably and a re-run of the same batch loads them
+* **checkpoint resume**: with ``policy.checkpoint_dir`` set, each job is
+  looked up there by its identity before it runs and its result is
+  stored there as it settles (the result cache's entry format, see
+  :mod:`repro.resilience.checkpoint`), so a re-run loads completed jobs
   from disk instead of re-simulating;
 * **observable degradation**: the legacy silent fall-backs (unpicklable
   specs, a pool that cannot start) now log a warning *and* publish an
@@ -40,8 +42,9 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus, peek_global_bus
 from ..obs.events import (
     Event,
@@ -52,12 +55,11 @@ from ..obs.events import (
     WorkerCrashed,
 )
 from ..obs.tracing import SpanRecorder, TelemetrySink, TraceContext
-from .checkpoint import CheckpointJournal, job_key
+from .checkpoint import load_result, result_path, store_result
 from .faults import FaultSpec, WorkerCrashError
 from .policy import ExecutionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: parallel.jobs imports us
-    from ..engine.stats import SimulationResult
     from ..parallel.jobs import JobSpec
 
 __all__ = ["PersistentPool", "execute"]
@@ -80,11 +82,14 @@ def _emit(bus: Optional[EventBus], event: Event) -> None:
 #: while producing it (spans as a tuple of dicts, metrics as a registry
 #: snapshot or ``None``).  Everything is picklable, so the same triple
 #: crosses the pool boundary and the in-process fast path.
-_AttemptOutcome = Tuple["SimulationResult", tuple, Optional[dict]]
+_AttemptOutcome = Tuple[SimulationResult, tuple, Optional[dict]]
+
+#: Stores one settled result by its batch index (checkpointed runs).
+_Record = Callable[[int, SimulationResult], object]
 
 
 def _attempt(
-    payload: "Tuple[JobSpec, str, FaultSpec, Optional[dict], bool]",
+    payload: "Tuple[JobSpec, int, FaultSpec, Optional[dict], bool]",
 ) -> _AttemptOutcome:
     """Run one job attempt with fault hooks (pool entry point).
 
@@ -98,10 +103,10 @@ def _attempt(
     the registry snapshot back.  With neither, this is exactly the
     untraced fast path: ``spec.run()`` and empty telemetry.
     """
-    spec, key, faults, ctx_wire, collect = payload
+    spec, index, faults, ctx_wire, collect = payload
     # Fault matching targets the human-facing label (falling back to the
-    # workload name), with the job key appended so claims stay unique.
-    fault_key = f"{spec.label or spec.workload}#{key}"
+    # workload name), with the batch index appended so claims stay unique.
+    fault_key = f"{spec.label or spec.workload}#{index}"
     faults.maybe_crash(fault_key)
     hang = faults.maybe_hang(fault_key)
     if hang > 0:
@@ -240,25 +245,9 @@ def execute(
     faults = policy.faults()
 
     results: "List[Optional[SimulationResult]]" = [None] * len(specs)
-    journal = CheckpointJournal(policy.checkpoint_dir) if policy.checkpoint_dir else None
-    # Only the journal needs the versioned identity (a hand-built
-    # prefetcher pays a pickle for it); fault claims need the position.
-    keys = [job_key(s, i) if journal is not None else str(i) for i, s in enumerate(specs)]
-    if journal is not None and journal.load():
-        for i, key in enumerate(keys):
-            restored = journal.lookup(key)
-            if restored is None:
-                continue
-            results[i] = restored
-            _emit(bus, JobResumed(label=specs[i].label, index=i, key=key))
-        n_resumed = sum(r is not None for r in results)
-        if n_resumed:
-            log.info(
-                "resumed %d/%d job(s) from checkpoint %s",
-                n_resumed,
-                len(specs),
-                journal.path,
-            )
+    record: Optional[_Record] = None
+    if policy.checkpoint_dir:
+        record = _resume(specs, policy.checkpoint_dir, results, bus)
 
     try:
         pending = [i for i, r in enumerate(results) if r is None]
@@ -289,8 +278,8 @@ def execute(
                 else:
                     _warm_trace_cache([specs[i] for i in pending], bus=bus)
                     pooled = _run_pooled(
-                        specs, keys, pending, results, n_workers, policy,
-                        faults, journal, bus, manager=pool,
+                        specs, pending, results, n_workers, policy, faults,
+                        bus, record, manager=pool,
                         ctx_wire=ctx_wire, collect=collect, telemetry=telemetry,
                     )
             if not pooled:
@@ -298,16 +287,42 @@ def execute(
                 for i in pending:
                     if results[i] is None:
                         results[i] = _run_resilient(
-                            specs[i], keys[i], i, policy, faults, journal, bus,
+                            specs[i], i, policy, faults, bus, record,
                             ctx_wire=ctx_wire, collect=collect,
                             telemetry=telemetry,
                         )
     finally:
-        if journal is not None:
-            journal.close()
         if exec_span is not None:
             exec_span.__exit__(None)
     return list(results)  # type: ignore[arg-type]
+
+
+def _resume(
+    specs: "List[JobSpec]",
+    directory: str,
+    results: "List[Optional[SimulationResult]]",
+    bus: Optional[EventBus],
+) -> _Record:
+    """Fill ``results`` from the checkpoint entries under ``directory``.
+
+    Returns the callable that stores each newly settled result.  Only a
+    checkpoint needs the versioned identity (a hand-built prefetcher
+    pays a pickle for it).  Equal jobs share one entry.
+    """
+    paths = [result_path(directory, spec.identity()) for spec in specs]
+    for i, path in enumerate(paths):
+        snapshot = load_result(path)
+        if snapshot is not None:
+            results[i] = SimulationResult.from_snapshot(snapshot)
+            _emit(bus, JobResumed(label=specs[i].label, index=i, key=path.stem))
+    n_resumed = sum(r is not None for r in results)
+    if n_resumed:
+        log.info("resumed %d/%d job(s) from checkpoint %s", n_resumed, len(specs), directory)
+
+    def record(index: int, result: SimulationResult) -> bool:
+        return store_result(paths[index], result.snapshot())
+
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -315,12 +330,11 @@ def execute(
 # ----------------------------------------------------------------------
 def _run_resilient(
     spec: "JobSpec",
-    key: str,
     index: int,
     policy: ExecutionPolicy,
     faults: FaultSpec,
-    journal: Optional[CheckpointJournal],
     bus: Optional[EventBus],
+    record: Optional[_Record],
     failed_attempts: int = 0,
     ctx_wire: Optional[dict] = None,
     collect: bool = False,
@@ -336,7 +350,7 @@ def _run_resilient(
         start = time.monotonic()
         try:
             result, spans, snapshot = _attempt(
-                (spec, key, faults, ctx_wire, collect)
+                (spec, index, faults, ctx_wire, collect)
             )
         except Exception as exc:
             attempts += 1
@@ -402,8 +416,8 @@ def _run_resilient(
             # Only the attempt that settles ships telemetry; retried
             # attempts' spans die with the retry, like pooled casualties.
             telemetry.absorb(spans, snapshot, label=spec.label or spec.workload)
-        if journal is not None:
-            journal.record(key, result)
+        if record is not None:
+            record(index, result)
         return result
 
 
@@ -422,14 +436,13 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def _run_pooled(
     specs: "List[JobSpec]",
-    keys: List[str],
     pending: List[int],
     results: "List[Optional[SimulationResult]]",
     n_workers: int,
     policy: ExecutionPolicy,
     faults: FaultSpec,
-    journal: Optional[CheckpointJournal],
     bus: Optional[EventBus],
+    record: Optional[_Record],
     manager: Optional[PersistentPool] = None,
     ctx_wire: Optional[dict] = None,
     collect: bool = False,
@@ -476,8 +489,8 @@ def _run_pooled(
                 spans, snapshot,
                 label=specs[index].label or specs[index].workload,
             )
-        if journal is not None:
-            journal.record(keys[index], result)
+        if record is not None:
+            record(index, result)
 
     def charge_failure(index: int, cause: str, fatal: Exception) -> None:
         """Spend one attempt for ``index``; requeue it or raise ``fatal``."""
@@ -519,12 +532,11 @@ def _run_pooled(
                         index = queue.popleft()
                         results[index] = _run_resilient(
                             specs[index],
-                            keys[index],
                             index,
                             policy,
                             faults,
-                            journal,
                             bus,
+                            record,
                             failed_attempts=attempts[index],
                             ctx_wire=ctx_wire,
                             collect=collect,
@@ -537,7 +549,7 @@ def _run_pooled(
             while queue and len(in_flight) < n_workers:
                 index = queue.popleft()
                 future = pool.submit(
-                    _attempt, (specs[index], keys[index], faults, ctx_wire, collect)
+                    _attempt, (specs[index], index, faults, ctx_wire, collect)
                 )
                 in_flight[future] = (index, time.monotonic())
             if not in_flight:
@@ -610,12 +622,11 @@ def _run_pooled(
                     )
                     results[index] = _run_resilient(
                         specs[index],
-                        keys[index],
                         index,
                         policy,
                         faults,
-                        journal,
                         bus,
+                        record,
                         failed_attempts=attempts[index],
                         ctx_wire=ctx_wire,
                         collect=collect,

@@ -24,8 +24,8 @@ Environment knobs
 ``REPRO_FAULT_CRASH=<match>:<count>``
     Kill the worker process (``os._exit``) at the start of the first
     ``count`` attempts of every job whose key contains ``match``
-    (``*`` matches every job).  A job's key is its label, ``#``, then
-    its batch position (its journal key when checkpointing).
+    (``*`` matches every job).  A job's key is its label (else its
+    workload), ``#``, then its batch index, e.g. ``alpha#1``.
     In-process execution raises :class:`WorkerCrashError` instead of
     exiting.
 ``REPRO_FAULT_HANG=<match>:<count>:<seconds>``
@@ -34,7 +34,8 @@ Environment knobs
 ``REPRO_FAULT_CORRUPT=<kind>:<count>``
     Corrupt the first ``count`` fresh writes of each cache entry whose
     kind (``trace``, ``plane`` for filter planes and epoch segments,
-    ``result`` for the result-cache disk tier, or ``*``) matches, by
+    ``result`` for result entries, whether a checkpointed job or the
+    result cache's disk tier stored them, or ``*``) matches, by
     truncating the file — the next read must detect, quarantine and
     regenerate.
 ``REPRO_FAULT_STATE=<dir>``
@@ -150,7 +151,7 @@ class FaultSpec:
     # ------------------------------------------------------------------
     # Job faults (consulted by the executor at attempt start)
     # ------------------------------------------------------------------
-    def maybe_crash(self, job_key: str) -> None:
+    def maybe_crash(self, key: str) -> None:
         """Crash this attempt if the crash fault matches and has budget.
 
         Inside a pool worker the process dies outright: the executor
@@ -161,33 +162,33 @@ class FaultSpec:
         outlives the retry budget surfaces as one type in either mode.
         """
         parsed = _parse(self.crash, "crash", 2)
-        if parsed is None or not self._matches(parsed[0], job_key):
+        if parsed is None or not self._matches(parsed[0], key):
             return
         try:
             count = int(parsed[1])
         except ValueError:
             log.warning("ignoring non-integer crash fault count %r", parsed[1])
             return
-        if not self._claim("crash", job_key, count):
+        if not self._claim("crash", key, count):
             return
         if multiprocessing.parent_process() is not None:
-            log.warning("fault injection: crashing worker on job %s", job_key)
+            log.warning("fault injection: crashing worker on job %s", key)
             os._exit(17)
-        raise WorkerCrashError(f"injected crash on job {job_key}")
+        raise WorkerCrashError(f"injected crash on job {key}")
 
-    def maybe_hang(self, job_key: str) -> float:
+    def maybe_hang(self, key: str) -> float:
         """Seconds this attempt should sleep (0.0 when the fault is idle)."""
         parsed = _parse(self.hang, "hang", 3)
-        if parsed is None or not self._matches(parsed[0], job_key):
+        if parsed is None or not self._matches(parsed[0], key):
             return 0.0
         try:
             count, seconds = int(parsed[1]), float(parsed[2])
         except ValueError:
             log.warning("ignoring malformed hang fault %r", self.hang)
             return 0.0
-        if seconds <= 0 or not self._claim("hang", job_key, count):
+        if seconds <= 0 or not self._claim("hang", key, count):
             return 0.0
-        log.warning("fault injection: hanging job %s for %.1fs", job_key, seconds)
+        log.warning("fault injection: hanging job %s for %.1fs", key, seconds)
         return seconds
 
     # ------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The persisted-entry protocol shared by every on-disk cache.
 
 The trace cache, the filter-plane and epoch-segment stores and the
-result cache's disk tier each own only an entry's path and format;
-:func:`store_entry` and :func:`load_entry` own everything else:
+result entries (the result cache's disk tier and checkpoint directories,
+one format in :mod:`repro.resilience.checkpoint`) each own only an
+entry's path and format; :func:`store_entry` and :func:`load_entry` own
+everything else:
 
 * a write goes to a temp file beside the entry (``.<name>.*.part``, which
-  no store's entry glob matches) and is renamed into place, so racing
-  workers never expose half an entry; the temp file never survives;
+  no store's entry glob matches), is fsynced and renamed into place, so
+  racing workers never expose half an entry and a finished write
+  survives a crash; the temp file never survives;
 * after the rename a ``<name>.sha256`` sidecar is written, and readers
   verify it *before* decoding, catching corruption that still decodes
   (an entry without a sidecar is unverifiable, not bad);
@@ -180,9 +183,10 @@ def load_entry(
 def store_entry(path: PathLike, kind: str, write: Callable[[BinaryIO], object]) -> bool:
     """Atomically persist an entry; ``write`` fills an open binary file.
 
-    Writes a temp file beside ``path``, renames it into place, writes the
-    sidecar and runs the corrupt-fault hook.  Returns False (after one
-    warning) when the filesystem refuses; the temp file never survives.
+    Writes and fsyncs a temp file beside ``path``, renames it into place,
+    writes the sidecar and runs the corrupt-fault hook.  Returns False
+    (after one warning) when the filesystem refuses; the temp file never
+    survives.
     """
     p = Path(path)
     try:
@@ -191,6 +195,8 @@ def store_entry(path: PathLike, kind: str, write: Callable[[BinaryIO], object]) 
         try:
             with os.fdopen(fd, "wb") as fh:
                 write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, p)
         finally:
             if os.path.exists(tmp):

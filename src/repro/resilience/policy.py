@@ -46,8 +46,9 @@ class ExecutionPolicy:
     backoff_s:
         Sleep before retry ``k`` (1-based) is ``backoff_s * 2**(k-1)``.
     checkpoint_dir:
-        Run directory for the JSONL checkpoint journal.  When set, every
-        completed job is journalled and a re-run of the same batch loads
+        Directory of checkpoint entries.  When set, every completed job
+        is stored there under its identity (the result cache's entry
+        format, :mod:`repro.resilience.checkpoint`) and a re-run loads
         completed jobs from disk instead of re-simulating them.
         ``None`` disables checkpointing.
     fault_spec:

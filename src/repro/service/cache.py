@@ -13,8 +13,8 @@ entry written by another model or generator version is never found.
 
 The execution path is deliberately **not** part of the key: the epoch
 kernel and the scalar filter-plane walk (``REPRO_KERNEL=off``) are
-bit-identical by construction (the same argument the checkpoint journal
-makes), so a cache entry is valid whichever path computed it.
+bit-identical by construction, so a cache entry is valid whichever path
+computed it.
 
 Tiers
 -----
@@ -24,11 +24,12 @@ every hit rehydrates a fresh ``SimulationResult`` so callers can never
 mutate the cached copy.
 
 With ``spill_dir`` set, every ``put`` also writes the snapshot through
-to disk as a content-addressed JSON entry (``<identity>.json``, whose
-payload repeats the key) by the shared persisted-entry protocol of
-:mod:`repro.resilience.integrity`.  A memory miss then falls through to
-the disk tier, where a bad entry is quarantined and treated as a miss,
-and a good entry is promoted back into memory.  Because entries are
+to disk as a content-addressed entry in the one result format of
+:mod:`repro.resilience.checkpoint` (``<identity>.json``, checksummed),
+the same entry a checkpointed batch stores, so a checkpoint directory
+is a warm ``spill_dir``.  A memory miss then falls through to the disk
+tier, where a bad entry is quarantined and treated as a miss, and a
+good entry is promoted back into memory.  Because entries are
 content-addressed and written atomically, several shard processes can
 safely share one ``spill_dir`` (concurrent writers of the same key write
 identical bytes), and a warm result survives worker crashes, full
@@ -37,15 +38,15 @@ restarts and ring resizes.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import OrderedDict
 from pathlib import Path
 from threading import Lock
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from ..engine.stats import SimulationResult
-from ..resilience.integrity import checksum_path, load_entry, store_entry
+from ..resilience.checkpoint import load_result, result_entries, result_path, store_result
+from ..resilience.integrity import checksum_path
 
 __all__ = ["ResultCache"]
 
@@ -134,15 +135,12 @@ class ResultCache:
     def entry_path(self, key: str) -> Path:
         """The content-addressed disk path of ``key``'s entry."""
         assert self.spill_dir is not None
-        return self.spill_dir / f"{key}.json"
+        return result_path(self.spill_dir, key)
 
     def _disk_put(self, key: str, snapshot: dict) -> None:
         if self.spill_dir is None:
             return
-        payload = json.dumps(
-            {"key": key, "snapshot": snapshot}, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-        if store_entry(self.entry_path(key), "result", lambda fh: fh.write(payload)):
+        if store_result(self.entry_path(key), snapshot):
             self.spilled += 1
             self._prune_disk()
 
@@ -163,33 +161,15 @@ class ResultCache:
 
     def _read_entry(self, path: Path) -> Optional[dict]:
         """An existing entry's snapshot, or None after quarantining it."""
-
-        def read(entry: Path) -> dict:
-            payload = json.loads(entry.read_text(encoding="utf-8"))
-            if payload["key"] != entry.stem:
-                # The address is the key, so a mismatch means the entry
-                # was copied, tampered with or mis-written.
-                raise ValueError("stored key does not match its address")
-            if not isinstance(payload["snapshot"], dict):
-                raise ValueError("snapshot is not an object")
-            return payload["snapshot"]
-
-        snapshot = load_entry(path, "result", read)
-        if snapshot is None:  # ``read`` never reports stale, so: quarantined
+        snapshot = load_result(path)
+        if snapshot is None:  # the entry existed, so: quarantined
             self.quarantined += 1
         return snapshot
 
-    def _disk_files(self) -> List[Path]:
-        """The disk tier's entry files (never a sidecar or a temp file)."""
-        assert self.spill_dir is not None
-        try:
-            return [p for p in self.spill_dir.glob("*.json") if p.is_file()]
-        except OSError:
-            return []
-
     def _prune_disk(self) -> None:
         """Drop the oldest disk entries beyond ``max_disk_entries``."""
-        entries = self._disk_files()
+        assert self.spill_dir is not None
+        entries = result_entries(self.spill_dir)
         excess = len(entries) - self.max_disk_entries
         if excess <= 0:
             return
@@ -216,7 +196,7 @@ class ResultCache:
         loaded = 0
         # Take the newest ``budget`` entries, but insert oldest-first so
         # the LRU's eviction order matches disk recency.
-        newest = sorted(self._disk_files(), key=_mtime, reverse=True)[:budget]
+        newest = sorted(result_entries(self.spill_dir), key=_mtime, reverse=True)[:budget]
         for path in reversed(newest):
             snapshot = self._read_entry(path)
             if snapshot is None:
@@ -231,10 +211,7 @@ class ResultCache:
         """How many entries the disk tier currently holds."""
         if self.spill_dir is None:
             return 0
-        try:
-            return sum(1 for _ in self.spill_dir.glob("*.json"))
-        except OSError:
-            return 0
+        return len(result_entries(self.spill_dir))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

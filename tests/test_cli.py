@@ -107,6 +107,15 @@ class TestTraceCommand:
         assert out.exists()
         assert "perfetto" in capsys.readouterr().out
 
+    def test_trace_rejects_execution_flags(self, tmp_path, capsys):
+        """A single observed run has no jobs to fan out, retry or store."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "pointer_chase", "none", "--records", "2000",
+                  "--out", str(tmp_path / "trace.json"),
+                  "--checkpoint-dir", str(tmp_path / "ck")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "ck").exists()
+
     def test_simulate_metrics_out(self, tmp_path, capsys):
         import json
 

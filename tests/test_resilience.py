@@ -8,6 +8,7 @@ sequential run.
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
@@ -15,7 +16,9 @@ import repro.resilience.faults as faults_mod
 import repro.resilience.executor as executor_mod
 from repro.engine.config import ProcessorConfig
 from repro.obs import EventBus
+from repro.obs.bus import global_bus, reset_global_bus
 from repro.obs.events import (
+    CacheQuarantined,
     ExecutionDegraded,
     JobResumed,
     JobRetried,
@@ -27,13 +30,13 @@ from repro.parallel import JobSpec, run_jobs
 from repro.prefetchers.ghb import GHBPrefetcher
 from repro.prefetchers.registry import build_prefetcher
 from repro.resilience import (
-    CheckpointJournal,
     ExecutionPolicy,
     FaultSpec,
     WorkerCrashError,
     execute,
-    job_key,
 )
+from repro.resilience.checkpoint import result_entries, result_path
+from repro.service.cache import ResultCache
 
 RECORDS = 3_000
 
@@ -62,6 +65,15 @@ def _collect(bus: EventBus, *event_types):
     for event_type in event_types:
         bus.subscribe(event_type, seen.append)
     return seen
+
+
+@pytest.fixture
+def quarantined():
+    """``CacheQuarantined`` events, which go to the process-wide bus."""
+    reset_global_bus()
+    seen = _collect(global_bus(), CacheQuarantined)
+    yield seen
+    reset_global_bus()
 
 
 class TestExecutionPolicy:
@@ -115,16 +127,16 @@ class TestExecutionPolicy:
 
 class TestJobKey:
     def test_deterministic(self):
-        assert job_key(_spec(), 0) == job_key(_spec(), 0)
+        assert _spec().identity() == _spec().identity()
+        assert re.fullmatch(r"[0-9a-f]{64}", _spec().identity())
 
     def test_depends_on_identity_fields(self):
         base = _spec()
-        assert job_key(base, 0) != job_key(base, 1)
         other = _spec()
         other.seed = 8
-        assert job_key(base, 0) != job_key(other, 0)
+        assert base.identity() != other.identity()
         # Results carry no label, so the label is not part of the key.
-        assert job_key(_spec("alpha"), 0) == job_key(_spec("bravo"), 0)
+        assert _spec("alpha").identity() == _spec("bravo").identity()
 
     def test_unpicklable_hand_built_prefetcher_has_no_identity(self):
         prefetcher = GHBPrefetcher()
@@ -257,35 +269,11 @@ class TestTimeout:
 
 
 class TestCheckpoint:
-    def test_journal_roundtrip(self, tmp_path):
-        spec = _spec()
-        result = spec.run()
-        key = job_key(spec, 0)
-        with CheckpointJournal(tmp_path) as journal:
-            journal.record(key, result)
-        reloaded = CheckpointJournal(tmp_path)
-        reloaded.load()
-        restored = reloaded.lookup(key)
-        assert restored is not None
-        assert restored.stats.to_dict() == result.stats.to_dict()
-        assert restored.cpi == result.cpi
-        assert restored.config_summary == result.config_summary
-
-    def test_corrupt_tail_is_tolerated(self, tmp_path):
-        spec = _spec()
-        key = job_key(spec, 0)
-        with CheckpointJournal(tmp_path) as journal:
-            journal.record(key, spec.run())
-        with open(tmp_path / CheckpointJournal.FILENAME, "a") as fh:
-            fh.write('{"half a rec')  # a crash mid-write
-        journal = CheckpointJournal(tmp_path)
-        journal.load()
-        assert journal.lookup(key) is not None
-        assert len(journal) == 1
-
     def test_interrupted_batch_resumes_bit_identically(self, tmp_path):
+        # 'bravo' must differ from 'alpha' in more than its label, or it
+        # would resume from alpha's entry (labels are not identity).
         def batch():
-            return [_spec("alpha"), _spec("bravo"), _spec("charlie", None)]
+            return [_spec("alpha"), _spec("bravo", "ghb_small"), _spec("charlie", None)]
 
         clean = [s.run() for s in batch()]
 
@@ -302,7 +290,7 @@ class TestCheckpoint:
             execute(batch(), failing)
 
         # Second run: the fault is gone (the outage ended); 'alpha' must
-        # come from the journal, the rest must run.
+        # come from its checkpoint entry, the rest must run.
         bus = EventBus()
         resumed = _collect(bus, JobResumed)
         policy = ExecutionPolicy(
@@ -320,7 +308,7 @@ class TestCheckpoint:
         monkeypatch.setenv("REPRO_FORCE_POOL", "1")
 
         def batch():
-            return [_spec("alpha"), _spec("bravo"), _spec("charlie", None)]
+            return [_spec("alpha"), _spec("bravo", "ghb_small"), _spec("charlie", None)]
 
         clean = [s.run() for s in batch()]
 
@@ -337,7 +325,7 @@ class TestCheckpoint:
         with pytest.raises(WorkerCrashError):
             execute(batch(), failing)
 
-        # Whatever reached the journal resumes; 'bravo' never did.
+        # Whatever reached the checkpoint resumes; 'bravo' never did.
         bus = EventBus()
         resumed = _collect(bus, JobResumed)
         policy = ExecutionPolicy(
@@ -386,6 +374,80 @@ class TestCheckpoint:
         assert [r.stats.to_dict() for r in second] == [
             r.stats.to_dict() for r in first
         ]
+
+    def test_edited_entry_is_quarantined_and_rerun(self, tmp_path, quarantined):
+        """An edit that still parses is caught by the checksum sidecar."""
+        clean = _spec().run()
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        execute([_spec()], policy)
+        path = result_path(tmp_path, _spec().identity())
+        text = path.read_text(encoding="utf-8")
+        edited = re.sub(
+            r'("instructions":\d*)(\d)',
+            lambda m: m.group(1) + str((int(m.group(2)) + 1) % 10),
+            text,
+            count=1,
+        )
+        assert edited != text
+        path.write_text(edited, encoding="utf-8")
+
+        bus = EventBus()
+        resumed = _collect(bus, JobResumed)
+        [result] = execute([_spec()], policy, bus=bus)
+        assert resumed == []
+        assert [event.kind for event in quarantined] == ["result"]
+        assert (tmp_path / "quarantine" / path.name).exists()
+        assert result.snapshot() == clean.snapshot()
+
+    def test_checkpoint_dir_serves_as_a_cache_dir(self, tmp_path):
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        [result] = execute([_spec()], policy)
+        served = ResultCache(spill_dir=tmp_path).get(_spec().identity())
+        assert served is not None
+        assert served.snapshot() == result.snapshot()
+
+    def test_cache_dir_serves_as_a_checkpoint_dir(self, tmp_path):
+        clean = _spec().run()
+        ResultCache(spill_dir=tmp_path).put(_spec().identity(), clean)
+        bus = EventBus()
+        resumed = _collect(bus, JobResumed)
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        [result] = execute([_spec()], policy, bus=bus)
+        assert [(event.index, event.key) for event in resumed] == [
+            (0, _spec().identity())
+        ]
+        assert result.snapshot() == clean.snapshot()
+
+    def test_injected_corruption_is_quarantined_and_rerun(
+        self, tmp_path, monkeypatch, quarantined
+    ):
+        monkeypatch.setenv("REPRO_FAULT_CORRUPT", "result:1")
+        monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fault-state"))
+        clean = _spec().run()
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path / "run"))
+        execute([_spec()], policy)  # the entry it stores is truncated
+        assert [event.kind for event in quarantined] == []
+
+        bus = EventBus()
+        resumed = _collect(bus, JobResumed)
+        [result] = execute([_spec()], policy, bus=bus)
+        assert resumed == []
+        assert [event.kind for event in quarantined] == ["result"]
+        assert result.snapshot() == clean.snapshot()
+
+    def test_equal_jobs_share_one_entry(self, tmp_path):
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        [first] = execute([_spec("alpha")], policy)
+        bus = EventBus()
+        resumed = _collect(bus, JobResumed)
+        # The same job under two labels: both resume from alpha's entry.
+        results = execute([_spec("alpha"), _spec("bravo")], policy, bus=bus)
+        assert [(event.index, event.key) for event in resumed] == [
+            (0, _spec().identity()),
+            (1, _spec().identity()),
+        ]
+        assert [r.snapshot() for r in results] == [first.snapshot()] * 2
+        assert len(result_entries(tmp_path)) == 1
 
 
 class TestDegradationIsObservable:
@@ -457,7 +519,7 @@ class TestPolicyThreadsThroughTheStack:
 
     def test_sweep_runner_accepts_policy(self, tmp_path):
         """``run_spec``, the sweep runner, executes under a given policy."""
-        from repro.spec import SPEC_VERSION, SweepSpec, run_spec
+        from repro.spec import SPEC_VERSION, SweepSpec, expand, run_spec
 
         spec = SweepSpec.from_dict(
             {
@@ -475,4 +537,7 @@ class TestPolicyThreadsThroughTheStack:
         resilient = run_spec(spec, policy=policy).grid()
         seq, res = sequential["tpcw"][0], resilient["tpcw"][0]
         assert seq.result.stats.to_dict() == res.result.stats.to_dict()
-        assert (tmp_path / CheckpointJournal.FILENAME).exists()
+        # One checkpoint entry per distinct job of the plan.
+        assert sorted(entry.name for entry in result_entries(tmp_path)) == sorted(
+            {f"{job.identity()}.json" for job in expand(spec).jobs}
+        )
