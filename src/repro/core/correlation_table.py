@@ -28,12 +28,13 @@ The table object also *owns* its physical allocation via
 :class:`~repro.memory.main_memory.MainMemory`, so the prefetcher's
 active/inactive state machine (Section 3.4.1) can be exercised.
 
-State is array-backed: a preallocated tag array (``-1`` = free, valid
-tags are non-negative line numbers) parallel to an address-map array,
-so the hot lookup path is one hash, one indexed compare and — only on a
-hit — one sort, with no per-entry objects allocated on the train path.
-:class:`TableEntry` survives as the diagnostic *view* type constructed
-on demand by :meth:`CorrelationTable.entry_at`.
+State holds live entries only: a tag dict and a parallel address-map
+dict, both keyed by entry index (a missing index is a free entry), so a
+fresh table costs nothing to build, copy or pickle however many entries
+it models.  The hot lookup path is one hash, one dict probe and — only
+on a hit — one sort, with no per-entry objects allocated on the train
+path.  :class:`TableEntry` survives as the diagnostic *view* type
+constructed on demand by :meth:`CorrelationTable.entry_at`.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class CorrelationTable:
         self.n_entries = n_entries
         self.addrs_per_entry = addrs_per_entry
         self.entry_bytes = entry_bytes
-        self._tags: list[int] = [-1] * n_entries
-        self._addrs: list[dict[int, int] | None] = [None] * n_entries
+        #: index -> tag line and index -> address map, live entries only.
+        self._tags: dict[int, int] = {}
+        self._addrs: dict[int, dict[int, int]] = {}
         self._stamp = 0
         self.stats = TableStats()
         self.allocation: Allocation | None = None
@@ -118,8 +120,8 @@ class CorrelationTable:
     def detach_memory(self) -> None:
         """The OS reclaimed the region: all learned state is lost."""
         self.allocation = None
-        self._tags = [-1] * self.n_entries
-        self._addrs = [None] * self.n_entries
+        self._tags = {}
+        self._addrs = {}
 
     @property
     def is_resident(self) -> bool:
@@ -145,7 +147,7 @@ class CorrelationTable:
         """
         self.stats.lookups += 1
         index = ((key_line * _HASH_MULT) & _HASH_MASK) % self.n_entries
-        if self._tags[index] != key_line:
+        if self._tags.get(index) != key_line:
             return None
         self.stats.lookup_hits += 1
         addrs = self._addrs[index]
@@ -159,8 +161,9 @@ class CorrelationTable:
         self.stats.trains += 1
         index = self.index_of(key_line)
         capped = list(payload[: self.addrs_per_entry])
-        if self._tags[index] != key_line:
-            if self._tags[index] != -1:
+        tag = self._tags.get(index)
+        if tag != key_line:
+            if tag is not None:
                 self.stats.tag_conflicts += 1
             self.stats.allocations += 1
             addrs = {}
@@ -201,9 +204,7 @@ class CorrelationTable:
         still present.
         """
         self.stats.touches += 1
-        if not (0 <= index < self.n_entries):
-            return False
-        addrs = self._addrs[index]
+        addrs = self._addrs.get(index)
         if addrs is None or line not in addrs:
             return False
         self._stamp += 1
@@ -214,10 +215,11 @@ class CorrelationTable:
     def entry_at(self, index: int) -> TableEntry | None:
         """Entry view at ``index`` (tests and diagnostics); the address
         map is shared with the live table, not copied."""
-        if self._tags[index] == -1:
+        tag = self._tags.get(index)
+        if tag is None:
             return None
-        return TableEntry(tag=self._tags[index], addrs=self._addrs[index])
+        return TableEntry(tag=tag, addrs=self._addrs[index])
 
     @property
     def live_entries(self) -> int:
-        return sum(1 for tag in self._tags if tag != -1)
+        return len(self._tags)

@@ -1,7 +1,8 @@
-"""Epoch-batched execution kernel for EBCP and its variants.
+"""Epoch-batched execution kernel for the no-prefetch baseline, EBCP and
+its variants.
 
-The scalar simulator spends most of an ``ebcp`` run re-deriving facts that
-are pure functions of the trace and the cache geometry: the L2 outcome of
+The scalar simulator spends most of a run re-deriving facts that are
+pure functions of the trace and the cache geometry: the L2 outcome of
 every L1 miss, the victim each install evicts, the would-be epoch
 (interval) boundaries, and the EMAB's entire contents (the buffer records
 every non-store off-chip-class event in stream order, so its state at any
@@ -18,11 +19,14 @@ cannot be precomputed.  This kernel walks only the L2-*missing* records
 (the L2-hit majority of the miss stream collapses into the precomputed
 plane) and replays the exact operation sequence of
 ``EpochSimulator._step_miss`` with every piece of mutable state held in
-plain locals: the correlation table's arrays, the bandwidth model's
+plain locals: the correlation table's dicts, the bandwidth model's
 budget arithmetic and the traffic meter are inlined against the same
 data the real objects own, performing the identical Python float and
 dict operations in the identical order — bit-identical results, enforced
 by kernel-vs-scalar identity tests across every workload family.
+
+With no prefetcher the walk leaves out the table, buffer and traffic
+work and keeps epochs, MSHRs, bandwidth and the interval triggers.
 
 At the end of the run the simulator's objects (L2 contents, prefetch
 buffer, MSHRs, EMAB, epoch tracker, correlation-table stats, bus stats,
@@ -60,27 +64,28 @@ def kernel_fallback_cause(sim: "EpochSimulator") -> Optional[str]:
     """Why the epoch-batched kernel cannot run this simulation.
 
     Returns ``None`` when the kernel is usable.  The checks mirror the
-    kernel's assumptions: it replays EBCP's exact semantics (so only the
-    unmodified prefetcher class qualifies), it cannot feed per-access
-    event subscribers, and it precomputes the epoch segmentation from a
-    cold start (so a warm simulator must take the scalar path).
+    kernel's assumptions: it replays no prefetcher or EBCP's exact
+    semantics (only the unmodified class qualifies), it cannot feed
+    per-access event subscribers, and it precomputes the epoch
+    segmentation from a cold start (a warm simulator takes the scalar path).
     """
     from ..core.prefetcher import EpochBasedCorrelationPrefetcher
 
     prefetcher = sim.prefetcher
-    if prefetcher is None or not getattr(prefetcher, "supports_epoch_batch", False):
-        return "unsupported_prefetcher"
-    if type(prefetcher) is not EpochBasedCorrelationPrefetcher:
-        return "subclassed_prefetcher"
+    if prefetcher is not None:
+        if not getattr(prefetcher, "supports_epoch_batch", False):
+            return "unsupported_prefetcher"
+        if type(prefetcher) is not EpochBasedCorrelationPrefetcher:
+            return "subclassed_prefetcher"
     if not kernel_enabled():
         return "disabled"
     if sim.bus is not None:
         return "bus_attached"
     if sim._wants_access_stream:
         return "access_stream"
-    if not prefetcher.is_active:
+    if prefetcher is not None and not prefetcher.is_active:
         return "prefetcher_inactive"
-    emab = prefetcher.emab
+    emab = prefetcher.emab if prefetcher is not None else None
     if (
         sim.tracker.open_epoch is not None
         or sim.tracker.epoch_count != 0
@@ -92,8 +97,7 @@ def kernel_fallback_cause(sim: "EpochSimulator") -> Optional[str]:
         or sim.mshrs.outstanding
         or sim.hierarchy.l2.occupancy
         or sim.hierarchy.prefetch_buffer.occupancy
-        or emab.occupancy != 0
-        or emab.filled_entries != 1
+        or (emab is not None and (emab.occupancy != 0 or emab.filled_entries != 1))
     ):
         return "warm_state"
     return None
@@ -109,14 +113,10 @@ def run_epoch_batched(
     """
     hierarchy = sim.hierarchy
     prefetcher = sim.prefetcher
-    cfg = prefetcher.config
     plane = get_filter_plane(
         trace, hierarchy.l1i.geometry_key(), hierarchy.l1d.geometry_key()
     )
     seg = get_epoch_segments(trace, plane, hierarchy.l2.geometry_key(), sim._rob_size)
-    views, view_entries, emab_overflow = seg.training_views(
-        trace, plane, cfg.skip_epochs, cfg.stored_epochs, cfg.emab_capacity_per_epoch
-    )
     (
         w_kinds,
         w_pcs,
@@ -227,32 +227,40 @@ def run_epoch_batched(
     iU = int(Priority.TABLE_UPDATE)
     iW = int(Priority.LRU_WRITEBACK)
 
-    # Correlation table: lookup and touch inlined against its own arrays
-    # (CorrelationTable semantics, including the shared LRU stamp); train
-    # is the table's own method, which counts its own stats.
-    table = prefetcher.table
-    tbl_tags = table._tags
-    tbl_addrs = table._addrs
-    tbl_n = table.n_entries
-    tbl_stamp = table._stamp
-    table_train = table.train
+    # With no prefetcher there are no training views and no table, and
+    # the table traffic stays zero.
     n_lookups = n_lookup_hits = n_touches = 0
+    tm_lookup_r = tm_update_r = tm_update_w = tm_lru_w = 0
+    tm_total_r = tm_total_w = 0
+    n_issued = n_suppressed = 0
+    if prefetcher is not None:
+        cfg = prefetcher.config
+        views, view_entries, emab_overflow = seg.training_views(
+            trace, plane, cfg.skip_epochs, cfg.stored_epochs, cfg.emab_capacity_per_epoch
+        )
 
-    # Traffic meter (TrafficMeter add_*/drain), as pending + total locals.
-    traffic = prefetcher.traffic
-    tm_lookup_r = traffic.lookup_read_bytes
-    tm_update_r = traffic.update_read_bytes
-    tm_update_w = traffic.update_write_bytes
-    tm_lru_w = traffic.lru_write_bytes
-    tm_total_r = 0
-    tm_total_w = 0
+        # Correlation table: lookup and touch inlined against its own
+        # dicts (CorrelationTable semantics, including the shared LRU
+        # stamp); train is the table's own method, which counts its own
+        # stats.
+        table = prefetcher.table
+        tbl_tags = table._tags
+        tbl_addrs = table._addrs
+        tbl_n = table.n_entries
+        tbl_stamp = table._stamp
+        table_train = table.train
 
-    in_memory = cfg.table_in_memory
-    entry_bytes = cfg.entry_bytes
-    degree = cfg.prefetch_degree
-    ready_mul = (2 if in_memory else 1) * mem_lat
-    n_issued = 0
-    n_suppressed = 0
+        # Traffic meter (TrafficMeter add_*/drain), as pending + total locals.
+        traffic = prefetcher.traffic
+        tm_lookup_r = traffic.lookup_read_bytes
+        tm_update_r = traffic.update_read_bytes
+        tm_update_w = traffic.update_write_bytes
+        tm_lru_w = traffic.lru_write_bytes
+
+        in_memory = cfg.table_in_memory
+        entry_bytes = cfg.entry_bytes
+        degree = cfg.prefetch_degree
+        ready_mul = (2 if in_memory else 1) * mem_lat
 
     # Measured-region statistics as plain locals, reset at the warm-up
     # boundary and folded into the fresh SimulationStats at the end.
@@ -347,7 +355,7 @@ def run_epoch_batched(
                     if boundary_ordinal:
                         view = views[boundary_ordinal]
                         if view is not None:
-                            # The table mutates its arrays in place; only
+                            # The table mutates its dicts in place; only
                             # the shared LRU stamp lives in a local.
                             table._stamp = tbl_stamp
                             table_train(view[0], view[1])
@@ -367,7 +375,7 @@ def run_epoch_batched(
                 ti = hit_entry[1]
                 if ti is not None:
                     n_touches += 1
-                    addrs = tbl_addrs[ti]
+                    addrs = tbl_addrs.get(ti)
                     if addrs is not None and line in addrs:
                         tbl_stamp += 1
                         addrs[line] = tbl_stamp
@@ -381,7 +389,7 @@ def run_epoch_batched(
                         tm_total_r += entry_bytes
                     n_lookups += 1
                     ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
-                    if tbl_tags[ti] == line:
+                    if tbl_tags.get(ti) == line:
                         n_lookup_hits += 1
                         addrs = tbl_addrs[ti]
                         cand = sorted(addrs, key=addrs.__getitem__, reverse=True)
@@ -538,32 +546,33 @@ def run_epoch_batched(
                     n_mshr_alloc += 1
             # _interval_event + observe_offchip_miss (EMAB precomputed).
             if trig:
-                if boundary_ordinal:
-                    view = views[boundary_ordinal]
-                    if view is not None:
-                        # The table mutates its arrays in place; only
-                        # the shared LRU stamp lives in a local.
-                        table._stamp = tbl_stamp
-                        table_train(view[0], view[1])
-                        tbl_stamp = table._stamp
-                        if in_memory:
-                            tm_update_r += entry_bytes
-                            tm_update_w += entry_bytes
-                            tm_total_r += entry_bytes
-                            tm_total_w += entry_bytes
+                if prefetcher is not None:
+                    if boundary_ordinal:
+                        view = views[boundary_ordinal]
+                        if view is not None:
+                            # The table mutates its dicts in place; only
+                            # the shared LRU stamp lives in a local.
+                            table._stamp = tbl_stamp
+                            table_train(view[0], view[1])
+                            tbl_stamp = table._stamp
+                            if in_memory:
+                                tm_update_r += entry_bytes
+                                tm_update_w += entry_bytes
+                                tm_total_r += entry_bytes
+                                tm_total_w += entry_bytes
+                    # _lookup_and_issue: table.lookup(line), inlined.
+                    if in_memory:
+                        tm_lookup_r += entry_bytes
+                        tm_total_r += entry_bytes
+                    n_lookups += 1
+                    ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
+                    if tbl_tags.get(ti) == line:
+                        n_lookup_hits += 1
+                        addrs = tbl_addrs[ti]
+                        cand = sorted(addrs, key=addrs.__getitem__, reverse=True)
                 boundary_ordinal += 1
                 itrig = inst
                 isealed = False
-                # _lookup_and_issue: table.lookup(line), inlined.
-                if in_memory:
-                    tm_lookup_r += entry_bytes
-                    tm_total_r += entry_bytes
-                n_lookups += 1
-                ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
-                if tbl_tags[ti] == line:
-                    n_lookup_hits += 1
-                    addrs = tbl_addrs[ti]
-                    cand = sorted(addrs, key=addrs.__getitem__, reverse=True)
             else:
                 n_suppressed += 1
             if kc == 0:
@@ -668,8 +677,6 @@ def run_epoch_batched(
     sim._store_write_bytes = store_write
     sim._interval_trigger_inst = itrig
     sim._interval_sealed = isealed
-    prefetcher.issued_requests += n_issued
-    prefetcher.lookups_suppressed += n_suppressed
 
     # Bandwidth model: EMA feedback plus the (post-boundary) bus stats.
     bandwidth._last_read_utilization = last_util
@@ -686,29 +693,6 @@ def run_epoch_batched(
         dropped = bus_stats.dropped_by_priority
         for k, v in shadow_drop.items():
             dropped[k] = dropped.get(k, 0) + v
-
-    # Correlation table: stamp + stats (the arrays were mutated in place).
-    table._stamp = tbl_stamp
-    tstats = table.stats
-    tstats.lookups += n_lookups
-    tstats.lookup_hits += n_lookup_hits
-    tstats.touches += n_touches
-
-    # Traffic meter: pending (undrained) bytes + lifetime totals.
-    traffic.lookup_read_bytes = tm_lookup_r
-    traffic.update_read_bytes = tm_update_r
-    traffic.update_write_bytes = tm_update_w
-    traffic.lru_write_bytes = tm_lru_w
-    traffic.total_read_bytes += tm_total_r
-    traffic.total_write_bytes += tm_total_w
-
-    # EMAB end-of-run state: the capped entries of the trailing intervals.
-    if boundary_ordinal:
-        emab = prefetcher.emab
-        tail = view_entries[max(0, boundary_ordinal - emab.depth) : boundary_ordinal]
-        emab.restore(
-            [list(entry) for entry in tail], emab.overflow_drops + emab_overflow
-        )
 
     mshrs = sim.mshrs
     mshrs._lines.clear()
@@ -733,46 +717,75 @@ def run_epoch_batched(
     l2.stats.insertions += n_walk
     l2.stats.evictions += seg.n_evictions
 
-    buffer._stamp = bstamp
-    bstats = buffer.stats
-    bstats.fills += b_fills
-    bstats.hits += b_hits
-    bstats.late_hits += b_late
-    bstats.evictions += b_evictions
-    bstats.evicted_unused += b_evicted_unused
-    pf_name = prefetcher.name
-    real_sets = buffer._sets
-    for set_index, shadow in enumerate(bsets):
-        if shadow:
-            real_set = real_sets[set_index]
-            for bl, be in shadow.items():
-                real_set[bl] = BufferEntry(
-                    line=bl,
-                    ready_cycle=be[0],
-                    table_index=be[1],
+    if prefetcher is not None:
+        # Without a prefetcher the table, traffic meter, EMAB, prefetch
+        # buffer and pending transfers were never touched.
+        prefetcher.issued_requests += n_issued
+        prefetcher.lookups_suppressed += n_suppressed
+
+        # Correlation table: stamp + stats (the dicts were mutated in place).
+        table._stamp = tbl_stamp
+        tstats = table.stats
+        tstats.lookups += n_lookups
+        tstats.lookup_hits += n_lookup_hits
+        tstats.touches += n_touches
+
+        # Traffic meter: pending (undrained) bytes + lifetime totals.
+        traffic.lookup_read_bytes = tm_lookup_r
+        traffic.update_read_bytes = tm_update_r
+        traffic.update_write_bytes = tm_update_w
+        traffic.lru_write_bytes = tm_lru_w
+        traffic.total_read_bytes += tm_total_r
+        traffic.total_write_bytes += tm_total_w
+
+        # EMAB end-of-run state: the capped entries of the trailing intervals.
+        if boundary_ordinal:
+            emab = prefetcher.emab
+            tail = view_entries[max(0, boundary_ordinal - emab.depth) : boundary_ordinal]
+            emab.restore(
+                [list(entry) for entry in tail], emab.overflow_drops + emab_overflow
+            )
+
+        buffer._stamp = bstamp
+        bstats = buffer.stats
+        bstats.fills += b_fills
+        bstats.hits += b_hits
+        bstats.late_hits += b_late
+        bstats.evictions += b_evictions
+        bstats.evicted_unused += b_evicted_unused
+        pf_name = prefetcher.name
+        real_sets = buffer._sets
+        for set_index, shadow in enumerate(bsets):
+            if shadow:
+                real_set = real_sets[set_index]
+                for bl, be in shadow.items():
+                    real_set[bl] = BufferEntry(
+                        line=bl,
+                        ready_cycle=be[0],
+                        table_index=be[1],
+                        source=pf_name,
+                        last_use=be[2],
+                        issue_epoch=be[3],
+                    )
+
+        from .simulator import _PendingTransfer
+
+        epochs_until_ready = 2 if in_memory else 1
+        sim._pending = [
+            _PendingTransfer(
+                PrefetchRequest(
+                    line_addr=tline,
+                    epochs_until_ready=epochs_until_ready,
+                    priority=Priority.PREFETCH,
+                    table_index=tindex,
                     source=pf_name,
-                    last_use=be[2],
-                    issue_epoch=be[3],
-                )
-
-    from .simulator import _PendingTransfer
-
-    epochs_until_ready = 2 if in_memory else 1
-    sim._pending = [
-        _PendingTransfer(
-            PrefetchRequest(
-                line_addr=tline,
-                epochs_until_ready=epochs_until_ready,
-                priority=Priority.PREFETCH,
-                table_index=tindex,
-                source=pf_name,
-                issue_epoch=tie,
-            ),
-            tie,
-            tline,
-        )
-        for tie, tline, tindex in pending
-    ]
+                    issue_epoch=tie,
+                ),
+                tie,
+                tline,
+            )
+            for tie, tline, tindex in pending
+        ]
 
     tracker = sim.tracker
     tracker.epoch_count = epoch_count

@@ -155,8 +155,9 @@ class EpochSimulator:
         The L1 hit/miss outcome of every record is resolved ahead of time
         from the trace's filter plane (:mod:`repro.engine.filter_plane`),
         so the walk visits only the L1 misses and folds each run of L1
-        hits into O(1) prefix-sum updates.  EBCP runs take the
-        epoch-batched kernel (:mod:`repro.engine.ebcp_kernel`) whenever
+        hits into O(1) prefix-sum updates.  Runs with no prefetcher or an
+        EBCP-family one take the epoch-batched kernel
+        (:mod:`repro.engine.ebcp_kernel`) whenever
         :func:`~repro.engine.ebcp_kernel.kernel_fallback_cause` allows it
         and the filter-plane walk otherwise.  Both are bit-identical to
         stepping every record through the L1s one at a time (the test
@@ -178,7 +179,7 @@ class EpochSimulator:
             self.prefetcher.name if self.prefetcher is not None else "none",
             "on" if self.bus is not None else "off",
         )
-        if self.prefetcher is not None and getattr(
+        if self.prefetcher is None or getattr(
             self.prefetcher, "supports_epoch_batch", False
         ):
             result = self._try_epoch_kernel(trace, warmup_records, n)
@@ -222,26 +223,18 @@ class EpochSimulator:
             trace, hierarchy.l1i.geometry_key(), hierarchy.l1d.geometry_key()
         )
         kinds, pcs, addrs, serials, insts, tids, lines = plane.miss_columns(trace)
-        n_misses = plane.n_misses
         split = plane.miss_count_before(warmup_records)
         inst_prefix = plane.inst_prefix
         total_inst = int(inst_prefix[n])
         measure_start_inst = int(inst_prefix[warmup_records])
 
         self._measuring = False
-        # Without a prefetcher or bus subscribers the miss path collapses
-        # to L2 + epochs + bandwidth; a specialised loop skips the work
-        # that is unobservable in that configuration.
-        simple = self.prefetcher is None and self.bus is None
         step_miss = self._step_miss
         # One iterator consumed across the warm-up boundary: the measured
         # loop picks up exactly where the warm-up loop stopped.
         miss_args = zip(kinds, pcs, addrs, serials, insts, tids, lines)
-        if simple:
-            self._run_misses_simple(kinds, pcs, serials, insts, lines, 0, split)
-        else:
-            for args in islice(miss_args, split):
-                step_miss(*args)
+        for args in islice(miss_args, split):
+            step_miss(*args)
         if warmup_records < n:
             self._begin_measurement()
             stats = self.stats
@@ -252,108 +245,9 @@ class EpochSimulator:
             stats.l1d_hits = int(
                 plane.l1d_hit_prefix[n] - plane.l1d_hit_prefix[warmup_records]
             )
-        if simple:
-            self._run_misses_simple(kinds, pcs, serials, insts, lines, split, n_misses)
-        else:
-            for args in miss_args:
-                step_miss(*args)
+        for args in miss_args:
+            step_miss(*args)
         return self._finish_run(trace, total_inst, measure_start_inst)
-
-    def _run_misses_simple(
-        self, kinds: list, pcs: list, serials: list, insts: list, lines: list,
-        start: int, stop: int,
-    ) -> None:
-        """Miss loop specialised for ``prefetcher is None and bus is None``.
-
-        Everything the generic ``_step_miss`` does for the benefit of a
-        prefetcher or an event subscriber — the frozen ``Access`` record,
-        the wall-clock cycle, the prefetch-buffer probe, interval
-        tracking, request registration — is unobservable in this
-        configuration and skipped; the L2, epoch, MSHR and bandwidth
-        mutations are performed in exactly ``_step_miss``'s order, so the
-        resulting statistics are bit-identical.
-        """
-        stats = self.stats
-        measuring = self._measuring
-        l2 = self.hierarchy.l2
-        l2_lookup = l2.lookup
-        l2_insert = l2.insert
-        l2_pop_dirty = l2.pop_dirty
-        tracker = self.tracker
-        mshrs = self.mshrs
-        rob_size = tracker.rob_size
-        line_bytes = self.config.line_size
-        offchip = stats.offchip_misses
-        term = tracker.termination_reasons
-        process_close = self._process_epoch_close
-        kind_table = _KIND_TABLE
-        for j in range(start, stop):
-            line = lines[j]
-            if measuring:
-                stats.l2_accesses += 1
-            if l2_lookup(line):
-                if measuring:
-                    stats.l2_hits += 1
-                continue
-            kind_code = kinds[j]
-            kind = kind_table[kind_code]
-            victim = l2_insert(line)
-            if kind_code == 2:
-                l2.mark_dirty(line)
-            if victim is not None and l2_pop_dirty(victim):
-                self._store_write_bytes += line_bytes
-            if measuring:
-                offchip[kind] += 1
-            if kind_code == 2:
-                # Weak consistency: store misses only consume bandwidth.
-                self._store_read_bytes += line_bytes
-                self._store_write_bytes += line_bytes
-                continue
-            inst = insts[j]
-            serial = serials[j]
-            epoch = tracker.open_epoch
-            if epoch is None:
-                reason = "first_miss"
-            elif serial:
-                reason = "serial_dependence"
-            elif epoch.sealed:
-                reason = "instruction_miss_seal"
-            elif inst - epoch.trigger_inst > rob_size:
-                reason = "rob_window"
-            elif mshrs.has(line) or not mshrs.is_full:
-                # Overlaps the open epoch (EpochTracker.join, inlined).
-                mshrs.allocate(line)
-                epoch.miss_lines.append(line)
-                epoch.miss_kinds.append(kind)
-                if kind_code == 0:
-                    epoch.sealed = True
-                continue
-            else:
-                reason = "mshr_full"
-            # Window terminated (EpochTracker.open_new, inlined): count
-            # the reason *before* closing so the close merges it.
-            term[reason] = term.get(reason, 0) + 1
-            new_epoch = Epoch(
-                index=tracker.epoch_count,
-                trigger_line=line,
-                trigger_kind=kind,
-                trigger_pc=pcs[j],
-                trigger_inst=inst,
-            )
-            new_epoch.miss_lines.append(line)
-            new_epoch.miss_kinds.append(kind)
-            if kind_code == 0:
-                new_epoch.sealed = True
-            tracker.epoch_count += 1
-            tracker.open_epoch = new_epoch
-            if epoch is not None:
-                epoch.close_inst = inst
-                process_close(epoch, inst)
-            if measuring:
-                stats.epochs += 1
-                if serial:
-                    stats.serial_epochs += 1
-            mshrs.allocate(line)
 
     def _finish_run(self, trace: Any, inst: int, measure_start_inst: int) -> SimulationResult:
         """Close the final epoch, flush transfers, assemble the result."""

@@ -231,11 +231,13 @@ class BudgetExhausted(Event):
 
 @dataclass(frozen=True)
 class KernelFallback(Event):
-    """A run that could have used the epoch-batched execution kernel
-    silently took the scalar path instead.
+    """A run that could have used the epoch-batched execution kernel —
+    one with no prefetcher or an EBCP-family one — took the scalar path
+    instead.
 
-    ``cause`` names the reason (``bus_attached``, ``warm_state``,
-    ``disabled``, ...) — see
+    ``prefetcher`` is the prefetcher's name, ``"none"`` for the
+    no-prefetch baseline.  ``cause`` names the reason
+    (``bus_attached``, ``warm_state``, ``disabled``, ...) — see
     :func:`repro.engine.ebcp_kernel.kernel_fallback_cause`.  The
     scalar path is always the filter-plane walk, so the former
     ``compressed_disabled`` cause can no longer occur.

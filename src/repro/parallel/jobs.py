@@ -183,8 +183,11 @@ class JobSpec:
             (cfg.l1d.size_bytes, cfg.l1d.ways, cfg.line_size),
         )
 
-    def wants_kernel(self) -> bool:
-        """Whether running this spec can take the epoch-batched kernel."""
+    def warms_segments(self) -> bool:
+        """Whether warming precomputes this spec's epoch segments: only
+        for an EBCP-family prefetcher with the kernel on.  A no-prefetch
+        run takes the kernel too, but its worker builds the segments on
+        first use, so a baseline-only trace warms none."""
         return kernel_enabled() and getattr(
             self.prefetcher, "supports_epoch_batch", False
         )
@@ -238,7 +241,7 @@ def _warm_trace_cache(
         geometry = spec.l1_geometry_keys()
         plane_key = key + geometry
         segment_key = (
-            plane_key + spec.segment_geometry_key() if spec.wants_kernel() else None
+            plane_key + spec.segment_geometry_key() if spec.warms_segments() else None
         )
         with _WARM_LOCK:
             want_trace = ("trace",) + key not in _WARM_REGISTRY

@@ -42,7 +42,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus, peek_global_bus
@@ -86,6 +86,9 @@ _AttemptOutcome = Tuple[SimulationResult, tuple, Optional[dict]]
 
 #: Stores one settled result by its batch index (checkpointed runs).
 _Record = Callable[[int, SimulationResult], object]
+
+#: One batch slot: a result, or the error a job failed with for good.
+_Outcome = Union[SimulationResult, Exception]
 
 
 def _attempt(
@@ -215,8 +218,14 @@ def execute(
     pool: Optional[PersistentPool] = None,
     trace: Optional[TraceContext] = None,
     telemetry: Optional[TelemetrySink] = None,
+    return_exceptions: bool = False,
 ) -> "List[SimulationResult]":
     """Run every job under ``policy`` and return results in input order.
+
+    A job that fails for good (its retry budget spent) raises its error,
+    which abandons the rest of the batch.  With ``return_exceptions``
+    that error takes the job's result slot instead and the rest of the
+    batch runs on, as in :func:`asyncio.gather`.
 
     ``trace`` joins this batch to a caller's trace: the whole call is
     wrapped in an ``execute`` span (recorded on ``telemetry.recorder``
@@ -244,7 +253,7 @@ def execute(
     ctx_wire = ctx.to_wire() if ctx is not None else None
     faults = policy.faults()
 
-    results: "List[Optional[SimulationResult]]" = [None] * len(specs)
+    results: "List[Optional[_Outcome]]" = [None] * len(specs)
     record: Optional[_Record] = None
     if policy.checkpoint_dir:
         record = _resume(specs, policy.checkpoint_dir, results, bus)
@@ -279,7 +288,7 @@ def execute(
                     _warm_trace_cache([specs[i] for i in pending], bus=bus)
                     pooled = _run_pooled(
                         specs, pending, results, n_workers, policy, faults,
-                        bus, record, manager=pool,
+                        bus, record, return_exceptions, manager=pool,
                         ctx_wire=ctx_wire, collect=collect, telemetry=telemetry,
                     )
             if not pooled:
@@ -288,6 +297,7 @@ def execute(
                     if results[i] is None:
                         results[i] = _run_resilient(
                             specs[i], i, policy, faults, bus, record,
+                            return_exceptions,
                             ctx_wire=ctx_wire, collect=collect,
                             telemetry=telemetry,
                         )
@@ -300,7 +310,7 @@ def execute(
 def _resume(
     specs: "List[JobSpec]",
     directory: str,
-    results: "List[Optional[SimulationResult]]",
+    results: "List[Optional[_Outcome]]",
     bus: Optional[EventBus],
 ) -> _Record:
     """Fill ``results`` from the checkpoint entries under ``directory``.
@@ -335,15 +345,18 @@ def _run_resilient(
     faults: FaultSpec,
     bus: Optional[EventBus],
     record: Optional[_Record],
+    return_exceptions: bool,
     failed_attempts: int = 0,
     ctx_wire: Optional[dict] = None,
     collect: bool = False,
     telemetry: Optional[TelemetrySink] = None,
-) -> "SimulationResult":
+) -> _Outcome:
     """Run one job in-process under the retry/timeout budget.
 
     ``failed_attempts`` pre-charges attempts already spent elsewhere
-    (e.g. in a pool worker that crashed while running this job).
+    (e.g. in a pool worker that crashed while running this job).  The
+    error of the last attempt is raised, or returned when
+    ``return_exceptions``.
     """
     attempts = failed_attempts
     while True:
@@ -355,6 +368,8 @@ def _run_resilient(
         except Exception as exc:
             attempts += 1
             if attempts > policy.retries:
+                if return_exceptions:
+                    return exc
                 raise
             log.warning(
                 "job %d (%s) attempt %d failed (%s); retrying",
@@ -437,12 +452,13 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def _run_pooled(
     specs: "List[JobSpec]",
     pending: List[int],
-    results: "List[Optional[SimulationResult]]",
+    results: "List[Optional[_Outcome]]",
     n_workers: int,
     policy: ExecutionPolicy,
     faults: FaultSpec,
     bus: Optional[EventBus],
     record: Optional[_Record],
+    return_exceptions: bool,
     manager: Optional[PersistentPool] = None,
     ctx_wire: Optional[dict] = None,
     collect: bool = False,
@@ -453,7 +469,8 @@ def _run_pooled(
     Returns True when the batch completed under pool management (possibly
     with in-process replays of crashed jobs); False when the pool could
     not be started at all — the caller then degrades to in-process
-    execution.  Job errors that exhaust the retry budget propagate.
+    execution.  A job error that exhausts the retry budget propagates,
+    or with ``return_exceptions`` settles in the job's slot.
 
     With ``manager`` set the pool is leased from a :class:`PersistentPool`
     instead of created (and never shut down here); kill paths invalidate
@@ -492,11 +509,18 @@ def _run_pooled(
         if record is not None:
             record(index, result)
 
+    def fail(index: int, fatal: Exception) -> None:
+        """Settle ``index`` as failed for good: raise ``fatal`` or keep it."""
+        if not return_exceptions:
+            raise fatal
+        results[index] = fatal
+
     def charge_failure(index: int, cause: str, fatal: Exception) -> None:
-        """Spend one attempt for ``index``; requeue it or raise ``fatal``."""
+        """Spend one attempt for ``index``; requeue it or ``fail`` it."""
         attempts[index] += 1
         if attempts[index] > policy.retries:
-            raise fatal
+            fail(index, fatal)
+            return
         log.warning(
             "job %d (%s) attempt %d failed (%s); retrying",
             index,
@@ -516,6 +540,14 @@ def _run_pooled(
         time.sleep(policy.backoff_for(attempts[index]))
         queue.append(index)
 
+    def replay(index: int) -> None:
+        """Finish ``index`` in-process, its spent attempts pre-charged."""
+        results[index] = _run_resilient(
+            specs[index], index, policy, faults, bus, record, return_exceptions,
+            failed_attempts=attempts[index], ctx_wire=ctx_wire,
+            collect=collect, telemetry=telemetry,
+        )
+
     pool = make_pool()
     if pool is None:
         return False
@@ -529,28 +561,27 @@ def _run_pooled(
                     queue.extend(index for index, _t0 in in_flight.values())
                     in_flight.clear()
                     while queue:
-                        index = queue.popleft()
-                        results[index] = _run_resilient(
-                            specs[index],
-                            index,
-                            policy,
-                            faults,
-                            bus,
-                            record,
-                            failed_attempts=attempts[index],
-                            ctx_wire=ctx_wire,
-                            collect=collect,
-                            telemetry=telemetry,
-                        )
+                        replay(queue.popleft())
                     return True
             # Keep at most n_workers jobs in flight so submission time
             # approximates start time — that is what per-job deadlines
             # are measured against.
             while queue and len(in_flight) < n_workers:
                 index = queue.popleft()
-                future = pool.submit(
-                    _attempt, (specs[index], index, faults, ctx_wire, collect)
-                )
+                try:
+                    future = pool.submit(
+                        _attempt, (specs[index], index, faults, ctx_wire, collect)
+                    )
+                except BrokenProcessPool:
+                    # A worker died since the last wait.  The jobs in
+                    # flight carry the breakage to the crash path below;
+                    # with none in flight the pool is simply rebuilt.
+                    queue.appendleft(index)
+                    if not in_flight:
+                        log.warning("process pool broke while idle; rebuilding it")
+                        discard_pool(pool)
+                        pool = None
+                    break
                 in_flight[future] = (index, time.monotonic())
             if not in_flight:
                 continue
@@ -607,10 +638,13 @@ def _run_pooled(
                 for index in casualties:
                     attempts[index] += 1
                     if attempts[index] > policy.retries:
-                        raise WorkerCrashError(
+                        lost = WorkerCrashError(
                             f"job {specs[index].label or index} lost its worker "
                             f"with no retries left ({broken})"
-                        ) from broken
+                        )
+                        lost.__cause__ = broken
+                        fail(index, lost)
+                        continue
                     _emit(
                         bus,
                         JobRetried(
@@ -620,18 +654,7 @@ def _run_pooled(
                             cause="worker crash",
                         ),
                     )
-                    results[index] = _run_resilient(
-                        specs[index],
-                        index,
-                        policy,
-                        faults,
-                        bus,
-                        record,
-                        failed_attempts=attempts[index],
-                        ctx_wire=ctx_wire,
-                        collect=collect,
-                        telemetry=telemetry,
-                    )
+                    replay(index)
                 continue
 
             if policy.timeout_s is not None and in_flight:

@@ -913,8 +913,10 @@ class SimulationService(FrontEnd):
         the rest — deduplicated, so identical concurrent requests share
         one simulation — go through :func:`repro.resilience.execute`
         over the persistent pool.  A request whose key or job cannot be
-        built fails alone.  ``batch_ctx`` is the batch span's context;
-        it propagates through the executor into worker jobs.
+        built fails alone, and so does one whose job fails at run time
+        (``execute`` returns that job's error in its slot).
+        ``batch_ctx`` is the batch span's context; it propagates through
+        the executor into worker jobs.
         """
         from ..spec.wire import config_from_wire, identity_from_simulate, jobspec_from_simulate
 
@@ -949,20 +951,21 @@ class SimulationService(FrontEnd):
             jobs.append(job)
         if not jobs:
             return outcomes
+        results: List[Any]
         try:
             results = execute(
                 jobs, self.policy, bus=self.bus, pool=self.pool,
-                trace=batch_ctx, telemetry=self.sink,
+                trace=batch_ctx, telemetry=self.sink, return_exceptions=True,
             )
-        except Exception as exc:  # the executor failed every job it was given
-            for indexes in slots.values():
-                for i in indexes:
-                    outcomes[i] = exc
-            return outcomes
+        except Exception as exc:  # the executor itself failed: every job did
+            results = [exc] * len(jobs)
         for (key, indexes), result in zip(slots.items(), results):
-            self.cache.put(key, result)
+            outcome = result
+            if not isinstance(result, Exception):
+                self.cache.put(key, result)
+                outcome = (result, False)
             for i in indexes:
-                outcomes[i] = (result, False)
+                outcomes[i] = outcome
         return outcomes
 
     # ------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Tests for the epoch-batched EBCP execution kernel.
+"""Tests for the epoch-batched execution kernel.
 
 The load-bearing claims verified here:
 
 * the kernel produces field-for-field identical ``SimulationStats`` to
   the scalar reference path (``REPRO_KERNEL=off``) on every workload
-  family and EBCP variant,
+  family, every EBCP variant and the no-prefetch baseline,
 * identity holds on *adversarial* randomized miss streams — tiny cache
   geometries that conflict hard, EMAB overflow, correlation-table
   aliasing, MSHR exhaustion and warm-up boundaries in arbitrary places —
   and extends to the post-run state of every simulator object (so a
   subsequent scalar run continues identically),
-* the default (goldens) configuration actually exercises the kernel —
-  a silent fallback would leave the fast path untested, and
+* the default (goldens) configuration and the no-prefetch baseline
+  actually exercise the kernel — a silent fallback would leave the fast
+  path untested, and
 * every fallback is observable: the simulator emits a ``KernelFallback``
   event naming the cause.
 """
@@ -30,6 +31,7 @@ from repro.engine.config import CacheConfig, ProcessorConfig
 from repro.engine.simulator import EpochSimulator
 from repro.obs.bus import EventBus
 from repro.obs.events import KernelFallback
+from repro.prefetchers.registry import build_prefetcher
 from repro.workloads.registry import COMMERCIAL_WORKLOADS, make_workload
 from repro.workloads.trace import Trace, TraceMeta
 
@@ -78,7 +80,7 @@ def state_fingerprint(sim: EpochSimulator) -> dict:
     l2 = sim.hierarchy.l2
     buf = sim.hierarchy.prefetch_buffer
     open_epoch = sim.tracker.open_epoch
-    return {
+    fingerprint = {
         "stats": sim.stats.to_dict(),
         "penalty_accum": sim._penalty_accum,
         "interval": (sim._interval_trigger_inst, sim._interval_sealed),
@@ -112,16 +114,6 @@ def state_fingerprint(sim: EpochSimulator) -> dict:
         "pending": sorted(
             (p.issue_epoch, p.line, p.request.table_index) for p in sim._pending
         ),
-        "table": (
-            list(pf.table._tags),
-            [None if a is None else dict(a) for a in pf.table._addrs],
-            pf.table._stamp,
-            vars(pf.table.stats),
-        ),
-        "emab": (pf.emab.occupancy, pf.emab.overflow_drops, pf.emab.filled_entries),
-        "traffic": vars(pf.traffic),
-        "issued": pf.issued_requests,
-        "suppressed": pf.lookups_suppressed,
         "bandwidth": (
             sim.bandwidth._ema_read_utilization,
             sim.bandwidth._last_read_utilization,
@@ -129,6 +121,20 @@ def state_fingerprint(sim: EpochSimulator) -> dict:
             vars(sim.bandwidth.write_stats),
         ),
     }
+    if pf is not None:
+        fingerprint.update(
+            table=(
+                dict(pf.table._tags),
+                {index: dict(addrs) for index, addrs in pf.table._addrs.items()},
+                pf.table._stamp,
+                vars(pf.table.stats),
+            ),
+            emab=(pf.emab.occupancy, pf.emab.overflow_drops, pf.emab.filled_entries),
+            traffic=vars(pf.traffic),
+            issued=pf.issued_requests,
+            suppressed=pf.lookups_suppressed,
+        )
+    return fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +149,20 @@ class TestKernelIdentity:
         kernel_sim, scalar_sim = run_pair(
             trace, ProcessorConfig.scaled(),
             lambda: EpochBasedCorrelationPrefetcher(cfg),
+        )
+        assert kernel_sim.last_run_path == "epoch_kernel"
+        assert scalar_sim.last_run_path == "compressed"
+        assert kernel_sim.stats.to_dict() == scalar_sim.stats.to_dict()
+        assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
+
+    @pytest.mark.parametrize("workload", COMMERCIAL_WORKLOADS)
+    @pytest.mark.parametrize("warmup_records", [None, 0], ids=["default_warmup", "no_warmup"])
+    def test_no_prefetcher_state_identical(self, workload, warmup_records):
+        """The no-prefetch baseline leaves the state the scalar walk leaves,
+        interval tracking included."""
+        trace = make_workload(workload, records=8_000, seed=7)
+        kernel_sim, scalar_sim = run_pair(
+            trace, ProcessorConfig.scaled(), lambda: None, warmup_records
         )
         assert kernel_sim.last_run_path == "epoch_kernel"
         assert scalar_sim.last_run_path == "compressed"
@@ -180,6 +200,16 @@ class TestKernelIsExercised:
         sim.run(trace)
         assert sim.last_run_path == "epoch_kernel"
 
+    def test_cold_no_prefetcher_run_takes_kernel_path(self):
+        """The baseline every figure divides by runs on the kernel too."""
+        trace = make_workload("tpcw", records=2_000, seed=7)
+        sim = EpochSimulator(
+            ProcessorConfig.scaled(), None,
+            cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
+        )
+        sim.run(trace)
+        assert sim.last_run_path == "epoch_kernel"
+
 
 # ----------------------------------------------------------------------
 # Property: identity on adversarial randomized miss streams
@@ -205,19 +235,35 @@ _TINY_EBCP = EBCPConfig(
 )
 
 
+#: Random miss streams over a tiny line space (hard conflicts):
+#: (kind, line, serial dependence, instruction gap) per record.
+_RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 31),
+        st.booleans(),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=250,
+)
+
+
+def _trace_of(records) -> Trace:
+    return Trace(
+        gap=np.array([g for *_, g in records], dtype=np.int64),
+        kind=np.array([k for k, *_ in records], dtype=np.uint8),
+        pc=np.array([(line * 4) for _, line, *_ in records], dtype=np.int64),
+        addr=np.array([line * LINE for _, line, *_ in records], dtype=np.int64),
+        serial=np.array([s for _, _, s, _ in records], dtype=np.uint8),
+        meta=TraceMeta(name="prop", cpi_perf=1.0, overlap=0.10),
+    )
+
+
 class TestKernelProperty:
     @settings(max_examples=40, deadline=None)
     @given(
-        records=st.lists(
-            st.tuples(
-                st.integers(0, 2),           # kind
-                st.integers(0, 31),          # line (tiny space, hard conflicts)
-                st.booleans(),               # serial dependence
-                st.integers(0, 3),           # instruction gap
-            ),
-            min_size=1,
-            max_size=250,
-        ),
+        records=_RECORDS,
         warmup_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
         skip_epochs=st.sampled_from([1, 2]),
         in_memory=st.booleans(),
@@ -226,14 +272,6 @@ class TestKernelProperty:
         self, records, warmup_fraction, skip_epochs, in_memory
     ):
         n = len(records)
-        trace = Trace(
-            gap=np.array([g for *_, g in records], dtype=np.int64),
-            kind=np.array([k for k, *_ in records], dtype=np.uint8),
-            pc=np.array([(line * 4) for _, line, *_ in records], dtype=np.int64),
-            addr=np.array([line * LINE for _, line, *_ in records], dtype=np.int64),
-            serial=np.array([s for _, _, s, _ in records], dtype=np.uint8),
-            meta=TraceMeta(name="prop", cpi_perf=1.0, overlap=0.10),
-        )
         cfg = EBCPConfig(
             prefetch_degree=_TINY_EBCP.prefetch_degree,
             table_entries=_TINY_EBCP.table_entries,
@@ -243,12 +281,22 @@ class TestKernelProperty:
             table_in_memory=in_memory,
         )
         kernel_sim, scalar_sim = run_pair(
-            trace, _TINY,
+            _trace_of(records), _TINY,
             lambda: EpochBasedCorrelationPrefetcher(cfg),
             warmup_records=int(n * warmup_fraction),
         )
         assert kernel_sim.last_run_path == "epoch_kernel"
         assert kernel_sim.stats.to_dict() == scalar_sim.stats.to_dict()
+        assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
+
+    @settings(max_examples=25, deadline=None)
+    @given(records=_RECORDS, warmup_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_random_streams_identical_without_prefetcher(self, records, warmup_fraction):
+        kernel_sim, scalar_sim = run_pair(
+            _trace_of(records), _TINY, lambda: None,
+            warmup_records=int(len(records) * warmup_fraction),
+        )
+        assert kernel_sim.last_run_path == "epoch_kernel"
         assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
 
 
@@ -286,10 +334,23 @@ class TestKernelFallback:
         assert [e.cause for e in events] == ["bus_attached"]
         assert events[0].prefetcher == "ebcp"
 
+    def test_no_prefetcher_with_bus_emits_one_fallback(self):
+        trace = make_workload("tpcw", records=2_000, seed=7)
+        bus = EventBus()
+        events = _collect_fallbacks(bus)
+        sim = EpochSimulator(
+            ProcessorConfig.scaled(), None,
+            cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
+            bus=bus,
+        )
+        sim.run(trace)
+        assert sim.last_run_path == "compressed"
+        assert [(e.prefetcher, e.cause) for e in events] == [("none", "bus_attached")]
+
     def test_unsupported_prefetcher_no_kernel(self):
         trace = make_workload("tpcw", records=2_000, seed=7)
         sim = EpochSimulator(
-            ProcessorConfig.scaled(), None,
+            ProcessorConfig.scaled(), build_prefetcher("ghb_small"),
             cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
         )
         sim.run(trace)

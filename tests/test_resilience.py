@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pickle
 import re
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -229,6 +230,19 @@ class TestRetry:
         )
         with pytest.raises(WorkerCrashError):
             execute([_spec()], policy)
+
+    def test_return_exceptions_runs_the_rest_of_the_batch(self):
+        clean = [_spec("alpha").run(), _spec("charlie", None).run()]
+        policy = ExecutionPolicy(
+            jobs=1, retries=0, fault_spec=FaultSpec(crash="bravo:9")
+        )
+        first, failed, last = execute(
+            [_spec("alpha"), _spec("bravo"), _spec("charlie", None)],
+            policy,
+            return_exceptions=True,
+        )
+        assert isinstance(failed, WorkerCrashError)
+        assert [first.snapshot(), last.snapshot()] == [c.snapshot() for c in clean]
 
     def test_metrics_count_the_recovery(self):
         bus = EventBus()
@@ -506,6 +520,28 @@ class TestPoolRecovery:
             c.stats.to_dict() for c in clean
         ]
         assert crashed  # the pool breakage was observed
+
+    def test_pool_broken_before_submit_recovers(self, monkeypatch):
+        """A worker can die between one wait and the next submit, which
+        then raises ``BrokenProcessPool``; the batch still completes."""
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        submits = []
+
+        class BreaksOnThirdSubmit(executor_mod.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(fn)
+                if len(submits) == 3:
+                    raise BrokenProcessPool("a worker died before this submit")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+        clean = _spec("alpha", None).run()
+        results = execute(
+            [_spec(label, None) for label in ("alpha", "bravo", "charlie")],
+            ExecutionPolicy(jobs=2),
+        )
+        assert [r.snapshot() for r in results] == [clean.snapshot()] * 3
+        assert len(submits) == 4
 
 
 class TestPolicyThreadsThroughTheStack:

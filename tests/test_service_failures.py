@@ -20,8 +20,10 @@ import time
 import pytest
 
 from repro.engine.config import ProcessorConfig
+from repro.obs.events import JobTimedOut
 from repro.parallel.jobs import JobSpec
 from repro.prefetchers.registry import build_prefetcher
+from repro.resilience.faults import FaultSpec, WorkerCrashError
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import (
     BackgroundService,
@@ -272,6 +274,64 @@ class TestBatchIsolation:
         result, cached = good
         assert cached is False and result.snapshot()["stats"]["instructions"] > 0
         assert isinstance(failed, SpecError) and failed.path == path
+
+    @staticmethod
+    def _good_and_bad(policy):
+        """Run a batch of a good job (seed 7) and one labelled ``bad``."""
+        service = SimulationService(ServiceConfig(port=0), policy=policy)
+        timed_out = []
+        service.bus.subscribe(JobTimedOut, timed_out.append)
+        base = {"workload": "tpcw", "prefetcher": "ebcp", "records": 2_000}
+        batch = [
+            _PendingRequest(name, SimulateParams.from_dict({**base, **extra}), future=None)
+            for name, extra in (("good", {"seed": 7}), ("bad", {"seed": 8, "label": "bad"}))
+        ]
+        start = time.monotonic()
+        try:
+            good, failed = service._run_batch(batch)
+        finally:
+            service.pool.shutdown()
+        elapsed = time.monotonic() - start
+        local = JobSpec(
+            workload="tpcw",
+            records=2_000,
+            seed=7,
+            config=ProcessorConfig.scaled(),
+            prefetcher=build_prefetcher("ebcp"),
+            label="ebcp",
+        ).run()
+        result, cached = good
+        assert cached is False
+        assert result.snapshot() == local.snapshot()
+        return failed, elapsed, timed_out
+
+    def test_run_time_failure_fails_only_its_job(self, tmp_path):
+        """A job that raises inside ``execute`` fails its own request only;
+        its batch-mate still gets the result it computed."""
+        faults = FaultSpec(crash="bad:99", state_dir=str(tmp_path))
+        policy = ExecutionPolicy(jobs=1, retries=0, fault_spec=faults)
+        failed, _elapsed, _timed_out = self._good_and_bad(policy)
+        assert isinstance(failed, WorkerCrashError)
+
+    def test_pooled_timeout_fails_only_its_job(self, tmp_path, monkeypatch):
+        """A pooled job past the timeout fails alone, within the bound: its
+        pool is killed once and the batch-mate keeps its pooled result."""
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        faults = FaultSpec(hang="bad:1:60", state_dir=str(tmp_path))
+        policy = ExecutionPolicy(jobs=2, retries=0, timeout_s=3.0, fault_spec=faults)
+        failed, elapsed, timed_out = self._good_and_bad(policy)
+        assert isinstance(failed, TimeoutError)
+        assert [event.label for event in timed_out] == ["bad"]
+        assert elapsed < 30.0  # the hang is 60 s; nothing waited it out
+
+    def test_pooled_crash_fails_only_its_job(self, tmp_path, monkeypatch):
+        """A job whose worker dies on every attempt fails alone; a
+        batch-mate caught in the broken pool is replayed, not failed."""
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        faults = FaultSpec(crash="bad:99", state_dir=str(tmp_path))
+        policy = ExecutionPolicy(jobs=2, retries=1, backoff_s=0.0, fault_spec=faults)
+        failed, _elapsed, _timed_out = self._good_and_bad(policy)
+        assert isinstance(failed, WorkerCrashError)
 
 
 class TestBackpressure:
