@@ -100,52 +100,54 @@ def _run_once(trace, config, scheme: str, oracle: bool = False) -> EpochSimulato
     return sim
 
 
-def _throughput(
+def _interleaved_throughput(
     workload: str,
     records: int,
     seed: int,
     scheme: str,
-    oracle: bool = False,
+    walks: "tuple[str, ...]",
     repeats: int = 5,
-    kernel: "bool | None" = None,
-):
-    """Best-of-N records/sec for one (workload, prefetcher, walk).
+) -> "dict[str, float]":
+    """Best-of-``repeats`` records/sec of each walk of one (workload,
+    prefetcher), the walks timed in turn within every repeat.
 
-    ``oracle`` times the record-by-record test oracle instead of
-    ``EpochSimulator.run``.  ``kernel`` toggles ``REPRO_KERNEL`` around
-    the timed runs: ``False`` forces the scalar filter-plane walk,
-    ``True`` requires the kernel, ``None`` leaves the environment alone.
+    Alternating the walks exposes every side of a speedup ratio to the
+    same load, so a busy runner slows the numerator and the denominator
+    alike.  ``"kernel"`` requires the epoch-batched kernel
+    (``REPRO_KERNEL`` unset), ``"scalar"`` forces the scalar filter-plane
+    walk (``REPRO_KERNEL=off``) and ``"oracle"`` is the record-by-record
+    test oracle.
     """
     trace = make_workload(workload, records=records, seed=seed)
     config = ProcessorConfig.scaled()
-    if not oracle:
-        # Pre-warm the plane: it is computed once per (trace, L1 geometry)
-        # and shared by every run, so it is setup cost, not run cost.
-        l1i = (config.l1i.size_bytes, config.l1i.ways, config.line_size)
-        l1d = (config.l1d.size_bytes, config.l1d.ways, config.line_size)
-        get_filter_plane(trace, l1i, l1d)
+    # Pre-warm the plane: it is computed once per (trace, L1 geometry)
+    # and shared by every run, so it is setup cost, not run cost.
+    l1i = (config.l1i.size_bytes, config.l1i.ways, config.line_size)
+    l1d = (config.l1d.size_bytes, config.l1d.ways, config.line_size)
+    get_filter_plane(trace, l1i, l1d)
+    best = dict.fromkeys(walks, float("inf"))
     saved = os.environ.get("REPRO_KERNEL")
-    if kernel is False:
-        os.environ["REPRO_KERNEL"] = "off"
-    elif kernel is True:
-        os.environ.pop("REPRO_KERNEL", None)
     try:
-        best = float("inf")
         for _ in range(repeats):
-            start = time.perf_counter()
-            sim = _run_once(trace, config, scheme, oracle)
-            best = min(best, time.perf_counter() - start)
-        if kernel is True:
-            assert sim.last_run_path == "epoch_kernel", (
-                f"expected the epoch kernel on '{scheme}', "
-                f"took {sim.last_run_path!r}"
-            )
+            for walk in walks:
+                if walk == "scalar":
+                    os.environ["REPRO_KERNEL"] = "off"
+                else:
+                    os.environ.pop("REPRO_KERNEL", None)
+                start = time.perf_counter()
+                sim = _run_once(trace, config, scheme, oracle=walk == "oracle")
+                best[walk] = min(best[walk], time.perf_counter() - start)
+                if walk == "kernel":
+                    assert sim.last_run_path == "epoch_kernel", (
+                        f"expected the epoch kernel on '{scheme}', "
+                        f"took {sim.last_run_path!r}"
+                    )
     finally:
         if saved is None:
             os.environ.pop("REPRO_KERNEL", None)
         else:
             os.environ["REPRO_KERNEL"] = saved
-    return len(trace) / best
+    return {walk: len(trace) / seconds for walk, seconds in best.items()}
 
 
 def _kernel_identity(records: int, seed: int) -> None:
@@ -233,19 +235,22 @@ def test_speed(benchmark, bench_records, bench_seed):
         # The kernel must match the scalar path before its speed counts.
         _kernel_identity(records, bench_seed)
 
-        throughput = {"none": _throughput("tpcw", records, bench_seed, "none")}
+        # Each guarded ratio's two walks are timed alternately, best-of-5
+        # on both sides: none kernel/oracle, ebcp scalar/oracle and
+        # kernel/scalar.
+        none = _interleaved_throughput(
+            "tpcw", records, bench_seed, "none", ("kernel", "oracle")
+        )
+        throughput = {"none": none["kernel"]}
+        legacy = {"none": none["oracle"]}
         scalar = {}
         for scheme in _VARIANTS:
-            throughput[scheme] = _throughput(
-                "tpcw", records, bench_seed, scheme, kernel=True
-            )
-            scalar[scheme] = _throughput(
-                "tpcw", records, bench_seed, scheme, repeats=3, kernel=False
-            )
-        legacy = {
-            scheme: _throughput("tpcw", records, bench_seed, scheme, oracle=True)
-            for scheme in ("none", "ebcp")
-        }
+            walks = ("kernel", "scalar", "oracle") if scheme == "ebcp" else ("kernel", "scalar")
+            timed = _interleaved_throughput("tpcw", records, bench_seed, scheme, walks)
+            throughput[scheme] = timed["kernel"]
+            scalar[scheme] = timed["scalar"]
+            if "oracle" in timed:
+                legacy[scheme] = timed["oracle"]
 
         start = time.perf_counter()
         sequential = run_jobs(_sweep_specs(records, bench_seed), jobs=1)

@@ -29,7 +29,6 @@ from .events import (
     EpochClosed,
     Event,
     ExecutionDegraded,
-    FleetResized,
     JobResumed,
     JobRetried,
     JobTimedOut,
@@ -40,8 +39,6 @@ from .events import (
     QueueSaturated,
     RequestCompleted,
     RequestReceived,
-    ShardRestarted,
-    ShardSuspect,
     TableRead,
     TableWrite,
     TraceCacheWarmed,
@@ -87,7 +84,6 @@ __all__ = [
     "EventBus",
     "EVENT_TYPES",
     "ExecutionDegraded",
-    "FleetResized",
     "Gauge",
     "Histogram",
     "JobResumed",
@@ -107,8 +103,6 @@ __all__ = [
     "RouterMetrics",
     "RunManifest",
     "ServiceMetrics",
-    "ShardRestarted",
-    "ShardSuspect",
     "SimulationMetrics",
     "SpanRecorder",
     "TableRead",

@@ -33,9 +33,6 @@ Event                     Emitted by
 ``RequestReceived``       :class:`repro.service.server.SimulationService`
 ``RequestCompleted``      :class:`repro.service.server.SimulationService`
 ``QueueSaturated``        :class:`repro.service.server.SimulationService`
-``ShardSuspect``          :class:`repro.service.supervisor.ShardSupervisor`
-``ShardRestarted``        :class:`repro.service.supervisor.ShardSupervisor`
-``FleetResized``          :class:`repro.service.supervisor.ShardSupervisor`
 ========================  ==================================================
 
 The resilience events describe the *execution harness* rather than the
@@ -48,11 +45,11 @@ bus was attached but one exists.
 The service events describe the request plane of the resident
 simulation service (:mod:`repro.service`): request admission,
 completion (with end-to-end latency and cache disposition) and
-backpressure (a request bounced off the full queue).  The supervision
-events (the last three) describe shard lifecycle inside the sharded
-front-end: a shard going suspect after a missed probe, a dead shard
-replaced by a fresh process with the same ring position, and the fleet
-changing size under a live resize.
+backpressure (a request bounced off the full queue).  Shard supervision
+in the sharded front-end publishes no events: its surface is log lines,
+the router's restart/resize counters and per-shard uptime gauges, and
+the per-shard ``state``/``restarts``/``uptime_s`` rows of ``ping`` and
+``stats``.
 
 Events deliberately carry plain scalars (plus the rich ``Epoch`` /
 ``Access`` objects where subscribers need them); :func:`event_payload`
@@ -93,9 +90,6 @@ __all__ = [
     "RequestCompleted",
     "QueueSaturated",
     "TraceCacheWarmed",
-    "ShardSuspect",
-    "ShardRestarted",
-    "FleetResized",
     "EVENT_TYPES",
     "event_payload",
 ]
@@ -377,56 +371,6 @@ class TraceCacheWarmed(Event):
     total_specs: int = 0
 
 
-@dataclass(frozen=True)
-class ShardSuspect(Event):
-    """A shard missed a health probe (or a proxied request hit a
-    transport error) and the supervisor marked it suspect.
-
-    A suspect shard keeps routing — the state is a strike, not a
-    verdict; ``misses`` consecutive strikes (or a dead process) escalate
-    it to a respawn.
-    """
-
-    index: int
-    pid: int
-    misses: int
-    cause: str = ""
-
-
-@dataclass(frozen=True)
-class ShardRestarted(Event):
-    """The supervisor replaced a dead shard with a fresh process.
-
-    The ring is untouched — the replacement inherits the shard id and
-    therefore the exact key range of the process it replaces.
-    ``downtime_s`` measures death detection to ready handshake.
-    """
-
-    index: int
-    old_pid: int
-    new_pid: int
-    restarts: int
-    downtime_s: float
-
-
-@dataclass(frozen=True)
-class FleetResized(Event):
-    """The sharded fleet changed size (admin resize or a fail-stop).
-
-    ``added``/``removed`` are the shard indexes that entered/left the
-    ring; consistent hashing guarantees only their keys remapped.
-    ``reason`` is ``"resize"`` for an admin request or
-    ``"max_restarts"`` when a shard was retired after exhausting its
-    restart budget.
-    """
-
-    previous_workers: int
-    workers: int
-    added: Tuple[int, ...] = ()
-    removed: Tuple[int, ...] = ()
-    reason: str = "resize"
-
-
 #: The full catalogue, in a stable order (used by exporters and tests).
 EVENT_TYPES: Tuple[type, ...] = (
     EpochClosed,
@@ -449,9 +393,6 @@ EVENT_TYPES: Tuple[type, ...] = (
     RequestCompleted,
     QueueSaturated,
     TraceCacheWarmed,
-    ShardSuspect,
-    ShardRestarted,
-    FleetResized,
 )
 
 

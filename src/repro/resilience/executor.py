@@ -35,6 +35,7 @@ cost a few string comparisons per attempt.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import pickle
@@ -147,13 +148,14 @@ def _pool_warmup() -> int:
 class PersistentPool:
     """A process pool that outlives individual :func:`execute` calls.
 
-    Batch callers pay pool spin-up once per call; a resident service
-    (:mod:`repro.service`) cannot afford that per request.  Passing a
-    ``PersistentPool`` as ``execute(..., pool=...)`` makes the executor
-    *lease* the pool instead of creating its own: the pool's warm workers
-    (with their inherited trace/filter-plane memos under ``fork``) are
-    reused across calls, and the executor leaves it running when the
-    batch finishes.
+    The executor always *leases* its pool from one of these.  A batch
+    caller that passes none gets a private one for the call, shut down
+    when the batch ends, so it pays pool spin-up once per call; a
+    resident service (:mod:`repro.service`) cannot afford that per
+    request.  Passing a ``PersistentPool`` as ``execute(..., pool=...)``
+    reuses its warm workers (with their inherited trace/filter-plane
+    memos under ``fork``) across calls, and the executor leaves it
+    running when the batch finishes.
 
     The fault-handling contract is preserved: when the executor must kill
     the pool (per-job timeout, ``BrokenProcessPool``), it calls
@@ -286,11 +288,16 @@ def execute(
                     )
                 else:
                     _warm_trace_cache([specs[i] for i in pending], bus=bus)
-                    pooled = _run_pooled(
-                        specs, pending, results, n_workers, policy, faults,
-                        bus, record, return_exceptions, manager=pool,
-                        ctx_wire=ctx_wire, collect=collect, telemetry=telemetry,
-                    )
+                    with (
+                        PersistentPool(n_workers) if pool is None
+                        else contextlib.nullcontext(pool)
+                    ) as manager:
+                        pooled = _run_pooled(
+                            specs, pending, results, n_workers, policy, faults,
+                            bus, record, return_exceptions, manager,
+                            ctx_wire=ctx_wire, collect=collect,
+                            telemetry=telemetry,
+                        )
             if not pooled:
                 _warm_trace_cache([specs[i] for i in pending], bus=bus)
                 for i in pending:
@@ -459,7 +466,7 @@ def _run_pooled(
     bus: Optional[EventBus],
     record: Optional[_Record],
     return_exceptions: bool,
-    manager: Optional[PersistentPool] = None,
+    manager: PersistentPool,
     ctx_wire: Optional[dict] = None,
     collect: bool = False,
     telemetry: Optional[TelemetrySink] = None,
@@ -472,9 +479,8 @@ def _run_pooled(
     execution.  A job error that exhausts the retry budget propagates,
     or with ``return_exceptions`` settles in the job's slot.
 
-    With ``manager`` set the pool is leased from a :class:`PersistentPool`
-    instead of created (and never shut down here); kill paths invalidate
-    the manager so the next lease rebuilds.
+    The pool is leased from ``manager`` and never shut down here; kill
+    paths invalidate the manager so the next lease rebuilds.
     """
     queue: "deque[int]" = deque(pending)
     attempts: Dict[int, int] = {i: 0 for i in pending}
@@ -482,21 +488,13 @@ def _run_pooled(
 
     def make_pool() -> Optional[ProcessPoolExecutor]:
         try:
-            if manager is not None:
-                return manager.lease()
-            return ProcessPoolExecutor(max_workers=n_workers)
+            return manager.lease()
         except (OSError, PermissionError, ValueError) as exc:
             log.warning("process pool unavailable (%s); running in-process", exc)
             _emit(
                 bus, ExecutionDegraded(reason="pool_unavailable", cause=str(exc))
             )
             return None
-
-    def discard_pool(pool: ProcessPoolExecutor) -> None:
-        if manager is not None:
-            manager.invalidate()
-        else:
-            _kill_pool(pool)
 
     def settle(index: int, outcome: _AttemptOutcome) -> None:
         result, spans, snapshot = outcome
@@ -551,164 +549,160 @@ def _run_pooled(
     pool = make_pool()
     if pool is None:
         return False
-    try:
-        while queue or in_flight:
+    while queue or in_flight:
+        if pool is None:
+            pool = make_pool()
             if pool is None:
-                pool = make_pool()
-                if pool is None:
-                    # Mid-batch restart failed: finish everything
-                    # in-process under the same retry budget.
-                    queue.extend(index for index, _t0 in in_flight.values())
-                    in_flight.clear()
-                    while queue:
-                        replay(queue.popleft())
-                    return True
-            # Keep at most n_workers jobs in flight so submission time
-            # approximates start time — that is what per-job deadlines
-            # are measured against.
-            while queue and len(in_flight) < n_workers:
-                index = queue.popleft()
-                try:
-                    future = pool.submit(
-                        _attempt, (specs[index], index, faults, ctx_wire, collect)
-                    )
-                except BrokenProcessPool:
-                    # A worker died since the last wait.  The jobs in
-                    # flight carry the breakage to the crash path below;
-                    # with none in flight the pool is simply rebuilt.
-                    queue.appendleft(index)
-                    if not in_flight:
-                        log.warning("process pool broke while idle; rebuilding it")
-                        discard_pool(pool)
-                        pool = None
-                    break
-                in_flight[future] = (index, time.monotonic())
-            if not in_flight:
-                continue
-
-            tick = _MAX_TICK_S
-            if policy.timeout_s is not None:
-                now = time.monotonic()
-                nearest = min(
-                    t0 + policy.timeout_s - now for _i, t0 in in_flight.values()
-                )
-                tick = max(0.01, min(nearest, _MAX_TICK_S))
-            finished, _running = wait(
-                in_flight.keys(), timeout=tick, return_when=FIRST_COMPLETED
-            )
-
-            broken: Optional[BrokenProcessPool] = None
-            casualties: List[int] = []
-            for future in finished:
-                index, _t0 = in_flight.pop(future)
-                try:
-                    settle(index, future.result())
-                except BrokenProcessPool as exc:
-                    broken = exc
-                    casualties.append(index)
-                except Exception as exc:
-                    charge_failure(index, str(exc), fatal=exc)
-
-            if broken is not None:
-                # A worker died and the executor poisoned every in-flight
-                # future.  Harvest any that genuinely completed, then
-                # replay the casualties in-process (the crashed job is
-                # among them; each replay spends the crash's attempt) and
-                # rebuild the pool for the remaining queue.
-                for future, (index, _t0) in list(in_flight.items()):
-                    try:
-                        settle(index, future.result(timeout=0))
-                    except Exception:
-                        casualties.append(index)
+                # Mid-batch restart failed: finish everything
+                # in-process under the same retry budget.
+                queue.extend(index for index, _t0 in in_flight.values())
                 in_flight.clear()
-                log.warning(
-                    "process pool broke (%s); replaying %d in-flight job(s) "
-                    "in-process",
-                    broken,
-                    len(casualties),
+                while queue:
+                    replay(queue.popleft())
+                return True
+        # Keep at most n_workers jobs in flight so submission time
+        # approximates start time — that is what per-job deadlines
+        # are measured against.
+        while queue and len(in_flight) < n_workers:
+            index = queue.popleft()
+            try:
+                future = pool.submit(
+                    _attempt, (specs[index], index, faults, ctx_wire, collect)
                 )
+            except BrokenProcessPool:
+                # A worker died since the last wait.  The jobs in
+                # flight carry the breakage to the crash path below;
+                # with none in flight the pool is simply rebuilt.
+                queue.appendleft(index)
+                if not in_flight:
+                    log.warning("process pool broke while idle; rebuilding it")
+                    manager.invalidate()
+                    pool = None
+                break
+            in_flight[future] = (index, time.monotonic())
+        if not in_flight:
+            continue
+
+        tick = _MAX_TICK_S
+        if policy.timeout_s is not None:
+            now = time.monotonic()
+            nearest = min(
+                t0 + policy.timeout_s - now for _i, t0 in in_flight.values()
+            )
+            tick = max(0.01, min(nearest, _MAX_TICK_S))
+        finished, _running = wait(
+            in_flight.keys(), timeout=tick, return_when=FIRST_COMPLETED
+        )
+
+        broken: Optional[BrokenProcessPool] = None
+        casualties: List[int] = []
+        for future in finished:
+            index, _t0 = in_flight.pop(future)
+            try:
+                settle(index, future.result())
+            except BrokenProcessPool as exc:
+                broken = exc
+                casualties.append(index)
+            except Exception as exc:
+                charge_failure(index, str(exc), fatal=exc)
+
+        if broken is not None:
+            # A worker died and the executor poisoned every in-flight
+            # future.  Harvest any that genuinely completed, then
+            # replay the casualties in-process (the crashed job is
+            # among them; each replay spends the crash's attempt) and
+            # rebuild the pool for the remaining queue.
+            for future, (index, _t0) in list(in_flight.items()):
+                try:
+                    settle(index, future.result(timeout=0))
+                except Exception:
+                    casualties.append(index)
+            in_flight.clear()
+            log.warning(
+                "process pool broke (%s); replaying %d in-flight job(s) "
+                "in-process",
+                broken,
+                len(casualties),
+            )
+            _emit(
+                bus,
+                WorkerCrashed(
+                    cause=str(broken), jobs_in_flight=len(casualties)
+                ),
+            )
+            manager.invalidate()
+            pool = None
+            for index in casualties:
+                attempts[index] += 1
+                if attempts[index] > policy.retries:
+                    lost = WorkerCrashError(
+                        f"job {specs[index].label or index} lost its worker "
+                        f"with no retries left ({broken})"
+                    )
+                    lost.__cause__ = broken
+                    fail(index, lost)
+                    continue
                 _emit(
                     bus,
-                    WorkerCrashed(
-                        cause=str(broken), jobs_in_flight=len(casualties)
+                    JobRetried(
+                        label=specs[index].label,
+                        index=index,
+                        attempt=attempts[index],
+                        cause="worker crash",
                     ),
                 )
-                discard_pool(pool)
-                pool = None
-                for index in casualties:
-                    attempts[index] += 1
-                    if attempts[index] > policy.retries:
-                        lost = WorkerCrashError(
-                            f"job {specs[index].label or index} lost its worker "
-                            f"with no retries left ({broken})"
-                        )
-                        lost.__cause__ = broken
-                        fail(index, lost)
+                replay(index)
+            continue
+
+        if policy.timeout_s is not None and in_flight:
+            now = time.monotonic()
+            overdue = [
+                (future, index)
+                for future, (index, t0) in in_flight.items()
+                if now - t0 > policy.timeout_s and not future.done()
+            ]
+            if overdue:
+                # A ProcessPoolExecutor cannot cancel a running task,
+                # so the whole pool goes: settle what finished in the
+                # meantime, charge the overdue jobs one attempt,
+                # requeue the innocent bystanders for free.
+                for future, (index, _t0) in list(in_flight.items()):
+                    if future.done():
+                        del in_flight[future]
+                        try:
+                            settle(index, future.result())
+                        except Exception as exc:
+                            charge_failure(index, str(exc), fatal=exc)
+                for future, index in overdue:
+                    if future not in in_flight:
                         continue
+                    del in_flight[future]
+                    log.warning(
+                        "job %d (%s) exceeded timeout %.1fs; killing its "
+                        "pool",
+                        index,
+                        specs[index].label or specs[index].workload,
+                        policy.timeout_s,
+                    )
                     _emit(
                         bus,
-                        JobRetried(
+                        JobTimedOut(
                             label=specs[index].label,
                             index=index,
-                            attempt=attempts[index],
-                            cause="worker crash",
+                            timeout_s=policy.timeout_s,
                         ),
                     )
-                    replay(index)
-                continue
-
-            if policy.timeout_s is not None and in_flight:
-                now = time.monotonic()
-                overdue = [
-                    (future, index)
-                    for future, (index, t0) in in_flight.items()
-                    if now - t0 > policy.timeout_s and not future.done()
-                ]
-                if overdue:
-                    # A ProcessPoolExecutor cannot cancel a running task,
-                    # so the whole pool goes: settle what finished in the
-                    # meantime, charge the overdue jobs one attempt,
-                    # requeue the innocent bystanders for free.
-                    for future, (index, _t0) in list(in_flight.items()):
-                        if future.done():
-                            del in_flight[future]
-                            try:
-                                settle(index, future.result())
-                            except Exception as exc:
-                                charge_failure(index, str(exc), fatal=exc)
-                    for future, index in overdue:
-                        if future not in in_flight:
-                            continue
-                        del in_flight[future]
-                        log.warning(
-                            "job %d (%s) exceeded timeout %.1fs; killing its "
-                            "pool",
-                            index,
-                            specs[index].label or specs[index].workload,
-                            policy.timeout_s,
-                        )
-                        _emit(
-                            bus,
-                            JobTimedOut(
-                                label=specs[index].label,
-                                index=index,
-                                timeout_s=policy.timeout_s,
-                            ),
-                        )
-                        charge_failure(
-                            index,
-                            "timeout",
-                            fatal=TimeoutError(
-                                f"job {index} ({specs[index].label}) exceeded "
-                                f"{policy.timeout_s}s after "
-                                f"{attempts[index] + 1} attempt(s)"
-                            ),
-                        )
-                    queue.extend(index for index, _t0 in in_flight.values())
-                    in_flight.clear()
-                    discard_pool(pool)
-                    pool = None
-    finally:
-        if pool is not None and manager is None:
-            pool.shutdown(wait=False, cancel_futures=True)
+                    charge_failure(
+                        index,
+                        "timeout",
+                        fatal=TimeoutError(
+                            f"job {index} ({specs[index].label}) exceeded "
+                            f"{policy.timeout_s}s after "
+                            f"{attempts[index] + 1} attempt(s)"
+                        ),
+                    )
+                queue.extend(index for index, _t0 in in_flight.values())
+                in_flight.clear()
+                manager.invalidate()
+                pool = None
     return True

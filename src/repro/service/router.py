@@ -24,15 +24,16 @@ router adds three things:
 * **fleet aggregation**: ``ping`` describes the fleet, ``stats``/
   ``metrics`` fan out to every shard and merge the registries
   (:meth:`MetricsRegistry.merge`) into one aggregate *plus* per-shard
-  breakdowns, ``telemetry`` combines every process's spans; at drain
-  each shard's spans and metrics are pulled (``telemetry`` with
-  ``drain=true``) before ``shutdown`` is forwarded and the processes
-  joined, so ``--trace-out``/``--metrics-out`` cover the whole fleet;
+  breakdowns, ``telemetry`` combines every process's spans.  A shard
+  that retires hands over its final spans and metrics first, so
+  ``--trace-out``/``--metrics-out`` cover the whole fleet;
 * **supervision**: a :class:`~repro.service.supervisor.ShardSupervisor`
-  probes the fleet every ``heartbeat_s``, replaces dead shards in place
-  (the ring untouched, so the replacement owns the same key range) and
-  executes live resizes requested over the protocol v5 ``admin``
-  request — see :mod:`repro.service.supervisor`.
+  owns fleet membership and shard lifecycle.  Boot is its grow from an
+  empty ring, drain its retire of every shard; in between it probes the
+  fleet every ``heartbeat_s``, replaces dead shards in place (the ring
+  untouched, so the replacement owns the same key range) and executes
+  live resizes requested over the protocol v5 ``admin`` request — see
+  :mod:`repro.service.supervisor`.
 
 Shards share one ``cache_dir`` when configured: the disk tier is
 content-addressed and written atomically, so warm results survive not
@@ -43,13 +44,11 @@ from disk, not re-simulated).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import logging
 import time
 from typing import Any, Awaitable, Dict, Iterable, List, Optional, Tuple
 
 from ..engine.config import ProcessorConfig
-from ..obs.bus import EventBus
 from ..obs.metrics import MetricsRegistry, RouterMetrics
 from ..obs.tracing import SpanRecorder, TraceContext
 from ..resilience.policy import ExecutionPolicy
@@ -98,81 +97,48 @@ class ShardedService(FrontEnd):
         shard_start_timeout_s: float = 120.0,
         heartbeat_s: float = 2.0,
         max_restarts: int = 5,
-        bus: Optional[EventBus] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        super().__init__(config, policy, bus)
-        self.workers = workers
+        super().__init__(config, policy, None)
+        #: Fleet size at boot; afterwards the fleet is ``len(shards)``.
+        self._boot_workers = workers
         self.shard_start_timeout_s = shard_start_timeout_s
         self.registry = MetricsRegistry()
         self.metrics = RouterMetrics(self.registry)
         #: Router spans; at drain every shard's spans are absorbed here,
         #: so ``serve --trace-out`` covers the whole fleet.
         self.recorder = SpanRecorder("router")
-        self.ring = HashRing(f"shard-{i}" for i in range(workers))
+        #: Fleet membership; only the supervisor edits these three.
+        self.ring = HashRing()
         self.shards: List[ShardInfo] = []
-        #: Shard lifecycle owner (probes, respawns, live resize).
+        self._by_name: Dict[str, ShardInfo] = {}
+        #: Fleet membership and shard lifecycle owner (boot, probes,
+        #: respawns, live resize, drain).
         self.supervisor = ShardSupervisor(
             self, heartbeat_s=heartbeat_s, max_restarts=max_restarts
         )
 
-        self._by_name: Dict[str, ShardInfo] = {}
         self._config_fp: Optional[tuple] = None
         self._sweep_slots: Dict[str, asyncio.Semaphore] = {}
-        #: Final telemetry payloads of shards removed by a live resize —
-        #: their request counts keep counting in fleet aggregates.
+        #: Final telemetry payloads of retired shards (a resize's or the
+        #: drain's) — their work keeps counting in fleet aggregates.
         self._retired: Replies = []
-        #: Fleet-wide metric snapshot frozen at drain (``merged_metrics``).
-        self._final_metrics: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Spawn the shards, bind the front-end, return ``(host, port)``."""
+        """Grow the fleet from zero, bind the front-end, return ``(host, port)``."""
         self._config_fp = ProcessorConfig.scaled().fingerprint()
-
-        # Partition the prewarm working set the same way requests will
-        # route, so each shard warms exactly the traces it will serve.
-        prewarm_by_shard: Dict[str, List[Tuple[str, int, int]]] = {
-            name: [] for name in self.ring.shards()
-        }
-        for workload, records, seed in self.config.prewarm:
-            key = routing_key(workload, records, seed, self._config_fp)
-            prewarm_by_shard[self.ring.route(key)].append((workload, records, seed))
-
-        shard_configs = {
-            index: dataclasses.replace(
-                self.config,
-                host="127.0.0.1",
-                port=0,
-                shard_index=index,
-                prewarm=tuple(prewarm_by_shard[f"shard-{index}"]),
-            )
-            for index in range(self.workers)
-        }
-        results = await asyncio.gather(
-            *(
-                self.supervisor.spawn_shard(index, shard_config)
-                for index, shard_config in shard_configs.items()
-            ),
-            return_exceptions=True,
-        )
-        failures = [r for r in results if isinstance(r, BaseException)]
-        if failures:
-            for r in results:
-                if isinstance(r, ShardInfo) and r.process.is_alive():
-                    r.process.terminate()
-            raise failures[0]
-        for shard in results:
-            assert isinstance(shard, ShardInfo)
-            self.shards.append(shard)
-            self._by_name[shard.name] = shard
-        self.shards.sort(key=lambda s: s.index)
-
-        await self._listen()
-        self.metrics.shards.set(float(len(self.shards)))
+        await self.supervisor.grow(self._boot_workers)
+        try:
+            await self._listen()
+        except BaseException:
+            # A fleet nobody can reach must not outlive the failed boot
+            # (its processes would also block the interpreter's exit).
+            await self.supervisor.retire(self.shards)
+            raise
         self.supervisor.start()
         log.info(
             "sharded service listening on %s:%d over %d shard(s): %s",
@@ -184,13 +150,10 @@ class ShardedService(FrontEnd):
         return self.address
 
     async def _wind_down(self) -> None:
-        # Stop the supervisor first: no probe, respawn or resize may
-        # race the fleet teardown below.
+        # Stop the supervisor first: no probe or respawn may race the
+        # fleet teardown.  Drained shards stay listed in ``shards``.
         await self.supervisor.stop()
-        await self._collect_final_telemetry()
-        await self._fan_out("shutdown")
-        await self._close_links()
-        self._join_shards()
+        await self.supervisor.retire(self.shards)
 
     # ------------------------------------------------------------------
     # Shard links
@@ -240,17 +203,6 @@ class ShardedService(FrontEnd):
             raise last_error
         finally:
             shard.inflight -= 1
-
-
-    async def _close_links(self) -> None:
-        for shard in self.shards:
-            while shard.idle:
-                _reader, writer = shard.idle.pop()
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
 
     def _control_frame(self, request_type: str, **params: Any) -> bytes:
         frame: Dict[str, Any] = {
@@ -360,7 +312,7 @@ class ShardedService(FrontEnd):
             self.metrics.errors.inc()
             if span is not None:
                 span.set(error=type(exc).__name__)
-            self.supervisor.note_failure(shard, str(exc))
+            self.supervisor.note_failure(shard)
             return protocol.error_response(
                 request.id,
                 ErrorCode.QUEUE_FULL,
@@ -431,7 +383,7 @@ class ShardedService(FrontEnd):
             )
         try:
             result = await self.supervisor.resize(workers)
-        except Exception as exc:  # pragma: no cover - spawn failure
+        except Exception as exc:
             log.exception("resize to %d workers failed", workers)
             return protocol.encode_frame(
                 protocol.error_response(
@@ -554,17 +506,19 @@ class ShardedService(FrontEnd):
             "shards": shards,
         }
 
-    async def _live_metrics(self) -> Dict[str, Any]:
-        """Aggregate + per-shard-prefixed snapshot of the whole fleet."""
-        aggregate, per_shard, simulation = self._fleet_registries(
-            await self._fan_out("stats")
-        )
+    def _fleet_metrics(self, replies: Replies) -> Dict[str, Any]:
+        """The whole fleet as one snapshot: the aggregate, the worker
+        instruments, the ``shard{i}.`` rows and the router's own."""
+        aggregate, per_shard, simulation = self._fleet_registries(replies)
         return {
             **aggregate.to_dict(),
             **simulation.to_dict(),
             **per_shard.to_dict(),
             **self.registry.to_dict(),
         }
+
+    async def _live_metrics(self) -> Dict[str, Any]:
+        return self._fleet_metrics(await self._fan_out("stats"))
 
     async def _telemetry(self, drain: bool) -> Dict[str, Any]:
         """Every process's spans plus the aggregated registries."""
@@ -589,40 +543,12 @@ class ShardedService(FrontEnd):
             "simulation": simulation.to_dict(),
         }
 
-    # ------------------------------------------------------------------
-    # Drain plumbing
-    # ------------------------------------------------------------------
-    async def _collect_final_telemetry(self) -> None:
-        """Pull every shard's spans/metrics before shutting the fleet down."""
-        replies = await self._fan_out("telemetry", drain=True)
-        for _shard, payload in replies:
-            if payload is not None:
-                self.recorder.extend(payload.get("spans", ()))
-        # Retired shards' spans were absorbed at retirement; only their
-        # registries still fold into the final fleet snapshot.
-        aggregate, per_shard, simulation = self._fleet_registries(replies)
-        self._final_metrics = {
-            **aggregate.to_dict(),
-            **per_shard.to_dict(),
-            **simulation.to_dict(),
-            **self.registry.to_dict(),
-        }
-
-    def _join_shards(self) -> None:
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        for shard in self.shards:
-            shard.process.join(max(0.1, deadline - time.monotonic()))
-            if shard.process.is_alive():  # pragma: no cover - drain wedged
-                log.warning("%s did not drain; terminating", shard.name)
-                shard.process.terminate()
-                shard.process.join(5.0)
-
     def merged_metrics(self) -> Dict[str, Any]:
-        """The fleet-wide registry snapshot (frozen at drain).
+        """The fleet-wide registry snapshot over the retired shards.
 
-        Before the drain has run (or if every shard was unreachable)
-        this is the router's own instruments only.
+        After the drain every shard has retired, so this is the union
+        ``metrics`` renders live, for every shard that ever served.
+        Before it, only the router's instruments and shards a resize
+        retired show.
         """
-        if self._final_metrics is not None:
-            return dict(self._final_metrics)
-        return self.registry.to_dict()
+        return self._fleet_metrics([])

@@ -71,7 +71,7 @@ from ..engine.config import ProcessorConfig
 from ..engine.simulator import MODEL_VERSION
 from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus
-from ..obs.events import Event, QueueSaturated, RequestCompleted, RequestReceived
+from ..obs.events import QueueSaturated, RequestCompleted, RequestReceived
 from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.prometheus import render_prometheus
 from ..obs.tracing import SpanRecorder, TelemetrySink, TraceContext, wall_us
@@ -269,12 +269,6 @@ class FrontEnd:
             loop.call_soon_threadsafe(callback)
         except RuntimeError:
             pass  # loop closed between the check and the call
-
-    def emit(self, event: Event) -> None:
-        """Publish an obs event when a bus is attached and listening."""
-        bus = self.bus
-        if bus is not None and bus.wants(type(event)):
-            bus.emit(event)
 
     # ------------------------------------------------------------------
     # Connection handling

@@ -1,17 +1,25 @@
-"""Shard supervision: liveness, crash recovery and live resize.
+"""Shard supervision: fleet membership, liveness, crash recovery, resize.
 
-PR 8's sharded tier boots a fixed fleet and assumes it stays up; this
-module turns that boot-time topology into a *supervised* fleet.  One
-:class:`ShardSupervisor` lives inside the
-:class:`~repro.service.router.ShardedService` event loop and owns shard
-lifecycle end to end:
+One :class:`ShardSupervisor` lives inside the
+:class:`~repro.service.router.ShardedService` event loop and owns the
+fleet end to end: it is the only code that forks a shard, retires one,
+or changes ``shards``/``ring``/``_by_name`` (through one
+:meth:`~ShardSupervisor._admit`/:meth:`~ShardSupervisor._evict` pair).
+
+* **One lifecycle** — boot is a grow from an empty ring
+  (:meth:`~ShardSupervisor.grow`), a live resize grows or shrinks the
+  ring it left, and drain retires every shard
+  (:meth:`~ShardSupervisor.retire`) through the same path a shrink
+  takes: in-flight proxied requests finish, the shard's final telemetry
+  is absorbed into the router, then it is shut down and joined.
 
 * **Liveness** — every ``heartbeat_s`` the supervisor sweeps the fleet:
   ``process.is_alive()`` catches a crashed worker immediately, and an
   async ``ping`` probe over the pooled links catches a wedged one.  Each
-  shard carries a typed state machine::
+  shard carries a typed state machine (a shard exists only once its
+  handshake succeeded, so it starts ``ready``)::
 
-      starting ──► ready ◄────────────┐
+                   ready ◄────────────┐
                     │ missed probe /  │ probe ok /
                     ▼ transport error │ handshake
                   suspect ────────────┤
@@ -28,21 +36,20 @@ lifecycle end to end:
 * **Crash recovery** — a dead shard's in-flight requests fail fast with
   retryable ``queue_full`` errors (the SDK's existing backpressure
   retry absorbs the window), then the supervisor forks a replacement
-  with the *same shard id*.  The ring is untouched, so the newcomer
-  inherits the exact key range, re-runs the dead shard's ``--prewarm``
-  slice, and — when a shared ``cache_dir`` is configured — re-serves
-  previously computed results from the disk tier instead of
+  with the *same shard id* and config.  The ring is untouched, so the
+  newcomer inherits the exact key range, re-runs the dead shard's
+  ``--prewarm`` slice, and — when a shared ``cache_dir`` is configured —
+  re-serves previously computed results from the disk tier instead of
   re-simulating them.
 
 * **Live resize** — the protocol v5 ``admin`` request
-  (``{"command": "resize", "workers": N}``) grows the fleet via
-  :meth:`HashRing.add` (each newcomer is warmed from the shared disk
-  tier *before* it enters the ring) and shrinks it with a drain-aware
-  rebalance: :meth:`HashRing.remove` first (no new keys route there),
-  in-flight proxied requests finish, the victim's final telemetry is
-  absorbed into the router, then it is shut down and joined.
-  Consistent hashing guarantees only the added/removed shards' keys
-  remap — the property ``tests/test_sharding.py`` pins.
+  (``{"command": "resize", "workers": N}``) grows the fleet (each
+  newcomer joining a live fleet is warmed from the shared disk tier
+  *before* it enters the ring) and shrinks it with a drain-aware
+  rebalance: the victims leave the ring first (no new keys route
+  there), then retire concurrently.  Consistent hashing guarantees only
+  the added/removed shards' keys remap — the property
+  ``tests/test_sharding.py`` pins.
 
 The supervisor is deliberately an *event-loop peer* of the router, not
 a thread: every mutation of ``shards``/``ring``/``_by_name`` happens on
@@ -60,10 +67,8 @@ import signal
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
-from ..engine.config import ProcessorConfig
-from ..obs.events import FleetResized, ShardRestarted, ShardSuspect
 from ..resilience.policy import ExecutionPolicy
 from .server import ServiceConfig, SimulationService
 from .sharding import HashRing, routing_key
@@ -79,7 +84,6 @@ log = logging.getLogger(__name__)
 class ShardState(str, Enum):
     """Lifecycle state of one shard behind the ring."""
 
-    STARTING = "starting"
     READY = "ready"
     SUSPECT = "suspect"
     DEAD = "dead"
@@ -123,13 +127,13 @@ class ShardInfo:
     port: int
     pid: int
     process: Any
+    #: The exact worker config this shard was forked with — a respawn
+    #: reuses it verbatim (same shard id, same ``--prewarm`` slice).
+    config: ServiceConfig
     #: Idle pooled connections to this shard ``(reader, writer)``.
     idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = field(
         default_factory=list
     )
-    #: The exact worker config this shard was forked with — a respawn
-    #: reuses it verbatim (same shard id, same ``--prewarm`` slice).
-    config: Optional[ServiceConfig] = None
     state: ShardState = ShardState.READY
     #: Times the supervisor replaced this shard's process.
     restarts: int = 0
@@ -175,11 +179,23 @@ def wait_shard_ready(conn: Any, process: Any, timeout_s: float) -> Dict[str, Any
     )
 
 
-class ShardSupervisor:
-    """Owns shard lifecycle inside a :class:`ShardedService`.
+def stop_process(process: Any, grace_s: float) -> bool:
+    """Join ``process`` within ``grace_s``, then terminate it if it is
+    still alive (blocking; run it in a thread).  True when it had to be
+    terminated."""
+    process.join(grace_s)
+    if not process.is_alive():
+        return False
+    process.terminate()
+    process.join(5.0)
+    return True
 
-    Every fleet is supervised: ``heartbeat_s`` must be positive.  The
-    router's boot path also forks through :meth:`spawn_shard`.
+
+class ShardSupervisor:
+    """Owns fleet membership and shard lifecycle inside a
+    :class:`ShardedService`.
+
+    Every fleet is supervised: ``heartbeat_s`` must be positive.
     """
 
     def __init__(
@@ -211,14 +227,15 @@ class ShardSupervisor:
         return max(0.05, min(1.0, self.heartbeat_s))
 
     # ------------------------------------------------------------------
-    # Forking (boot, respawn and resize all share this path)
+    # Spawning (grow and respawn share this path)
     # ------------------------------------------------------------------
-    def fork(self, index: int, config: ServiceConfig) -> Tuple[Any, Any]:
-        """Start one shard process; returns ``(handshake_conn, process)``."""
+    async def spawn_shard(self, index: int, config: ServiceConfig) -> ShardInfo:
+        """Fork one shard and await its ``{"port", "pid"}`` ready
+        handshake off the loop; stops the process on failure."""
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        conn, child_conn = ctx.Pipe(duplex=False)
         # NOT daemonic: each shard owns a ProcessPoolExecutor, and
         # daemonic processes are not allowed to have children.
         process = ctx.Process(
@@ -229,28 +246,15 @@ class ShardSupervisor:
         )
         process.start()
         child_conn.close()
-        return parent_conn, process
-
-    async def handshake(self, conn: Any, process: Any) -> Dict[str, Any]:
-        """Await the ``{"port", "pid"}`` ready frame off the loop."""
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
-                None, wait_shard_ready, conn, process,
-                self.service.shard_start_timeout_s,
+            info = await asyncio.to_thread(
+                wait_shard_ready, conn, process, self.service.shard_start_timeout_s
             )
+        except Exception:
+            await asyncio.to_thread(stop_process, process, 0.0)
+            raise
         finally:
             conn.close()
-
-    async def spawn_shard(self, index: int, config: ServiceConfig) -> ShardInfo:
-        """Fork + handshake one shard; terminates the process on failure."""
-        conn, process = self.fork(index, config)
-        try:
-            info = await self.handshake(conn, process)
-        except Exception:
-            if process.is_alive():
-                process.terminate()
-            raise
         return ShardInfo(
             index=index,
             name=f"shard-{index}",
@@ -258,8 +262,126 @@ class ShardSupervisor:
             pid=int(info["pid"]),
             process=process,
             config=config,
-            state=ShardState.READY,
         )
+
+    # ------------------------------------------------------------------
+    # Membership (the only edits of shards / _by_name / ring)
+    # ------------------------------------------------------------------
+    def _admit(self, *shards: ShardInfo) -> None:
+        """Put ``shards`` behind the ring."""
+        svc = self.service
+        for shard in shards:
+            svc.shards.append(shard)
+            svc._by_name[shard.name] = shard
+            svc.ring.add(shard.name)
+        svc.shards.sort(key=lambda s: s.index)
+        svc.metrics.shards.set(float(len(svc.shards)))
+
+    def _evict(self, *shards: ShardInfo) -> None:
+        """Take ``shards`` off the ring; no new request routes to them."""
+        svc = self.service
+        for shard in shards:
+            svc.ring.remove(shard.name)
+            del svc._by_name[shard.name]
+            svc.shards.remove(shard)
+        svc.metrics.shards.set(float(len(svc.shards)))
+
+    # ------------------------------------------------------------------
+    # Grow and retire (boot, live resize and drain)
+    # ------------------------------------------------------------------
+    async def grow(self, count: int) -> List[int]:
+        """Start ``count`` shards at the lowest free indexes and admit
+        them; returns their indexes.
+
+        Boot grows an empty ring, a resize the live one.  Each newcomer
+        warms the prewarm traces it is about to own (the list partitioned
+        by the prospective ring) and enters the ring only after its
+        handshake.  Either every newcomer starts or none is left running.
+        """
+        svc = self.service
+        existing = {s.index for s in svc.shards}
+        new_indexes: List[int] = []
+        candidate = 0
+        while len(new_indexes) < count:
+            if candidate not in existing:
+                new_indexes.append(candidate)
+            candidate += 1
+
+        prospective = HashRing(
+            [s.name for s in svc.shards] + [f"shard-{i}" for i in new_indexes]
+        )
+        prewarm_by: Dict[str, List[Tuple[str, int, int]]] = {
+            f"shard-{i}": [] for i in new_indexes
+        }
+        for workload, records, seed in svc.config.prewarm:
+            owner = prospective.route(
+                routing_key(workload, records, seed, svc._config_fp)
+            )
+            if owner in prewarm_by:
+                prewarm_by[owner].append((workload, records, seed))
+        # A newcomer joining a serving fleet warms its memory tier from
+        # the shared disk tier before it takes traffic; boot shards
+        # start cold.
+        preload = svc.config.cache_dir is not None and svc.address is not None
+
+        results = await asyncio.gather(
+            *(
+                self.spawn_shard(
+                    index,
+                    dataclasses.replace(
+                        svc.config,
+                        host="127.0.0.1",
+                        port=0,
+                        shard_index=index,
+                        prewarm=tuple(prewarm_by[f"shard-{index}"]),
+                        preload_disk=preload,
+                    ),
+                )
+                for index in new_indexes
+            ),
+            return_exceptions=True,
+        )
+        spawned = [r for r in results if isinstance(r, ShardInfo)]
+        if len(spawned) < len(results):
+            await asyncio.gather(
+                *(asyncio.to_thread(stop_process, s.process, 0.0) for s in spawned)
+            )
+            raise next(r for r in results if isinstance(r, BaseException))
+        self._admit(*spawned)
+        return new_indexes
+
+    async def retire(self, shards: Iterable[ShardInfo]) -> None:
+        """Retire ``shards`` concurrently: each finishes its in-flight
+        requests, hands over its final telemetry and is shut down and
+        joined.  Their spans join the router's recorder and their
+        registries keep counting in fleet aggregates (stats, metrics,
+        ``merged_metrics``) after the processes are gone."""
+        svc = self.service
+        victims = list(shards)
+        for victim in victims:
+            # From here no probe, strike or respawn touches the shard.
+            victim.state = ShardState.DRAINING
+        payloads = await asyncio.gather(*(self._retire(v) for v in victims))
+        for victim, payload in zip(victims, payloads):
+            if payload is not None:
+                svc.recorder.extend(payload.get("spans", ()))
+                svc._retired.append((victim, payload))
+
+    async def _retire(self, victim: ShardInfo) -> Optional[Dict[str, Any]]:
+        """Drain one shard within ``drain_timeout_s``; its final
+        telemetry payload (None when unreachable)."""
+        svc = self.service
+        deadline = time.monotonic() + svc.config.drain_timeout_s
+        while victim.inflight > 0 and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        payload = await svc._shard_control(victim, "telemetry", drain=True)
+        await svc._shard_control(victim, "shutdown")
+        drop_idle_links(victim)
+        grace_s = max(0.1, deadline - time.monotonic())
+        if await asyncio.to_thread(stop_process, victim.process, grace_s):
+            log.warning("%s did not drain in time; terminated", victim.name)
+        victim.state = ShardState.DEAD
+        return payload
 
     # ------------------------------------------------------------------
     # Heartbeat loop
@@ -311,7 +433,6 @@ class ShardSupervisor:
             ):
                 continue
             if not shard.process.is_alive():
-                self.note_suspect(shard, "process exited")
                 self._mark_dead(
                     shard, f"process exited (exitcode {shard.process.exitcode})"
                 )
@@ -335,28 +456,20 @@ class ShardSupervisor:
             shard.state = ShardState.READY
             self.service.metrics.set_uptime(shard.name, shard.uptime_s)
             return
-        self.note_suspect(shard, "probe failed")
+        self.note_suspect(shard)
         if not shard.process.is_alive() or shard.probe_misses >= self.suspect_probes:
             self._mark_dead(shard, "probe failed")
 
     # ------------------------------------------------------------------
     # State transitions
     # ------------------------------------------------------------------
-    def note_suspect(self, shard: ShardInfo, cause: str) -> None:
+    def note_suspect(self, shard: ShardInfo) -> None:
         """One strike against ``shard`` (probe miss or transport error)."""
         shard.probe_misses += 1
-        if shard.state in (ShardState.READY, ShardState.STARTING, ShardState.SUSPECT):
+        if shard.state in (ShardState.READY, ShardState.SUSPECT):
             shard.state = ShardState.SUSPECT
-            self.service.emit(
-                ShardSuspect(
-                    index=shard.index,
-                    pid=shard.pid,
-                    misses=shard.probe_misses,
-                    cause=cause,
-                )
-            )
 
-    def note_failure(self, shard: ShardInfo, cause: str = "") -> None:
+    def note_failure(self, shard: ShardInfo) -> None:
         """The router hit a transport error proxying to ``shard``.
 
         Synchronous (called from request handlers): records a strike and
@@ -367,7 +480,7 @@ class ShardSupervisor:
             ShardState.RESPAWNING, ShardState.DEAD, ShardState.DRAINING
         ):
             return
-        self.note_suspect(shard, cause or "transport error")
+        self.note_suspect(shard)
         if self._wake is not None:
             self._wake.set()
 
@@ -380,8 +493,14 @@ class ShardSupervisor:
         shard.died_at = time.monotonic()
         drop_idle_links(shard)
         if shard.restarts >= self.max_restarts:
+            # Fail-stop: a shard that exhausted its restart budget leaves
+            # the ring rather than crash-looping.
             shard.state = ShardState.DEAD
-            self._retire_dead(shard, cause)
+            self._evict(shard)
+            log.error(
+                "%s retired after %d restarts (%s); fleet is now %d shard(s)",
+                shard.name, shard.restarts, cause, len(self.service.shards),
+            )
             return
         shard.state = ShardState.RESPAWNING
         log.warning("%s (pid %d) dead: %s — respawning", shard.name, shard.pid, cause)
@@ -393,71 +512,30 @@ class ShardSupervisor:
 
     async def _respawn(self, shard: ShardInfo) -> None:
         """Replace a dead shard's process; the ring is untouched."""
-        svc = self.service
-        old_pid = shard.pid
-        old_process = shard.process
+        old_pid, old_process = shard.pid, shard.process
         shard.restarts += 1
-        process = None
         try:
-            config = shard.config if shard.config is not None else svc.config
-            conn, process = self.fork(shard.index, config)
-            info = await self.handshake(conn, process)
+            fresh = await self.spawn_shard(shard.index, shard.config)
         except Exception as exc:
-            if process is not None and process.is_alive():
-                process.terminate()
             # Back to suspect: the next heartbeat finds the process dead
             # and tries again (until the restart budget runs out).
             shard.state = ShardState.SUSPECT
             log.warning("respawn of %s failed: %s", shard.name, exc)
             return
-        shard.port = int(info["port"])
-        shard.pid = int(info["pid"])
-        shard.process = process
+        shard.port, shard.pid, shard.process = fresh.port, fresh.pid, fresh.process
+        shard.started_at = fresh.started_at
         shard.probe_misses = 0
-        shard.started_at = time.monotonic()
         shard.state = ShardState.READY
         try:
             old_process.join(0)  # reap the zombie; it is already dead
         except Exception:  # pragma: no cover - platform quirks
             pass
         downtime = time.monotonic() - (shard.died_at or time.monotonic())
-        svc.metrics.count_restart(shard.name)
-        svc.metrics.set_uptime(shard.name, 0.0)
-        svc.emit(
-            ShardRestarted(
-                index=shard.index,
-                old_pid=old_pid,
-                new_pid=shard.pid,
-                restarts=shard.restarts,
-                downtime_s=downtime,
-            )
-        )
+        self.service.metrics.count_restart(shard.name)
+        self.service.metrics.set_uptime(shard.name, 0.0)
         log.info(
             "%s respawned: pid %d -> %d (restart %d, %.2fs downtime)",
             shard.name, old_pid, shard.pid, shard.restarts, downtime,
-        )
-
-    def _retire_dead(self, shard: ShardInfo, cause: str) -> None:
-        """Fail-stop: drop a shard that exhausted its restart budget."""
-        svc = self.service
-        previous = len(svc.shards)
-        svc.ring.remove(shard.name)
-        svc._by_name.pop(shard.name, None)
-        if shard in svc.shards:
-            svc.shards.remove(shard)
-        svc.workers = len(svc.shards)
-        svc.metrics.shards.set(float(len(svc.shards)))
-        svc.emit(
-            FleetResized(
-                previous_workers=previous,
-                workers=len(svc.shards),
-                removed=(shard.index,),
-                reason="max_restarts",
-            )
-        )
-        log.error(
-            "%s retired after %d restarts (%s); fleet is now %d shard(s)",
-            shard.name, shard.restarts, cause, len(svc.shards),
         )
 
     # ------------------------------------------------------------------
@@ -473,21 +551,17 @@ class ShardSupervisor:
             added: List[int] = []
             removed: List[int] = []
             if workers > previous:
-                added = await self._grow(workers - previous)
+                added = await self.grow(workers - previous)
             elif workers < previous:
-                removed = await self._shrink(previous - workers)
-            svc.workers = len(svc.shards)
-            svc.metrics.shards.set(float(len(svc.shards)))
+                # The highest-index shards leave the ring first —
+                # synchronously, so no request can land on a shard that
+                # is about to drain — then retire.
+                victims = svc.shards[workers:]
+                self._evict(*victims)
+                await self.retire(victims)
+                removed = [v.index for v in victims]
             if added or removed:
                 svc.metrics.resizes.inc()
-                svc.emit(
-                    FleetResized(
-                        previous_workers=previous,
-                        workers=len(svc.shards),
-                        added=tuple(added),
-                        removed=tuple(removed),
-                    )
-                )
                 log.info(
                     "fleet resized %d -> %d (added %s, removed %s)",
                     previous, len(svc.shards), added or "-", removed or "-",
@@ -502,104 +576,3 @@ class ShardSupervisor:
                     for s in svc.shards
                 ],
             }
-
-    async def _grow(self, count: int) -> List[int]:
-        """Spawn ``count`` newcomers; each enters the ring only after its
-        handshake (and disk-tier warm-up) completed."""
-        svc = self.service
-        existing = {s.index for s in svc.shards}
-        new_indexes: List[int] = []
-        candidate = 0
-        while len(new_indexes) < count:
-            if candidate not in existing:
-                new_indexes.append(candidate)
-            candidate += 1
-
-        # Partition the prewarm working set with the *prospective* ring,
-        # so each newcomer warms exactly the traces it is about to own.
-        prospective = HashRing(
-            [s.name for s in svc.shards] + [f"shard-{i}" for i in new_indexes]
-        )
-        prewarm_by: Dict[str, List[Tuple[str, int, int]]] = {
-            f"shard-{i}": [] for i in new_indexes
-        }
-        config_fp = svc._config_fp or ProcessorConfig.scaled().fingerprint()
-        for workload, records, seed in svc.config.prewarm:
-            owner = prospective.route(routing_key(workload, records, seed, config_fp))
-            if owner in prewarm_by:
-                prewarm_by[owner].append((workload, records, seed))
-
-        async def spawn(index: int) -> ShardInfo:
-            config = dataclasses.replace(
-                svc.config,
-                host="127.0.0.1",
-                port=0,
-                shard_index=index,
-                prewarm=tuple(prewarm_by[f"shard-{index}"]),
-                # Warm the newcomer's memory tier from the shared disk
-                # tier before it takes traffic.
-                preload_disk=svc.config.cache_dir is not None,
-            )
-            return await self.spawn_shard(index, config)
-
-        results = await asyncio.gather(
-            *(spawn(i) for i in new_indexes), return_exceptions=True
-        )
-        failures = [r for r in results if isinstance(r, BaseException)]
-        if failures:
-            for r in results:
-                if isinstance(r, ShardInfo):
-                    # Never entered the ring; discard it.
-                    r.process.terminate()
-            raise failures[0]
-        added: List[int] = []
-        for shard in results:
-            assert isinstance(shard, ShardInfo)
-            svc.shards.append(shard)
-            svc._by_name[shard.name] = shard
-            svc.ring.add(shard.name)
-            added.append(shard.index)
-        svc.shards.sort(key=lambda s: s.index)
-        return added
-
-    async def _shrink(self, count: int) -> List[int]:
-        """Drain-aware removal of the ``count`` highest-index shards."""
-        svc = self.service
-        victims = sorted(svc.shards, key=lambda s: s.index)[-count:]
-        removed: List[int] = []
-        # Unroute all victims first — synchronously, so no request can
-        # land on a shard that is about to drain.
-        for victim in victims:
-            victim.state = ShardState.DRAINING
-            svc.ring.remove(victim.name)
-            svc._by_name.pop(victim.name, None)
-            svc.shards.remove(victim)
-            removed.append(victim.index)
-        for victim in victims:
-            await self._retire(victim)
-        return removed
-
-    async def _retire(self, victim: ShardInfo) -> None:
-        """Let a drained-out victim finish, absorb its telemetry, join."""
-        svc = self.service
-        deadline = time.monotonic() + svc.config.drain_timeout_s
-        while victim.inflight > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        payload = await svc._shard_control(victim, "telemetry", drain=True)
-        if payload is not None:
-            svc.recorder.extend(payload.get("spans", ()))
-            # The payload's registries keep counting in fleet aggregates
-            # after the process is gone (stats/metrics/final telemetry).
-            svc._retired.append((victim, payload))
-        await svc._shard_control(victim, "shutdown")
-        drop_idle_links(victim)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._join_victim, victim)
-        victim.state = ShardState.DEAD
-
-    def _join_victim(self, victim: ShardInfo) -> None:
-        victim.process.join(self.service.config.drain_timeout_s)
-        if victim.process.is_alive():  # pragma: no cover - drain wedged
-            log.warning("%s did not drain on removal; terminating", victim.name)
-            victim.process.terminate()
-            victim.process.join(5.0)

@@ -14,12 +14,16 @@ Three layers:
   from the disk tier before entering the ring; only moved keys remap)
   and shrinks back 4→2 (victims drain, their request counts survive in
   the fleet aggregate), including a resize issued mid-sweep.
+* **Spawn failure** — a shard that dies before its handshake fails the
+  whole grow, at boot and at resize, and leaves no shard process behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -34,6 +38,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ShardedService,
+    supervisor,
 )
 from repro.service.cache import ResultCache
 from repro.spec import SPEC_VERSION, SweepSpec, run_spec
@@ -70,6 +75,26 @@ def fleet(tmp_path, workers: int = 2, **kwargs) -> ShardedService:
 
 def shard_rows(client: ServiceClient) -> dict:
     return {row["index"]: row for row in client.ping()["shards"]}
+
+
+def live_shard_processes() -> "list[str]":
+    return sorted(
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith("repro-shard-")
+    )
+
+
+def fail_shard(monkeypatch, bad_index: int) -> None:
+    """Make shard ``bad_index`` exit before its ready handshake (forked
+    children run the patched module function)."""
+    shard_main = supervisor._shard_main
+
+    def patched(index, config, policy, conn):
+        if index == bad_index:
+            os._exit(3)
+        shard_main(index, config, policy, conn)
+
+    monkeypatch.setattr(supervisor, "_shard_main", patched)
 
 
 class TestCachePreload:
@@ -313,3 +338,45 @@ class TestMidSweepResize:
                 assert len(frames) == len(local.results)
                 for frame, ours in zip(frames, local.results):
                     assert frame.result.snapshot() == ours.snapshot()
+
+
+class TestSpawnFailure:
+    def test_boot_failure_leaves_no_shard_running(self, tmp_path, monkeypatch):
+        fail_shard(monkeypatch, 1)
+        harness = BackgroundService(
+            service=fleet(tmp_path, workers=2), start_timeout_s=120.0
+        )
+        with pytest.raises(RuntimeError, match="failed to start"):
+            harness.start()
+        assert live_shard_processes() == []
+
+    def test_bind_failure_retires_the_fleet(self, tmp_path):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            service = ShardedService(
+                config=ServiceConfig(port=busy.getsockname()[1]),
+                policy=POLICY,
+                workers=2,
+            )
+            harness = BackgroundService(service=service, start_timeout_s=120.0)
+            with pytest.raises(RuntimeError, match="failed to start"):
+                harness.start()
+        assert live_shard_processes() == []
+        assert [s.state.value for s in service.shards] == ["dead", "dead"]
+
+    def test_grow_failure_leaves_the_fleet_as_it_was(self, tmp_path, monkeypatch):
+        from repro.service import ServiceError
+
+        fail_shard(monkeypatch, 2)
+        service = fleet(tmp_path, workers=2)
+        with BackgroundService(service=service, start_timeout_s=120.0) as svc:
+            with ServiceClient(*svc.address, timeout_s=120.0, retries=0) as client:
+                with pytest.raises(ServiceError, match="resize failed"):
+                    client.resize(3)
+                rows = shard_rows(client)
+                assert sorted(rows) == [0, 1]
+                assert all(r["state"] == "ready" for r in rows.values())
+                assert live_shard_processes() == ["repro-shard-0", "repro-shard-1"]
+                assert "repro_router_resizes_total 0" in client.metrics()
+        assert live_shard_processes() == []
