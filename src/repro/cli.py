@@ -141,7 +141,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
     # The baseline and the candidate are independent runs; fan them out
     # unless the user asked for in-process introspection (--metrics-out
-    # attaches an event bus, --diagnose needs the simulator object).
+    # feeds a registry from the run, --diagnose needs the simulator object).
     if (
         policy.resolved_jobs() > 1
         and not args.metrics_out
@@ -164,17 +164,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace = make_workload(args.workload, records=args.records, seed=args.seed)
         kwargs = {"cpi_perf": trace.meta.cpi_perf, "overlap": trace.meta.overlap}
         baseline = EpochSimulator(config, None, **kwargs).run(trace)
-        bus = None
+        metrics = None
         if args.metrics_out:
-            bus = EventBus()
             registry = MetricsRegistry()
-            SimulationMetrics(bus, registry)
-        if args.prefetcher == "none":
-            sim = EpochSimulator(config, None, bus=bus, **kwargs)
-            result = sim.run(trace)
-        else:
-            sim = EpochSimulator(config, build_prefetcher(args.prefetcher), bus=bus, **kwargs)
-            result = sim.run(trace)
+            metrics = SimulationMetrics(registry=registry)
+        prefetcher = None if args.prefetcher == "none" else build_prefetcher(args.prefetcher)
+        sim = EpochSimulator(config, prefetcher, metrics=metrics, **kwargs)
+        result = sim.run(trace)
     print(banner(f"{args.workload} / {args.prefetcher}"))
     for key, value in result.to_dict().items():
         print(f"  {key:26s} {value}")
@@ -283,7 +279,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         max_disk_entries=args.max_disk_entries,
         prewarm=_parse_prewarm(args.prewarm),
-        worker_metrics=not args.no_worker_metrics,
     )
     return asyncio.run(
         serve(
@@ -926,11 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", metavar="PATH",
         help="write every request span the service recorded (including "
         "worker-side spans) as a Chrome trace on shutdown",
-    )
-    p_srv.add_argument(
-        "--no-worker-metrics", action="store_true",
-        help="skip per-job worker metric collection (smaller job results, "
-        "no per-prefetcher aggregates)",
     )
     _add_execution_flags(p_srv)
     p_srv.set_defaults(func=_cmd_serve)

@@ -34,9 +34,15 @@ pending transfers) are restored to exactly the state the scalar walk
 would have left, so ``_finish_run`` — and any later scalar run on the
 same simulator — behaves identically.
 
+Run-fed metrics (``EpochSimulator(metrics=...)``) are reported from the
+kernel's locals at the same points the scalar walk reports them: each
+epoch close, prefetch hit, transfer fill or drop and budget refusal.
+The run-level counts come from the lifetime counters synced back below.
+
 ``REPRO_KERNEL=0/off`` forces the scalar filter-plane walk;
 :func:`kernel_fallback_cause` names why a run cannot use the kernel, and
-the simulator reports it as a ``KernelFallback`` observability event.
+the simulator reports it to its metrics and as a ``KernelFallback``
+observability event.
 """
 
 from __future__ import annotations
@@ -65,9 +71,11 @@ def kernel_fallback_cause(sim: "EpochSimulator") -> Optional[str]:
 
     Returns ``None`` when the kernel is usable.  The checks mirror the
     kernel's assumptions: it replays no prefetcher or EBCP's exact
-    semantics (only the unmodified class qualifies), it cannot feed
-    per-access event subscribers, and it precomputes the epoch
-    segmentation from a cold start (a warm simulator takes the scalar path).
+    semantics (only the unmodified class qualifies), it emits no events
+    (an attached bus wants every one, so ``bus_attached``; run-fed
+    metrics need no bus and keep the kernel), and it precomputes the
+    epoch segmentation from a cold start (a warm simulator takes the
+    scalar path).
     """
     from ..core.prefetcher import EpochBasedCorrelationPrefetcher
 
@@ -143,6 +151,8 @@ def run_epoch_batched(
     # ------------------------------------------------------------------
     sim._measuring = False
     measuring = False
+    # Run-fed metrics (None: a single check per reporting site).
+    metrics = sim.metrics
 
     cpi = sim._cpi_onchip
     mem_lat = sim._memory_latency
@@ -192,7 +202,7 @@ def run_epoch_batched(
     bmask = buffer._set_mask
     bsets: list = [dict() for _ in range(buffer.n_sets)]
     bstamp = buffer._stamp
-    b_fills = b_hits = b_late = b_evictions = b_evicted_unused = 0
+    b_fills = b_hits = b_late = b_evictions = b_evicted_unused = b_drops = 0
 
     # Pending bus transfers as (issue_epoch, line, table_index) tuples.
     pending: list = []
@@ -232,12 +242,15 @@ def run_epoch_batched(
     n_lookups = n_lookup_hits = n_touches = 0
     tm_lookup_r = tm_update_r = tm_update_w = tm_lru_w = 0
     tm_total_r = tm_total_w = 0
+    tm_reads = tm_writes = 0
     n_issued = n_suppressed = 0
+    emab_occupancy = None
     if prefetcher is not None:
         cfg = prefetcher.config
-        views, view_entries, emab_overflow = seg.training_views(
-            trace, plane, cfg.skip_epochs, cfg.stored_epochs, cfg.emab_capacity_per_epoch
-        )
+        emab_key = (cfg.skip_epochs, cfg.stored_epochs, cfg.emab_capacity_per_epoch)
+        views, view_entries, emab_overflow = seg.training_views(trace, plane, *emab_key)
+        if metrics is not None:
+            emab_occupancy = seg.emab_occupancy(trace, plane, *emab_key)
 
         # Correlation table: lookup and touch inlined against its own
         # dicts (CorrelationTable semantics, including the shared LRU
@@ -336,6 +349,8 @@ def run_epoch_batched(
             if hit_entry[0] <= cycle:
                 del bucket[line]
                 b_hits += 1
+                if metrics is not None:
+                    metrics.prefetch_hit(prospective - hit_entry[3])
             else:
                 hit_entry = None
                 late = True
@@ -365,6 +380,8 @@ def run_epoch_batched(
                                 tm_update_w += entry_bytes
                                 tm_total_r += entry_bytes
                                 tm_total_w += entry_bytes
+                                tm_reads += 1
+                                tm_writes += 1
                     boundary_ordinal += 1
                     itrig = inst
                     isealed = False
@@ -382,11 +399,13 @@ def run_epoch_batched(
                         if in_memory:
                             tm_lru_w += entry_bytes
                             tm_total_w += entry_bytes
+                            tm_writes += 1
                 if trig:
                     # _lookup_and_issue: table.lookup(line), inlined.
                     if in_memory:
                         tm_lookup_r += entry_bytes
                         tm_total_r += entry_bytes
+                        tm_reads += 1
                     n_lookups += 1
                     ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
                     if tbl_tags.get(ti) == line:
@@ -454,6 +473,8 @@ def run_epoch_batched(
                     if update_r:
                         if r_used + update_r > rb:
                             r_drop[iU] = r_drop.get(iU, 0) + update_r
+                            if metrics is not None:
+                                metrics.budget_refused(r_used / rb if rb else 0.0)
                         else:
                             r_used += update_r
                             r_by[iU] = r_by.get(iU, 0) + update_r
@@ -461,6 +482,8 @@ def run_epoch_batched(
                     if update_w:
                         if w_used + update_w > wb:
                             w_drop[iU] = w_drop.get(iU, 0) + update_w
+                            if metrics is not None:
+                                metrics.budget_refused(w_used / wb if wb else 0.0)
                         else:
                             w_used += update_w
                             w_by[iU] = w_by.get(iU, 0) + update_w
@@ -468,6 +491,8 @@ def run_epoch_batched(
                     if lru_w:
                         if w_used + lru_w > wb:
                             w_drop[iW] = w_drop.get(iW, 0) + lru_w
+                            if metrics is not None:
+                                metrics.budget_refused(w_used / wb if wb else 0.0)
                         else:
                             w_used += lru_w
                             w_by[iW] = w_by.get(iW, 0) + lru_w
@@ -483,22 +508,24 @@ def run_epoch_batched(
                                 continue
                             tline = tr[1]
                             tb = bsets[tline & bmask]
-                            if tline not in tb:
-                                # Consumed or evicted: the transfer
-                                # physically happened, charge it.
-                                r_used += line_bytes
-                                r_by[iP] = r_by.get(iP, 0) + line_bytes
-                                r_used_total += line_bytes
-                                s_filled += 1
-                            elif r_used + line_bytes > rb:
+                            if tline in tb and r_used + line_bytes > rb:
+                                # Still staged and over budget: dropped.
                                 r_drop[iP] = r_drop.get(iP, 0) + line_bytes
                                 del tb[tline]
                                 s_dropped += 1
+                                b_drops += 1
+                                if metrics is not None:
+                                    metrics.budget_refused(r_used / rb if rb else 0.0)
+                                    metrics.prefetches_dropped()
                             else:
+                                # Within budget, or consumed / evicted
+                                # (the transfer physically happened).
                                 r_used += line_bytes
                                 r_by[iP] = r_by.get(iP, 0) + line_bytes
                                 r_used_total += line_bytes
                                 s_filled += 1
+                                if metrics is not None:
+                                    metrics.prefetches_filled()
                         pending = still
                         pending_append = pending.append
                     # close_epoch + queueing_delay
@@ -516,6 +543,12 @@ def run_epoch_batched(
                             q_ratio = 2.0
                         queueing = base_penalty * q_factor * q_ratio
                     pacc += base_penalty + queueing
+                    if metrics is not None:
+                        metrics.epoch_closed(
+                            len(ep_lines), duration, last_util,
+                            -1 if emab_occupancy is None else emab_occupancy[i],
+                            b_fills - b_hits - b_evictions - b_drops,
+                        )
                     s_offchip_cycles += base_penalty + queueing
                     s_queueing_cycles += queueing
                     s_read_bytes += int(r_used)
@@ -560,10 +593,13 @@ def run_epoch_batched(
                                 tm_update_w += entry_bytes
                                 tm_total_r += entry_bytes
                                 tm_total_w += entry_bytes
+                                tm_reads += 1
+                                tm_writes += 1
                     # _lookup_and_issue: table.lookup(line), inlined.
                     if in_memory:
                         tm_lookup_r += entry_bytes
                         tm_total_r += entry_bytes
+                        tm_reads += 1
                     n_lookups += 1
                     ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
                     if tbl_tags.get(ti) == line:
@@ -737,6 +773,8 @@ def run_epoch_batched(
         traffic.lru_write_bytes = tm_lru_w
         traffic.total_read_bytes += tm_total_r
         traffic.total_write_bytes += tm_total_w
+        traffic.total_reads += tm_reads
+        traffic.total_writes += tm_writes
 
         # EMAB end-of-run state: the capped entries of the trailing intervals.
         if boundary_ordinal:

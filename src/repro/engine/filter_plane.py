@@ -652,6 +652,36 @@ class EpochSegmentPlane:
         self._views_memo[key] = cached
         return cached
 
+    def emab_occupancy(
+        self, trace: "Trace", plane: FilterPlane, skip: int, stored: int, cap: int
+    ) -> list:
+        """Per walk item, the EMAB's occupancy just before the item's own
+        event — what an epoch closed at that item reports.
+
+        After ``k`` triggers the buffer holds intervals
+        ``max(0, k - depth) .. k - 1``: the completed ones capped at
+        ``cap`` lines each, and the open one's events so far, capped.
+        Only runs that collect metrics ask, so nothing is memoised.
+        """
+        kinds, _pcs, _serials, _insts, _lines, _v, _vd, triggers = self.walk_columns(
+            trace, plane
+        )
+        _views, entries, _overflow = self.training_views(trace, plane, skip, stored, cap)
+        is_event = np.asarray(kinds) != 2
+        trigger = np.asarray(triggers, dtype=bool)
+        events_before = np.cumsum(is_event) - is_event
+        k = np.cumsum(trigger) - trigger  # triggers before each item
+        if not entries:
+            occupancy = np.zeros(len(kinds), dtype=np.int64)
+        else:
+            sizes = np.zeros(len(entries) + 1, dtype=np.int64)
+            np.cumsum([len(entry) for entry in entries], out=sizes[1:])
+            open_k = np.maximum(k - 1, 0)
+            completed = sizes[open_k] - sizes[np.maximum(k - skip - stored, 0)]
+            open_events = events_before - events_before[trigger][open_k]
+            occupancy = completed + np.where(k > 0, np.minimum(open_events, cap), 0)
+        return occupancy.tolist()
+
 
 def compute_epoch_segments(
     trace: "Trace",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..memory.bandwidth import BandwidthModel, BusStats, EpochBudget
 from ..memory.hierarchy import AccessOutcome, CacheHierarchy
@@ -48,6 +48,9 @@ from .config import ProcessorConfig
 from .epoch import Epoch, EpochTracker
 from .filter_plane import get_filter_plane
 from .stats import SimulationResult, SimulationStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import SimulationMetrics
 
 __all__ = ["EpochSimulator", "MODEL_VERSION"]
 
@@ -82,6 +85,7 @@ class EpochSimulator:
         cpi_perf: float | None = None,
         overlap: float | None = None,
         bus: EventBus | None = None,
+        metrics: "SimulationMetrics | None" = None,
     ) -> None:
         self.config = config or ProcessorConfig.scaled()
         self.config.validate()
@@ -126,8 +130,15 @@ class EpochSimulator:
         #: ``"epoch_kernel"`` or ``"compressed"``.
         self.last_run_path: str | None = None
         #: The observability event bus; None keeps the null-sink fast path
-        #: (a single ``is None`` check per emission site).
+        #: (a single ``is None`` check per emission site).  An attached bus
+        #: keeps the run off the epoch kernel, which emits no events.
         self.bus = bus
+        #: Run-fed :class:`~repro.obs.metrics.SimulationMetrics`: both
+        #: walks report to it directly, so it costs neither the kernel nor
+        #: the L2-hit fast path (a single ``is None`` check per site).  It
+        #: must not also listen to ``bus``, or every update counts twice.
+        self.metrics = metrics
+        self.bandwidth.metrics = metrics
         self._wire_bus()
         if self.prefetcher is not None:
             self.prefetcher.bind(self.hierarchy)  # type: ignore[attr-defined]
@@ -161,7 +172,9 @@ class EpochSimulator:
         :func:`~repro.engine.ebcp_kernel.kernel_fallback_cause` allows it
         and the filter-plane walk otherwise.  Both are bit-identical to
         stepping every record through the L1s one at a time (the test
-        suite's ``walk_every_record`` oracle).
+        suite's ``walk_every_record`` oracle).  Both feed the run-fed
+        ``metrics``, if any, exactly as a bus-driven
+        :class:`~repro.obs.metrics.SimulationMetrics` would have counted.
 
         Each run filters its trace through *cold* L1s: the plane is a
         function of the trace and the L1 geometries alone.  Everything
@@ -179,13 +192,48 @@ class EpochSimulator:
             self.prefetcher.name if self.prefetcher is not None else "none",
             "on" if self.bus is not None else "off",
         )
+        before = self._lifetime_counts() if self.metrics is not None else None
+        result = None
         if self.prefetcher is None or getattr(
             self.prefetcher, "supports_epoch_batch", False
         ):
             result = self._try_epoch_kernel(trace, warmup_records, n)
-            if result is not None:
-                return result
-        return self._run_compressed(trace, warmup_records, n)
+        if result is None:
+            result = self._run_compressed(trace, warmup_records, n)
+        if before is not None:
+            self._report_run_totals(before)
+        return result
+
+    def _lifetime_counts(self) -> tuple[int, ...]:
+        """The never-reset counters behind the run-level metrics: L2
+        accesses, never-used buffer evictions, issued prefetches and the
+        table's (reads, read bytes, writes, write bytes)."""
+        l2 = self.hierarchy.l2.stats
+        counts = (l2.hits + l2.misses, self.hierarchy.prefetch_buffer.stats.evicted_unused)
+        prefetcher = self.prefetcher
+        if prefetcher is None:
+            return counts + (0, 0, 0, 0, 0)
+        traffic = prefetcher.traffic
+        return counts + (
+            prefetcher.issued_requests,
+            traffic.total_reads,
+            traffic.total_read_bytes,
+            traffic.total_writes,
+            traffic.total_write_bytes,
+        )
+
+    def _report_run_totals(self, before: tuple[int, ...]) -> None:
+        """Feed the metrics this run's share of the lifetime counters:
+        the counts a bus would have delivered one event at a time."""
+        accesses, evicted_unused, issued, reads, read_bytes, writes, write_bytes = (
+            after - start for after, start in zip(self._lifetime_counts(), before)
+        )
+        metrics = self.metrics
+        metrics.accesses_resolved(accesses)
+        metrics.prefetches_issued(issued)
+        metrics.prefetches_dropped(evicted_unused)
+        metrics.table_read(read_bytes, reads)
+        metrics.table_write(write_bytes, writes)
 
     # ------------------------------------------------------------------
     # Compressed execution (precomputed L1 filter plane)
@@ -206,6 +254,8 @@ class EpochSimulator:
     def _note_kernel_fallback(self, cause: str) -> None:
         name = self.prefetcher.name if self.prefetcher is not None else "none"
         log.debug("epoch kernel fallback (%s): %s", name, cause)
+        if self.metrics is not None:
+            self.metrics.kernel_fallback(cause)
         if self.bus is not None:
             self.bus.emit(KernelFallback(prefetcher=name, cause=cause))
 
@@ -387,6 +437,9 @@ class EpochSimulator:
         if result.outcome is AccessOutcome.PREFETCH_HIT:
             if measuring:
                 stats.prefetch_hits[kind] += 1
+            if self.metrics is not None:
+                issue = result.prefetch_issue_epoch
+                self.metrics.prefetch_hit(prospective - issue if issue >= 0 else -1)
             if self.bus is not None and self.bus.wants(PrefetchHit):
                 self.bus.emit(
                     PrefetchHit(
@@ -565,22 +618,32 @@ class EpochSimulator:
         # 4. Effective penalty: queueing from this window's utilisation.
         queueing = bandwidth.queueing_delay(base_penalty)
         self._penalty_accum += base_penalty + queueing
-        if self.bus is not None and self.bus.wants(EpochClosed):
+        metrics = self.metrics
+        emit = self.bus is not None and self.bus.wants(EpochClosed)
+        if metrics is not None or emit:
             emab = getattr(self.prefetcher, "emab", None)
-            self.bus.emit(
-                EpochClosed(
-                    epoch=closed,
-                    index=closed.index,
-                    n_misses=closed.n_misses,
-                    start_cycle=start_cycle,
-                    duration_cycles=duration,
-                    read_utilization=budget.read_utilization,
-                    queueing_cycles=queueing,
-                    measured=measuring,
-                    emab_occupancy=emab.occupancy if emab is not None else -1,
-                    buffer_occupancy=self.hierarchy.prefetch_buffer.occupancy,
+            emab_occupancy = emab.occupancy if emab is not None else -1
+            buffer_occupancy = self.hierarchy.prefetch_buffer.occupancy
+            if metrics is not None:
+                metrics.epoch_closed(
+                    closed.n_misses, duration, budget.read_utilization,
+                    emab_occupancy, buffer_occupancy,
                 )
-            )
+            if emit:
+                self.bus.emit(
+                    EpochClosed(
+                        epoch=closed,
+                        index=closed.index,
+                        n_misses=closed.n_misses,
+                        start_cycle=start_cycle,
+                        duration_cycles=duration,
+                        read_utilization=budget.read_utilization,
+                        queueing_cycles=queueing,
+                        measured=measuring,
+                        emab_occupancy=emab_occupancy,
+                        buffer_occupancy=buffer_occupancy,
+                    )
+                )
         if measuring:
             stats = self.stats
             stats.offchip_cycles += base_penalty + queueing
@@ -604,24 +667,14 @@ class EpochSimulator:
     ) -> None:
         bus = self.bus
         entry = self.hierarchy.prefetch_buffer.peek(transfer.line)
-        if entry is None or entry.used:
-            # Consumed or already evicted: the transfer physically
-            # happened, charge it unconditionally.
-            budget.charge_read(Priority.PREFETCH, line_bytes, droppable=False)
+        # Consumed or already evicted: the transfer physically happened,
+        # so it is charged unconditionally (never dropped).
+        droppable = entry is not None and not entry.used
+        if budget.charge_read(Priority.PREFETCH, line_bytes, droppable=droppable):
             if self._measuring:
                 self.stats.prefetches_filled += 1
-            if bus is not None and bus.wants(PrefetchFilled):
-                bus.emit(
-                    PrefetchFilled(
-                        line=transfer.line,
-                        issue_epoch=transfer.issue_epoch,
-                        window_epoch=window_epoch,
-                    )
-                )
-            return
-        if budget.charge_read(Priority.PREFETCH, line_bytes, droppable=True):
-            if self._measuring:
-                self.stats.prefetches_filled += 1
+            if self.metrics is not None:
+                self.metrics.prefetches_filled()
             if bus is not None and bus.wants(PrefetchFilled):
                 bus.emit(
                     PrefetchFilled(
@@ -634,6 +687,8 @@ class EpochSimulator:
             self.hierarchy.prefetch_buffer.invalidate(transfer.line)
             if self._measuring:
                 self.stats.prefetches_dropped += 1
+            if self.metrics is not None:
+                self.metrics.prefetches_dropped()
             if bus is not None and bus.wants(PrefetchDropped):
                 bus.emit(
                     PrefetchDropped(

@@ -32,6 +32,7 @@ from .request import Priority
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.bus import EventBus
+    from ..obs.metrics import SimulationMetrics
 
 __all__ = ["BusStats", "EpochBudget", "BandwidthModel"]
 
@@ -147,11 +148,16 @@ class BandwidthModel:
         self._ema_read_utilization = 0.0
         #: Optional observability bus (attached by the simulator).
         self.bus: "EventBus | None" = None
+        #: Optional run-fed metrics (attached by the simulator).
+        self.metrics: "SimulationMetrics | None" = None
 
     def notify_exhausted(
         self, bus_name: str, priority: Priority, nbytes: int, utilization: float
     ) -> None:
-        """Publish a :class:`BudgetExhausted` event for a refused charge."""
+        """Report a refused charge: to the metrics, and as a
+        :class:`BudgetExhausted` event on the bus."""
+        if self.metrics is not None:
+            self.metrics.budget_refused(utilization)
         if self.bus is not None and self.bus.wants(BudgetExhausted):
             self.bus.emit(
                 BudgetExhausted(

@@ -2,8 +2,9 @@
 
 The registry is deliberately tiny and dependency-free — a named bag of
 three instrument kinds with a JSON-safe snapshot.  The simulator-facing
-collector (:class:`SimulationMetrics`) subscribes the standard epoch /
-prefetch / bus instruments to an :class:`~repro.obs.bus.EventBus`:
+collector (:class:`SimulationMetrics`) holds the standard epoch /
+prefetch / bus instruments, fed either by a simulator run directly or by
+the events of an :class:`~repro.obs.bus.EventBus`:
 
 * ``epoch_misses`` / ``epoch_mlp`` — miss clustering per epoch (in the
   epoch model the two coincide: every miss of an epoch overlaps its one
@@ -19,7 +20,7 @@ prefetch / bus instruments to an :class:`~repro.obs.bus.EventBus`:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
 from .bus import EventBus
@@ -28,7 +29,6 @@ from .events import (
     BudgetExhausted,
     CacheQuarantined,
     EpochClosed,
-    Event,
     ExecutionDegraded,
     JobResumed,
     JobRetried,
@@ -97,8 +97,11 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # Same as min()/max(), without the builtin calls (hot per epoch).
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         self._n += 1
         self._sum += value
 
@@ -160,15 +163,17 @@ class Histogram:
         self._max = float("-inf")
 
     def observe(self, value: float) -> None:
-        index = bisect.bisect_left(self.bounds, value)
+        index = bisect_left(self.bounds, value)
         if index == len(self.bounds):
             self.overflow += 1
         else:
             self.counts[index] += 1
         self._n += 1
         self._sum += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     # ------------------------------------------------------------------
     @property
@@ -345,18 +350,32 @@ EMAB_BUCKETS = (0, 4, 8, 16, 32, 64, 128)
 
 
 class SimulationMetrics:
-    """Attaches the standard instrument set to a bus.
+    """The standard simulation instrument set.
 
     One instance observes one (or several sequential) simulations and
-    exposes its numbers through :attr:`registry`.
+    exposes its numbers through :attr:`registry`.  It is fed in one of
+    two ways, with identical results:
+
+    * by the run itself — pass it as ``EpochSimulator(metrics=...)`` (or
+      ``JobSpec.run(metrics=...)``) with no ``bus``; the epoch kernel and
+      the filter-plane walk call the update methods below from the
+      values they already hold, so no run loses the kernel to metrics;
+    * by a bus — ``SimulationMetrics(bus)`` subscribes handlers that call
+      the same update methods once per event.  This is the reference the
+      run-fed path is tested against, and what ``trace`` uses.
+
+    ``events_total`` and the ``events.<Type>`` tallies count the bus
+    events each update stands for, whichever way it arrived.
     """
 
-    def __init__(self, bus: EventBus, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(
+        self, bus: Optional[EventBus] = None, registry: Optional[MetricsRegistry] = None
+    ) -> None:
         self.bus = bus
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
         self.events_by_type = r.counter("events_total", "events delivered by type tally below")
-        self._type_counters: Dict[type, Counter] = {}
+        self._type_counters: Dict[str, Counter] = {}
 
         self.epochs = r.counter("epochs_closed", "real epochs closed")
         self.accesses = r.counter("accesses_resolved", "L2 accesses classified")
@@ -392,17 +411,20 @@ class SimulationMetrics:
         self.bus_queue = r.gauge("bus_queue_occupancy", "read-bus occupancy of the last window")
         self.buffer_occupancy = r.gauge("prefetch_buffer_occupancy", "buffer lines resident")
 
-        self._unsubscribe = [
-            bus.subscribe(EpochClosed, self._on_epoch),
-            bus.subscribe(AccessResolved, self._on_access),
-            bus.subscribe(PrefetchIssued, self._on_issued),
-            bus.subscribe(PrefetchFilled, self._on_filled),
-            bus.subscribe(PrefetchDropped, self._on_dropped),
-            bus.subscribe(PrefetchHit, self._on_hit),
-            bus.subscribe(TableRead, self._on_table_read),
-            bus.subscribe(TableWrite, self._on_table_write),
-            bus.subscribe(BudgetExhausted, self._on_budget),
-            bus.subscribe(KernelFallback, self._on_kernel_fallback),
+        self._unsubscribe = [] if bus is None else [
+            bus.subscribe(EpochClosed, lambda e: self.epoch_closed(
+                e.n_misses, e.duration_cycles, e.read_utilization,
+                e.emab_occupancy, e.buffer_occupancy,
+            )),
+            bus.subscribe(AccessResolved, lambda e: self.accesses_resolved()),
+            bus.subscribe(PrefetchIssued, lambda e: self.prefetches_issued()),
+            bus.subscribe(PrefetchFilled, lambda e: self.prefetches_filled()),
+            bus.subscribe(PrefetchDropped, lambda e: self.prefetches_dropped()),
+            bus.subscribe(PrefetchHit, lambda e: self.prefetch_hit(e.lead_epochs)),
+            bus.subscribe(TableRead, lambda e: self.table_read(e.nbytes)),
+            bus.subscribe(TableWrite, lambda e: self.table_write(e.nbytes)),
+            bus.subscribe(BudgetExhausted, lambda e: self.budget_refused(e.utilization)),
+            bus.subscribe(KernelFallback, lambda e: self.kernel_fallback(e.cause)),
         ]
 
     # ------------------------------------------------------------------
@@ -412,66 +434,89 @@ class SimulationMetrics:
             unsubscribe()
         self._unsubscribe = []
 
-    def _tally(self, event: Event) -> None:
-        self.events_by_type.inc()
-        counter = self._type_counters.get(type(event))
+    def _tally(self, event_type: str, count: int = 1) -> None:
+        """Count ``count`` events of ``event_type``; the per-type tally
+        exists only once one has been counted, as on a bus."""
+        if not count:
+            return
+        self.events_by_type.inc(count)
+        counter = self._type_counters.get(event_type)
         if counter is None:
-            counter = self.registry.counter(f"events.{type(event).__name__}")
-            self._type_counters[type(event)] = counter
-        counter.inc()
+            counter = self.registry.counter(f"events.{event_type}")
+            self._type_counters[event_type] = counter
+        counter.inc(count)
 
     # ------------------------------------------------------------------
-    def _on_epoch(self, event: EpochClosed) -> None:
-        self._tally(event)
+    # Updates: one call per event (EpochClosed, PrefetchHit,
+    # BudgetExhausted, KernelFallback), or one per run with a count.
+    # Gauges and float sums depend on call order, so a feeder reports
+    # per-event updates in the order the bus would deliver them.
+    # ------------------------------------------------------------------
+    def epoch_closed(
+        self,
+        n_misses: int,
+        duration_cycles: float,
+        read_utilization: float,
+        emab_occupancy: int = -1,
+        buffer_occupancy: int = 0,
+    ) -> None:
+        """One real epoch closed (``emab_occupancy < 0``: no EMAB)."""
+        self._tally("EpochClosed")
         self.epochs.inc()
-        self.epoch_misses.observe(event.n_misses)
-        self.epoch_mlp.observe(event.mlp)
-        self.epoch_cycles.observe(event.duration_cycles)
-        self.read_utilization.observe(event.read_utilization)
-        self.bus_queue.set(event.read_utilization)
-        if event.emab_occupancy >= 0:
-            self.emab_occupancy.observe(event.emab_occupancy)
-        self.buffer_occupancy.set(event.buffer_occupancy)
+        self.epoch_misses.observe(n_misses)
+        self.epoch_mlp.observe(n_misses)  # == MLP in the epoch model
+        self.epoch_cycles.observe(duration_cycles)
+        self.read_utilization.observe(read_utilization)
+        self.bus_queue.set(read_utilization)
+        if emab_occupancy >= 0:
+            self.emab_occupancy.observe(emab_occupancy)
+        self.buffer_occupancy.set(buffer_occupancy)
 
-    def _on_access(self, event: AccessResolved) -> None:
-        self._tally(event)
-        self.accesses.inc()
-
-    def _on_issued(self, event: PrefetchIssued) -> None:
-        self._tally(event)
-        self.issued.inc()
-
-    def _on_filled(self, event: PrefetchFilled) -> None:
-        self._tally(event)
-        self.filled.inc()
-
-    def _on_dropped(self, event: PrefetchDropped) -> None:
-        self._tally(event)
-        self.dropped.inc()
-
-    def _on_hit(self, event: PrefetchHit) -> None:
-        self._tally(event)
+    def prefetch_hit(self, lead_epochs: int) -> None:
+        """One demand access met a ready buffer line (``lead_epochs < 0``:
+        issue epoch unknown, so no lead is observed)."""
+        self._tally("PrefetchHit")
         self.hits.inc()
-        if event.lead_epochs >= 0:
-            self.lead_epochs.observe(event.lead_epochs)
+        if lead_epochs >= 0:
+            self.lead_epochs.observe(lead_epochs)
 
-    def _on_table_read(self, event: TableRead) -> None:
-        self._tally(event)
-        self.table_reads.inc(event.nbytes)
-
-    def _on_table_write(self, event: TableWrite) -> None:
-        self._tally(event)
-        self.table_writes.inc(event.nbytes)
-
-    def _on_budget(self, event: BudgetExhausted) -> None:
-        self._tally(event)
+    def budget_refused(self, utilization: float) -> None:
+        """One droppable charge refused at bus ``utilization``."""
+        self._tally("BudgetExhausted")
         self.budget_exhausted.inc()
-        self.bus_queue.set(event.utilization)
+        self.bus_queue.set(utilization)
 
-    def _on_kernel_fallback(self, event: KernelFallback) -> None:
-        self._tally(event)
+    def kernel_fallback(self, cause: str) -> None:
+        """One run that could not take the epoch kernel."""
+        self._tally("KernelFallback")
         self.kernel_fallbacks.inc()
-        self.registry.counter(f"kernel_fallbacks.{event.cause}").inc()
+        self.registry.counter(f"kernel_fallbacks.{cause}").inc()
+
+    def accesses_resolved(self, count: int = 1) -> None:
+        self._tally("AccessResolved", count)
+        self.accesses.inc(count)
+
+    def prefetches_issued(self, count: int = 1) -> None:
+        self._tally("PrefetchIssued", count)
+        self.issued.inc(count)
+
+    def prefetches_filled(self, count: int = 1) -> None:
+        self._tally("PrefetchFilled", count)
+        self.filled.inc(count)
+
+    def prefetches_dropped(self, count: int = 1) -> None:
+        self._tally("PrefetchDropped", count)
+        self.dropped.inc(count)
+
+    def table_read(self, nbytes: int, count: int = 1) -> None:
+        """``count`` correlation-table reads totalling ``nbytes``."""
+        self._tally("TableRead", count)
+        self.table_reads.inc(nbytes)
+
+    def table_write(self, nbytes: int, count: int = 1) -> None:
+        """``count`` correlation-table writes totalling ``nbytes``."""
+        self._tally("TableWrite", count)
+        self.table_writes.inc(nbytes)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

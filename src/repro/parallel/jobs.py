@@ -48,6 +48,7 @@ from ..workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: resilience.executor imports us
     from ..obs.bus import EventBus
+    from ..obs.metrics import SimulationMetrics
     from ..resilience.policy import ExecutionPolicy
 
 __all__ = [
@@ -158,20 +159,26 @@ class JobSpec:
             self.workload, records=self.records, seed=self.seed, scale=self.scale
         )
 
-    def run(self, bus: "Optional[EventBus]" = None) -> SimulationResult:
+    def run(
+        self,
+        bus: "Optional[EventBus]" = None,
+        metrics: "Optional[SimulationMetrics]" = None,
+    ) -> SimulationResult:
         trace = self.build_trace()
         # Simulate a *copy* of the prefetcher: running warms its tables, and
         # an idempotent spec is what makes in-process fallback (and re-runs)
         # bit-identical to shipping the spec through the pickle boundary.
-        # An attached bus observes the run (worker-side telemetry); it never
-        # alters simulation state, so results stay bit-identical with or
-        # without one.
+        # ``metrics`` are fed by the run itself (worker-side telemetry,
+        # kernel kept); an attached ``bus`` sees every event but forces the
+        # scalar walk.  Neither alters simulation state, so results stay
+        # bit-identical with or without them.
         sim = EpochSimulator(
             self.config,
             copy.deepcopy(self.prefetcher),
             cpi_perf=trace.meta.cpi_perf,
             overlap=trace.meta.overlap,
             bus=bus,
+            metrics=metrics,
         )
         return sim.run(trace, warmup_records=self.warmup_records)
 

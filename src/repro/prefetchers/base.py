@@ -57,36 +57,39 @@ class TrafficMeter:
     # Lifetime totals (never reset), for reporting.
     total_read_bytes: int = 0
     total_write_bytes: int = 0
+    #: Lifetime read / write transactions (one per add_* call).
+    total_reads: int = 0
+    total_writes: int = 0
     #: Optional observability bus; every add_* publishes a table event.
     bus: "EventBus | None" = field(default=None, repr=False, compare=False)
 
-    def _emit_read(self, nbytes: int, purpose: str) -> None:
+    def _read(self, nbytes: int, purpose: str) -> None:
+        self.total_read_bytes += nbytes
+        self.total_reads += 1
         if self.bus is not None and self.bus.wants(TableRead):
             self.bus.emit(TableRead(nbytes=nbytes, purpose=purpose))
 
-    def _emit_write(self, nbytes: int, purpose: str) -> None:
+    def _write(self, nbytes: int, purpose: str) -> None:
+        self.total_write_bytes += nbytes
+        self.total_writes += 1
         if self.bus is not None and self.bus.wants(TableWrite):
             self.bus.emit(TableWrite(nbytes=nbytes, purpose=purpose))
 
     def add_lookup_read(self, nbytes: int) -> None:
         self.lookup_read_bytes += nbytes
-        self.total_read_bytes += nbytes
-        self._emit_read(nbytes, "lookup")
+        self._read(nbytes, "lookup")
 
     def add_update_read(self, nbytes: int) -> None:
         self.update_read_bytes += nbytes
-        self.total_read_bytes += nbytes
-        self._emit_read(nbytes, "update")
+        self._read(nbytes, "update")
 
     def add_update_write(self, nbytes: int) -> None:
         self.update_write_bytes += nbytes
-        self.total_write_bytes += nbytes
-        self._emit_write(nbytes, "update")
+        self._write(nbytes, "update")
 
     def add_lru_write(self, nbytes: int) -> None:
         self.lru_write_bytes += nbytes
-        self.total_write_bytes += nbytes
-        self._emit_write(nbytes, "lru")
+        self._write(nbytes, "lru")
 
     def drain(self) -> tuple[int, int, int, int]:
         """Return and clear (lookup_r, update_r, update_w, lru_w) bytes."""

@@ -55,6 +55,7 @@ from ..obs.events import (
     JobTimedOut,
     WorkerCrashed,
 )
+from ..obs.metrics import SimulationMetrics
 from ..obs.tracing import SpanRecorder, TelemetrySink, TraceContext
 from .checkpoint import load_result, result_path, store_result
 from .faults import FaultSpec, WorkerCrashError
@@ -102,10 +103,9 @@ def _attempt(
 
     ``payload[3]`` is an optional :class:`TraceContext` wire dict — when
     present the run is wrapped in a worker-side span that joins the
-    caller's trace.  ``payload[4]`` asks the attempt to observe the
-    simulation with a private bus + :class:`SimulationMetrics` and ship
-    the registry snapshot back.  With neither, this is exactly the
-    untraced fast path: ``spec.run()`` and empty telemetry.
+    caller's trace.  ``payload[4]`` asks the attempt to collect a
+    :class:`SimulationMetrics` fed by the run itself (no bus, so the run
+    keeps the epoch kernel) and ship its registry snapshot back.
     """
     spec, index, faults, ctx_wire, collect = payload
     # Fault matching targets the human-facing label (falling back to the
@@ -115,29 +115,22 @@ def _attempt(
     hang = faults.maybe_hang(fault_key)
     if hang > 0:
         time.sleep(hang)
+    metrics = SimulationMetrics() if collect else None
     ctx = TraceContext.from_wire(ctx_wire)
-    if ctx is None and not collect:
-        return spec.run(), (), None
-
-    from ..obs.metrics import SimulationMetrics
-
-    bus: Optional[EventBus] = None
-    sim_metrics: Optional[SimulationMetrics] = None
-    if collect:
-        bus = EventBus()
-        sim_metrics = SimulationMetrics(bus)
-    recorder = SpanRecorder("worker")
-    with recorder.span(
-        f"job:{spec.label or spec.workload}",
-        parent=ctx,
-        workload=spec.workload,
-        records=spec.records,
-        seed=spec.seed,
-    ):
-        result = spec.run(bus=bus)
-    snapshot = sim_metrics.registry.to_dict() if sim_metrics is not None else None
-    spans = tuple(recorder.drain()) if ctx is not None else ()
-    return result, spans, snapshot
+    if ctx is None:
+        result, spans = spec.run(metrics=metrics), ()
+    else:
+        recorder = SpanRecorder("worker")
+        with recorder.span(
+            f"job:{spec.label or spec.workload}",
+            parent=ctx,
+            workload=spec.workload,
+            records=spec.records,
+            seed=spec.seed,
+        ):
+            result = spec.run(metrics=metrics)
+        spans = tuple(recorder.drain())
+    return result, spans, metrics.to_dict() if metrics is not None else None
 
 
 def _pool_warmup() -> int:

@@ -111,9 +111,6 @@ class ServiceConfig:
     cache_entries: int = 256
     #: Grace period for handlers to flush responses during shutdown.
     drain_timeout_s: float = 30.0
-    #: Collect worker-side :class:`SimulationMetrics` per job and merge
-    #: them into the service-global registry (per-prefetcher prefixed).
-    worker_metrics: bool = True
     #: Disk tier of the result cache: spill lossless snapshots under
     #: this directory (sha256 sidecars, quarantine-on-corruption) so
     #: warm hits survive crashes and restarts.  ``None`` = memory only.
@@ -637,10 +634,7 @@ class SimulationService(FrontEnd):
         #: Worker simulation metrics, merged across jobs under a
         #: per-prefetcher prefix (``ebcp.epoch_mlp``, ...).
         self.sim_registry = MetricsRegistry()
-        self.sink = TelemetrySink(
-            registry=self.sim_registry if self.config.worker_metrics else None,
-            recorder=self.recorder,
-        )
+        self.sink = TelemetrySink(registry=self.sim_registry, recorder=self.recorder)
 
         self._queue: "Optional[asyncio.Queue[_PendingRequest]]" = None
         self._batcher_task: Optional[asyncio.Task] = None

@@ -75,3 +75,17 @@ def walk_every_record(sim, trace, warmup_records=None):
         l1.insert(line)
         sim._step_miss(kind, pcs[i], addrs[i], bool(serials[i]), inst, tids[i], line)
     return sim._finish_run(trace, inst, measure_start_inst)
+
+
+def without_bus_fallback(snapshot: dict) -> dict:
+    """A bus-driven ``SimulationMetrics`` snapshot minus the oracle's own
+    fallback: its bus keeps an EBCP or no-prefetch run off the epoch
+    kernel (cause ``bus_attached``), which run-fed metrics never cost."""
+    out = dict(snapshot)
+    taken = out.pop("kernel_fallbacks.bus_attached", {"value": 0})["value"]
+    for name in ("kernel_fallbacks", "events.KernelFallback", "events_total"):
+        if name in out:
+            out[name] = dict(out[name], value=out[name]["value"] - taken)
+    if out.get("events.KernelFallback", {}).get("value") == 0:
+        del out["events.KernelFallback"]
+    return out

@@ -125,6 +125,8 @@ class TestTraceCommand:
         metrics = json.loads(path.read_text())
         assert metrics["epochs_closed"]["value"] > 0
         assert metrics["epoch_misses"]["type"] == "histogram"
+        # The run feeds the registry itself, so EBCP keeps the kernel.
+        assert metrics["kernel_fallbacks"]["value"] == 0
 
     def test_run_metrics_out(self, tmp_path, capsys):
         import json

@@ -12,6 +12,11 @@ All three must agree snapshot for snapshot: kernel == scalar reference,
 and served == local.  Each planned job's identity must also equal the
 one the server computes from that job's wire params, so a served result
 is stored and found under the key a local run would use.
+
+A second property holds the worker metrics to their oracle: the registry
+a job ships back (fed by the run itself) must equal, instrument for
+instrument, a ``SimulationMetrics`` subscribed to an ``EventBus`` over
+the same job, with the kernel on and with it off.
 """
 
 from __future__ import annotations
@@ -22,12 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.bus import EventBus
+from repro.obs.metrics import MetricsRegistry, SimulationMetrics
+from repro.obs.tracing import TelemetrySink
+from repro.resilience.executor import execute
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import BackgroundService, ServiceConfig
 from repro.service.protocol import SimulateParams
 from repro.spec import SPEC_VERSION, SweepSpec, expand, run_spec, submit_spec
 from repro.spec.wire import config_from_wire, identity_from_simulate, simulate_params_for
 from repro.workloads.registry import WORKLOADS
+
+from tests.helpers import without_bus_fallback
 
 POLICY = ExecutionPolicy(jobs=1)
 
@@ -117,3 +128,26 @@ def test_kernel_scalar_and_served_agree(service_address, spec):
     expected = [result.snapshot() for result in kernel.results]
     assert [result.snapshot() for result in scalar.results] == expected
     assert [result.snapshot() for result in served.results] == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=sweep_specs())
+def test_worker_metrics_equal_bus_oracle(spec):
+    plan = expand(spec)
+    with pytest.MonkeyPatch.context() as env:
+        for kernel in ("on", "off"):
+            if kernel == "off":
+                env.setenv("REPRO_KERNEL", "off")
+            else:
+                env.delenv("REPRO_KERNEL", raising=False)
+            for job in plan.jobs:
+                sink = TelemetrySink(registry=MetricsRegistry())
+                execute([job], POLICY, telemetry=sink)
+                prefix = f"{job.label or job.workload}."
+                shipped = sink.registry.to_dict()
+                assert all(name.startswith(prefix) for name in shipped)
+                shipped = {name[len(prefix):]: inst for name, inst in shipped.items()}
+                bus = EventBus()
+                oracle = SimulationMetrics(bus)
+                job.run(bus=bus)
+                assert shipped == without_bus_fallback(oracle.to_dict()), (kernel, job.label)

@@ -10,15 +10,16 @@ The load-bearing claims verified here:
   aliasing, MSHR exhaustion and warm-up boundaries in arbitrary places —
   and extends to the post-run state of every simulator object (so a
   subsequent scalar run continues identically),
-* the default (goldens) configuration and the no-prefetch baseline
-  actually exercise the kernel — a silent fallback would leave the fast
-  path untested, and
+* the default (goldens) configuration, the no-prefetch baseline and a
+  job that collects worker metrics (every served job) actually exercise
+  the kernel — a silent fallback would leave the fast path untested, and
 * every fallback is observable: the simulator emits a ``KernelFallback``
   event naming the cause.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -31,9 +32,16 @@ from repro.engine.config import CacheConfig, ProcessorConfig
 from repro.engine.simulator import EpochSimulator
 from repro.obs.bus import EventBus
 from repro.obs.events import KernelFallback
+from repro.obs.metrics import MetricsRegistry, SimulationMetrics
+from repro.obs.tracing import TelemetrySink
+from repro.parallel.jobs import JobSpec
 from repro.prefetchers.registry import build_prefetcher
+from repro.resilience.executor import execute
+from repro.resilience.policy import ExecutionPolicy
 from repro.workloads.registry import COMMERCIAL_WORKLOADS, make_workload
 from repro.workloads.trace import Trace, TraceMeta
+
+from tests.helpers import without_bus_fallback
 
 LINE = 64
 
@@ -210,6 +218,26 @@ class TestKernelIsExercised:
         sim.run(trace)
         assert sim.last_run_path == "epoch_kernel"
 
+    @pytest.mark.parametrize("name", ["ebcp", "none"])
+    def test_job_collecting_worker_metrics_takes_kernel_path(self, name, monkeypatch):
+        """A served job collects worker metrics; the run feeds them
+        itself, so it keeps the kernel."""
+        sims = []
+        run = EpochSimulator.run
+
+        def spy(sim, *args, **kwargs):
+            sims.append(sim)
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(EpochSimulator, "run", spy)
+        prefetcher = None if name == "none" else build_prefetcher(name)
+        job = JobSpec("tpcw", 2_000, 7, ProcessorConfig.scaled(), prefetcher, name)
+        sink = TelemetrySink(registry=MetricsRegistry())
+        execute([job], ExecutionPolicy(jobs=1), telemetry=sink)
+        assert [sim.last_run_path for sim in sims] == ["epoch_kernel"]
+        assert sink.registry[f"{name}.kernel_fallbacks"].value == 0
+        assert sink.registry[f"{name}.epochs_closed"].value > 0
+
 
 # ----------------------------------------------------------------------
 # Property: identity on adversarial randomized miss streams
@@ -247,6 +275,21 @@ _RECORDS = st.lists(
     min_size=1,
     max_size=250,
 )
+
+
+#: Loop bodies repeated a few times: the repeats train the table, so
+#: prefetches get issued and hit.
+_LOOPED_RECORDS = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 31), st.booleans(), st.integers(0, 3)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(1, 8),
+).map(lambda body_repeats: body_repeats[0] * body_repeats[1])
+
+#: ``_TINY`` on a bus narrow enough to refuse droppable charges.
+_STARVED = dataclasses.replace(_TINY, read_bw_gbps=0.4, write_bw_gbps=0.2)
 
 
 def _trace_of(records) -> Trace:
@@ -288,6 +331,42 @@ class TestKernelProperty:
         assert kernel_sim.last_run_path == "epoch_kernel"
         assert kernel_sim.stats.to_dict() == scalar_sim.stats.to_dict()
         assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        records=_LOOPED_RECORDS,
+        starved=st.booleans(),
+        warmup_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        skip_epochs=st.sampled_from([1, 2]),
+        in_memory=st.booleans(),
+        with_prefetcher=st.booleans(),
+    )
+    def test_random_streams_feed_metrics_like_the_bus(
+        self, records, starved, warmup_fraction, skip_epochs, in_memory, with_prefetcher
+    ):
+        """The kernel's run-fed metrics equal a bus-driven oracle's under
+        EMAB overflow, prefetch hits, buffer evictions and (on a starved
+        bus) budget refusals and dropped transfers."""
+        config = _STARVED if starved else _TINY
+        cfg = dataclasses.replace(
+            _TINY_EBCP, skip_epochs=skip_epochs, table_in_memory=in_memory
+        )
+        trace = _trace_of(records)
+        warmup = int(len(records) * warmup_fraction)
+        snapshots = []
+        for bus in (None, EventBus()):
+            metrics = SimulationMetrics(bus)
+            sim = EpochSimulator(
+                config,
+                EpochBasedCorrelationPrefetcher(cfg) if with_prefetcher else None,
+                cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
+                bus=bus, metrics=None if bus is not None else metrics,
+            )
+            sim.run(trace, warmup_records=warmup)
+            snapshots.append(metrics.to_dict())
+            if bus is None:
+                assert sim.last_run_path == "epoch_kernel"
+        assert snapshots[0] == without_bus_fallback(snapshots[1])
 
     @settings(max_examples=25, deadline=None)
     @given(records=_RECORDS, warmup_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]))

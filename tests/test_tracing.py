@@ -302,6 +302,8 @@ class TestServedTracePropagation:
         sim = stats["simulation"]
         assert sim["ebcp.epochs_closed"]["value"] > 0
         assert sim["ebcp.epoch_mlp"]["type"] == "histogram"
+        # Collecting worker metrics no longer costs the served job the kernel.
+        assert sim["ebcp.kernel_fallbacks"]["value"] == 0
         latency = stats["latency_ms"]
         assert latency["count"] >= 1
         assert latency["p99"] >= latency["p50"] >= 0.0
