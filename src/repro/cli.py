@@ -690,8 +690,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock budget; a pooled job exceeding it is "
-        "killed and retried (default: no timeout)",
+        help="per-job wall-clock budget, building the job's trace and "
+        "planes included; a pooled job exceeding it is killed and retried "
+        "(default: no timeout)",
     )
     group.add_argument(
         "--retries", type=int, default=None, metavar="N",

@@ -360,7 +360,7 @@ class TraceCacheWarmed(Event):
 
     Emitted once per warming call that did any new work.  The counts are
     the *newly* warmed entries; anything already in the process-wide warm
-    registry (e.g. warmed by an earlier sweep batch) is skipped and not
+    registry (e.g. warmed by an earlier call) is skipped and not
     counted.  ``total_specs`` is the size of the job list that was
     scanned.
     """

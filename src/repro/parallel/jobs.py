@@ -4,10 +4,11 @@ A :class:`JobSpec` fully describes one simulator run — workload generation
 parameters, processor configuration and a *fresh* prefetcher instance —
 using only picklable state, so it can be shipped to a
 ``ProcessPoolExecutor`` worker.  Traces are deliberately **not** part of
-the spec: workers rebuild them from the parameters, hitting the on-disk
-``.npz`` cache (:mod:`repro.workloads.cache`) or, under the default
-``fork`` start method, the in-process memo inherited from the parent, so
-the expensive generation happens once.
+the spec: each attempt builds its job's inputs (:meth:`JobSpec.build_inputs`)
+in the process that runs it, so the workers of a pooled sweep generate
+distinct traces in parallel and share them through the on-disk ``.npz``,
+filter-plane and epoch-segment caches (:mod:`repro.workloads.cache`),
+while the parent generates nothing.
 
 Determinism
 -----------
@@ -42,7 +43,7 @@ from ..engine.filter_plane import get_epoch_segments, get_filter_plane, kernel_e
 from ..engine.simulator import MODEL_VERSION, EpochSimulator
 from ..engine.stats import SimulationResult
 from ..prefetchers.base import Prefetcher
-from ..workloads.commercial import GENERATOR_VERSION
+from ..workloads.commercial import GENERATOR_VERSION, PROFILES
 from ..workloads.registry import make_workload
 from ..workloads.trace import Trace
 
@@ -159,11 +160,38 @@ class JobSpec:
             self.workload, records=self.records, seed=self.seed, scale=self.scale
         )
 
+    def _builds_inputs(self) -> bool:
+        """Whether :meth:`build_inputs` builds anything: only commercial
+        traces are memoised, so a synthetic or CMP trace built early
+        would be built again by the run."""
+        return self.n_threads == 0 and self.workload in PROFILES
+
+    def build_inputs(self) -> None:
+        """Build this job's memoised inputs in the calling process: the
+        commercial trace, its filter plane and, when the run takes the
+        kernel, its epoch segments.
+
+        Each layer is memoised in-process and persisted through the
+        on-disk caches, so the :meth:`run` that follows finds all three
+        built, and other processes load the entries instead of building
+        them again.  The executor calls this inside every attempt, so a
+        pool worker builds the inputs of the jobs it runs, under the
+        attempt's retries, fault hooks and timeout.
+        """
+        if not self._builds_inputs():
+            return
+        trace = self.build_trace()
+        plane = get_filter_plane(trace, *self.l1_geometry_keys())
+        if self.takes_kernel():
+            get_epoch_segments(trace, plane, *self.segment_geometry_key())
+
     def run(
         self,
         bus: "Optional[EventBus]" = None,
         metrics: "Optional[SimulationMetrics]" = None,
     ) -> SimulationResult:
+        # A memo hit once build_inputs() ran in this process, as every
+        # executor attempt does; a bare run() builds its own inputs.
         trace = self.build_trace()
         # Simulate a *copy* of the prefetcher: running warms its tables, and
         # an idempotent spec is what makes in-process fallback (and re-runs)
@@ -190,13 +218,13 @@ class JobSpec:
             (cfg.l1d.size_bytes, cfg.l1d.ways, cfg.line_size),
         )
 
-    def warms_segments(self) -> bool:
-        """Whether warming precomputes this spec's epoch segments: only
-        for an EBCP-family prefetcher with the kernel on.  A no-prefetch
-        run takes the kernel too, but its worker builds the segments on
-        first use, so a baseline-only trace warms none."""
-        return kernel_enabled() and getattr(
-            self.prefetcher, "supports_epoch_batch", False
+    def takes_kernel(self) -> bool:
+        """Whether this spec's run takes the epoch kernel, and so reads
+        its epoch segments: with the kernel on, for no prefetcher or an
+        EBCP-family one (the kernel's own checks still apply)."""
+        return kernel_enabled() and (
+            self.prefetcher is None
+            or getattr(self.prefetcher, "supports_epoch_batch", False)
         )
 
     def segment_geometry_key(self) -> "tuple[tuple, int]":
@@ -205,12 +233,10 @@ class JobSpec:
         return ((cfg.l2.size_bytes, cfg.l2.ways, cfg.line_size), cfg.rob_size)
 
 
-#: Process-wide registry of already-warmed content keys.  A spec-expanded
-#: grid reaches :func:`execute` (and hence the warmer) in several calls —
-#: checkpoint-resumed retries, micro-batches inside the service, one call
-#: per panel in multi-panel experiments — and the registry is what makes
-#: each distinct (trace, L1 geometry, L2/ROB segment) warm exactly once
-#: across the whole sweep instead of once per call.
+#: Process-wide registry of already-warmed content keys.  A working set
+#: may be warmed in several calls (one per shard boot, one per prepared
+#: spec), and the registry is what makes each distinct (trace, L1
+#: geometry, L2/ROB segment) warm, and count as warmed, exactly once.
 _WARM_REGISTRY: set = set()
 _WARM_LOCK = threading.Lock()
 
@@ -221,94 +247,57 @@ def reset_warm_registry() -> None:
         _WARM_REGISTRY.clear()
 
 
-def _warm_trace_cache(
-    specs: Sequence[JobSpec], bus: "Optional[EventBus]" = None
-) -> None:
-    """Generate each distinct trace — and its filter planes — once in the
-    parent before fanning out.
-
-    Workers then either inherit the in-process memo (``fork``) or load the
-    ``.npz`` from the on-disk cache (``spawn``), instead of all
-    regenerating the same trace concurrently.  Filter planes are warmed
-    per distinct ``(trace, L1 geometry)`` pair, so a sweep of many L2 /
-    prefetcher configurations over one workload computes each plane once
-    rather than once per job — and the process-wide :data:`_WARM_REGISTRY`
-    extends that guarantee across *calls*, so the many ``execute`` batches
-    of one spec-expanded sweep never re-warm a key.  Emits one
-    :class:`~repro.obs.events.TraceCacheWarmed` event per call that did
-    new work.
-    """
-    new_traces = 0
-    new_planes = 0
-    new_segments = 0
-    for spec in specs:
-        if spec.n_threads > 0:
-            continue  # CMP composites are built from cached per-thread traces
-        key = (spec.workload, spec.records, spec.seed, spec.scale)
-        geometry = spec.l1_geometry_keys()
-        plane_key = key + geometry
-        segment_key = (
-            plane_key + spec.segment_geometry_key() if spec.warms_segments() else None
-        )
-        with _WARM_LOCK:
-            want_trace = ("trace",) + key not in _WARM_REGISTRY
-            want_plane = ("plane",) + plane_key not in _WARM_REGISTRY
-            want_segment = (
-                segment_key is not None
-                and ("segment",) + segment_key not in _WARM_REGISTRY
-            )
-        if not (want_trace or want_plane or want_segment):
-            continue
-        try:
-            # Memoised by the registry: a repeat call is a dict lookup.
-            trace = make_workload(
-                spec.workload, records=spec.records, seed=spec.seed, scale=spec.scale
-            )
-        except KeyError:
-            continue  # unknown name: let the worker raise the real error
-        if want_trace:
-            new_traces += 1
-        with _WARM_LOCK:
-            _WARM_REGISTRY.add(("trace",) + key)
-        plane = get_filter_plane(trace, *geometry)
-        if want_plane:
-            new_planes += 1
-        with _WARM_LOCK:
-            _WARM_REGISTRY.add(("plane",) + plane_key)
-        if want_segment:
-            # Kernel-eligible jobs also consult the epoch-segment plane
-            # (per distinct L2 geometry + ROB size) — warm it alongside.
-            l2_geometry, rob_size = spec.segment_geometry_key()
-            get_epoch_segments(trace, plane, l2_geometry, rob_size)
-            new_segments += 1
-            with _WARM_LOCK:
-                _WARM_REGISTRY.add(("segment",) + segment_key)
-    if new_traces or new_planes or new_segments:
-        from ..obs.bus import peek_global_bus
-        from ..obs.events import TraceCacheWarmed
-
-        event = TraceCacheWarmed(
-            traces=new_traces,
-            planes=new_planes,
-            segments=new_segments,
-            total_specs=len(specs),
-        )
-        target = bus if bus is not None else peek_global_bus()
-        if target is not None and target.wants(TraceCacheWarmed):
-            target.emit(event)
+def _input_keys(spec: JobSpec) -> "list[tuple]":
+    """The registry keys of what ``spec.build_inputs()`` builds."""
+    if not spec._builds_inputs():
+        return []
+    trace_key = (spec.workload, spec.records, spec.seed, spec.scale)
+    plane_key = trace_key + spec.l1_geometry_keys()
+    keys = [("trace",) + trace_key, ("plane",) + plane_key]
+    if spec.takes_kernel():
+        keys.append(("segment",) + plane_key + spec.segment_geometry_key())
+    return keys
 
 
 def warm_trace_cache(
     specs: Sequence[JobSpec], bus: "Optional[EventBus]" = None
 ) -> None:
-    """Public pre-warming entry point (what shard start-up calls).
+    """Build the inputs of a known working set ahead of its jobs.
 
     A shard that knows its expected working set (``serve --prewarm``)
-    generates those traces, filter planes and epoch-segment planes
-    before reporting ready, so its first real request is answered from
-    warm state instead of paying generation cost under traffic.
+    builds those traces, filter planes and epoch segments before
+    reporting ready, so its first real request is answered from warm
+    state instead of paying the build under traffic.  Each spec runs
+    :meth:`JobSpec.build_inputs` unless the process-wide
+    :data:`_WARM_REGISTRY` already holds all of its keys.  Emits one
+    :class:`~repro.obs.events.TraceCacheWarmed` event per call that did
+    new work.  Sweeps do not call this: each attempt builds its own
+    job's inputs.
     """
-    _warm_trace_cache(specs, bus=bus)
+    built = {"trace": 0, "plane": 0, "segment": 0}
+    for spec in specs:
+        with _WARM_LOCK:
+            new = [key for key in _input_keys(spec) if key not in _WARM_REGISTRY]
+        if not new:
+            continue
+        spec.build_inputs()
+        with _WARM_LOCK:
+            _WARM_REGISTRY.update(new)
+        for key in new:
+            built[key[0]] += 1
+    if any(built.values()):
+        from ..obs.bus import peek_global_bus
+        from ..obs.events import TraceCacheWarmed
+
+        event = TraceCacheWarmed(
+            traces=built["trace"],
+            planes=built["plane"],
+            segments=built["segment"],
+            total_specs=len(specs),
+        )
+        target = bus if bus is not None else peek_global_bus()
+        if target is not None and target.wants(TraceCacheWarmed):
+            target.emit(event)
 
 
 def run_jobs(

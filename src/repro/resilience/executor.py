@@ -99,11 +99,15 @@ def _attempt(
     """Run one job attempt with fault hooks (pool entry point).
 
     Module-level so it pickles; also used verbatim for in-process
-    attempts so both execution modes share one fault schedule.
+    attempts so both execution modes share one fault schedule.  The
+    attempt builds the job's inputs (:meth:`JobSpec.build_inputs`)
+    before its run, in the process that runs it, so retries, faults and
+    a pooled timeout cover the build too.
 
     ``payload[3]`` is an optional :class:`TraceContext` wire dict — when
-    present the run is wrapped in a worker-side span that joins the
-    caller's trace.  ``payload[4]`` asks the attempt to collect a
+    present the attempt is wrapped in a worker-side ``job:`` span that
+    joins the caller's trace, with an ``inputs`` child span for the
+    build.  ``payload[4]`` asks the attempt to collect a
     :class:`SimulationMetrics` fed by the run itself (no bus, so the run
     keeps the epoch kernel) and ship its registry snapshot back.
     """
@@ -118,6 +122,7 @@ def _attempt(
     metrics = SimulationMetrics() if collect else None
     ctx = TraceContext.from_wire(ctx_wire)
     if ctx is None:
+        spec.build_inputs()
         result, spans = spec.run(metrics=metrics), ()
     else:
         recorder = SpanRecorder("worker")
@@ -127,7 +132,9 @@ def _attempt(
             workload=spec.workload,
             records=spec.records,
             seed=spec.seed,
-        ):
+        ) as job:
+            with recorder.span("inputs", parent=job.context):
+                spec.build_inputs()
             result = spec.run(metrics=metrics)
         spans = tuple(recorder.drain())
     return result, spans, metrics.to_dict() if metrics is not None else None
@@ -146,9 +153,9 @@ class PersistentPool:
     when the batch ends, so it pays pool spin-up once per call; a
     resident service (:mod:`repro.service`) cannot afford that per
     request.  Passing a ``PersistentPool`` as ``execute(..., pool=...)``
-    reuses its warm workers (with their inherited trace/filter-plane
-    memos under ``fork``) across calls, and the executor leaves it
-    running when the batch finishes.
+    reuses its warm workers (with their trace/filter-plane memos)
+    across calls, and the executor leaves it running when the batch
+    finishes.
 
     The fault-handling contract is preserved: when the executor must kill
     the pool (per-job timeout, ``BrokenProcessPool``), it calls
@@ -230,9 +237,12 @@ def execute(
     and ship back a metrics snapshot, which is merged into
     ``telemetry.registry`` under a per-job label prefix.  Both are pure
     observability: results stay bit-identical with or without them.
-    """
-    from ..parallel.jobs import _warm_trace_cache
 
+    Each attempt builds its own job's inputs, in the process that runs
+    it: pooled workers generate distinct traces in parallel and share
+    them through the on-disk caches, and the calling process builds
+    none of a pooled batch's inputs.
+    """
     policy = policy or ExecutionPolicy()
     specs = list(specs)
     if not specs:
@@ -280,7 +290,6 @@ def execute(
                         ExecutionDegraded(reason="unpicklable", cause=str(exc)),
                     )
                 else:
-                    _warm_trace_cache([specs[i] for i in pending], bus=bus)
                     with (
                         PersistentPool(n_workers) if pool is None
                         else contextlib.nullcontext(pool)
@@ -292,7 +301,6 @@ def execute(
                             telemetry=telemetry,
                         )
             if not pooled:
-                _warm_trace_cache([specs[i] for i in pending], bus=bus)
                 for i in pending:
                     if results[i] is None:
                         results[i] = _run_resilient(

@@ -6,13 +6,13 @@ one format in :mod:`repro.resilience.checkpoint`) each own only an
 entry's path and format; :func:`store_entry` and :func:`load_entry` own
 everything else:
 
-* a write goes to a temp file beside the entry (``.<name>.*.part``, which
-  no store's entry glob matches), is fsynced and renamed into place, so
-  racing workers never expose half an entry and a finished write
-  survives a crash; the temp file never survives;
-* after the rename a ``<name>.sha256`` sidecar is written, and readers
-  verify it *before* decoding, catching corruption that still decodes
-  (an entry without a sidecar is unverifiable, not bad);
+* a write goes to a unique temp file beside the entry (``.<name>.*.part``,
+  which no store's entry glob matches), is fsynced and renamed into
+  place, so racing workers never expose half an entry and a finished
+  write survives a crash; the temp file never survives;
+* after the rename a ``<name>.sha256`` sidecar is written the same way,
+  and readers verify it *before* decoding, catching corruption that
+  still decodes (an entry without a sidecar is unverifiable, not bad);
 * a bad sidecar or a decoder that raises moves the entry, its sidecar
   and a ``.reason`` note into a ``quarantine/`` sibling (so a recurring
   corruption source stays diagnosable), publishes a
@@ -70,13 +70,28 @@ def checksum_path(path: PathLike) -> Path:
     return p.with_name(p.name + ".sha256")
 
 
+def _replace(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` through a unique temp file beside it, fsynced and
+    renamed into place, so concurrent writers of one path never share a
+    temp file; the temp file never survives."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".part")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_checksum(path: PathLike) -> Path:
     """Write/refresh the sidecar checksum for ``path``; returns the sidecar."""
     p = Path(path)
     sidecar = checksum_path(p)
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    tmp.write_text(_digest(p) + "\n", encoding="ascii")
-    os.replace(tmp, sidecar)
+    line = (_digest(p) + "\n").encode("ascii")
+    _replace(sidecar, lambda fh: fh.write(line))
     return sidecar
 
 
@@ -191,16 +206,7 @@ def store_entry(path: PathLike, kind: str, write: Callable[[BinaryIO], object]) 
     p = Path(path)
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".part")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, p)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        _replace(p, write)
         write_checksum(p)
         FaultSpec.from_env().maybe_corrupt(p, kind)
     except OSError as exc:

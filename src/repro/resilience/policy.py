@@ -36,10 +36,12 @@ class ExecutionPolicy:
         1), ``0`` means one per core, ``1`` runs in-process, ``n > 1``
         fans out over a process pool.
     timeout_s:
-        Per-job wall-clock budget.  In pool mode a job that exceeds it is
-        killed with its pool and retried; in-process it is detected after
-        the fact (a running Python function cannot be preempted safely).
-        ``None`` disables the timeout.
+        Per-job wall-clock budget, which includes building the job's
+        inputs (trace, filter plane, epoch segments) when no earlier job
+        in the same process built them.  In pool mode a job that exceeds
+        it is killed with its pool and retried; in-process it is
+        detected after the fact (a running Python function cannot be
+        preempted safely).  ``None`` disables the timeout.
     retries:
         How many times a *failed* attempt may be retried — a job gets at
         most ``retries + 1`` attempts before its error propagates.

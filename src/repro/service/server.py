@@ -119,9 +119,9 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
     #: Disk-tier entry bound (oldest pruned beyond it).
     max_disk_entries: int = 4096
-    #: ``(workload, records, seed)`` triples to pre-warm (trace + filter
-    #: planes generated, pool workers pre-spawned) before reporting
-    #: ready.  A sharded front-end partitions these per shard.
+    #: ``(workload, records, seed)`` triples to pre-warm (trace, filter
+    #: plane and epoch segments built, pool workers pre-spawned) before
+    #: reporting ready.  A sharded front-end partitions these per shard.
     prewarm: Tuple[Tuple[str, int, int], ...] = ()
     #: Position of this instance behind a sharded front-end; ``None``
     #: for a standalone service.  Surfaces in ping/stats/telemetry.
@@ -678,9 +678,10 @@ class SimulationService(FrontEnd):
     def prewarm(self) -> None:
         """Warm the configured working set (blocking; called off-loop).
 
-        Generates each prewarm triple's trace and filter planes through
-        the shared on-disk caches and pre-spawns the persistent pool's
-        workers, so the first real request hits warm state.
+        Builds each prewarm triple's trace, filter plane and epoch
+        segments through the shared on-disk caches and pre-spawns the
+        persistent pool's workers, so the first real request hits warm
+        state.
         """
         from ..parallel.jobs import warm_trace_cache
 

@@ -9,6 +9,9 @@ entry is regenerated bit-identically.
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro.prefetchers.registry import build_prefetcher
 from repro.resilience.integrity import (
     checksum_path,
     quarantine_entry,
+    store_entry,
     verify_checksum,
     write_checksum,
 )
@@ -46,6 +50,28 @@ def _build():
 def _truncate(path) -> None:
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
+
+
+class _Collect(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: "list[str]" = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def _store_repeatedly(path: str, times: int, barrier, results) -> None:
+    """Store one fixed entry ``times`` times once every writer is ready;
+    put (failed stores, messages logged) on ``results``."""
+    handler = _Collect()
+    logging.getLogger("repro.resilience.integrity").addHandler(handler)
+    barrier.wait(timeout=60)
+    failed = sum(
+        not store_entry(path, "trace", lambda fh: fh.write(b"entry" * 512))
+        for _ in range(times)
+    )
+    results.put((failed, handler.messages))
 
 
 class TestIntegrityPrimitives:
@@ -80,6 +106,27 @@ class TestIntegrityPrimitives:
         reason = moved.with_name(moved.name + ".reason").read_text()
         assert "checksum_mismatch" in reason
         assert [e.kind for e in quarantine_events] == ["trace"]
+
+    def test_concurrent_stores_of_one_entry_all_succeed(self, tmp_path):
+        """Two workers storing the same entry never collide on a temp file."""
+        entry = tmp_path / "e.npz"
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        results = ctx.Queue()
+        writers = [
+            ctx.Process(target=_store_repeatedly, args=(str(entry), 300, barrier, results))
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        outcomes = [results.get(timeout=120) for _ in writers]
+        for writer in writers:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+        assert outcomes == [(0, []), (0, [])]
+        assert checksum_path(entry).exists()
+        assert verify_checksum(entry) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.npz", "e.npz.sha256"]
 
 
 class TestTraceCacheSelfHealing:

@@ -7,10 +7,14 @@ import pickle
 
 import pytest
 
+import repro.engine.filter_plane as filter_plane_mod
 import repro.resilience.executor as executor_mod
 from repro.engine.config import ProcessorConfig
 from repro.parallel import JobSpec, resolve_jobs, run_jobs
 from repro.prefetchers.registry import PREFETCHERS, build_prefetcher
+from repro.resilience.policy import ExecutionPolicy
+from repro.workloads import registry
+from repro.workloads.cache import trace_cache
 
 RECORDS = 4_000
 WORKLOADS = ("tpcw", "database")
@@ -143,3 +147,59 @@ class TestRunJobs:
         bad.workload = "no-such-workload"
         with pytest.raises(KeyError):
             run_jobs([bad], jobs=1)
+
+
+@pytest.fixture()
+def cold_caches(monkeypatch, tmp_path):
+    """A fresh disk cache and an empty in-process trace memo."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    registry._cached_commercial.cache_clear()
+    yield
+    registry._cached_commercial.cache_clear()
+
+
+class TestInputsBuiltPerAttempt:
+    def test_run_builds_no_inputs(self, monkeypatch, cold_caches):
+        """Every build happens in the attempt, before ``JobSpec.run``."""
+        in_run = []
+        built_in_run = []
+
+        def track(name, fn):
+            def wrapper(*args, **kwargs):
+                if in_run:
+                    built_in_run.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        run = JobSpec.run
+
+        def tracked_run(self, *args, **kwargs):
+            in_run.append(self.label)
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                in_run.pop()
+
+        monkeypatch.setattr(JobSpec, "run", tracked_run)
+        for module, name in (
+            (registry, "build_commercial_trace"),
+            (filter_plane_mod, "compute_filter_plane"),
+            (filter_plane_mod, "compute_epoch_segments"),
+        ):
+            monkeypatch.setattr(module, name, track(name, getattr(module, name)))
+        specs = [_spec("tpcw", None), _spec("database", "ebcp")]
+        results = executor_mod.execute(specs, ExecutionPolicy(jobs=1))
+        assert len(results) == 2
+        assert built_in_run == []
+
+    def test_pooled_batch_builds_nothing_in_the_caller(self, monkeypatch, cold_caches):
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        specs = [_spec(w, p) for w in WORKLOADS for p in (None, "ebcp")]
+        misses = registry._cached_commercial.cache_info().misses
+        pooled = run_jobs(specs, jobs=2)
+        assert registry._cached_commercial.cache_info().misses == misses
+        for w in WORKLOADS:
+            assert trace_cache().path_for(w, RECORDS, 7, 1.0).exists()
+        sequential = run_jobs(specs, jobs=1)
+        assert [r.snapshot() for r in pooled] == [r.snapshot() for r in sequential]

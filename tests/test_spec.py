@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.config import ProcessorConfig
+from repro.engine.filter_plane import get_filter_plane
 from repro.obs import EventBus
 from repro.obs.events import TraceCacheWarmed
-from repro.parallel.jobs import reset_warm_registry, run_jobs
+from repro.parallel.jobs import JobSpec, reset_warm_registry, warm_trace_cache
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import BackgroundService, ServiceConfig, ShardedService
 from repro.spec import (
@@ -224,22 +226,37 @@ class TestLocalRun:
 
 
 class TestWarmRegistry:
-    def test_sweep_warms_each_geometry_once(self):
-        """Across run_jobs calls, a distinct trace warms exactly once."""
+    def test_sweep_warms_each_geometry_once(self, monkeypatch):
+        """Across warm_trace_cache calls, a distinct trace warms exactly once."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)  # segments counted too
         reset_warm_registry()
         try:
             bus = EventBus()
             warmed = []
             bus.subscribe(TraceCacheWarmed, warmed.append)
-            spec = spec_of()
-            plan = expand(spec)
-            run_jobs(plan.jobs, policy=POLICY, bus=bus)
-            first = sum(e.traces for e in warmed)
-            assert first >= 1
+            # A commercial trace: synthetic ones are not memoised, so
+            # nothing builds them ahead of their run.
+            spec = spec_of(workloads=["tpcw"])
+            warm_trace_cache(expand(spec).jobs, bus=bus)
+            # The baseline and the candidate share one trace, plane and
+            # segment geometry.
+            assert [(e.traces, e.planes, e.segments) for e in warmed] == [(1, 1, 1)]
             warmed.clear()
-            # Second run over the same grid: everything already registered.
-            run_jobs(expand(spec).jobs, policy=POLICY, bus=bus)
-            assert sum(e.traces for e in warmed) == 0
+            # Second warm of the same grid: everything already registered.
+            warm_trace_cache(expand(spec).jobs, bus=bus)
+            assert warmed == []
+        finally:
+            reset_warm_registry()
+
+    def test_warm_builds_segments_for_a_spec_with_no_prefetcher(self, monkeypatch):
+        """A prewarmed no-prefetch spec has its kernel's epoch segments."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        reset_warm_registry()
+        try:
+            job = JobSpec("tpcw", RECORDS, 4242, ProcessorConfig.scaled())
+            warm_trace_cache([job])
+            plane = get_filter_plane(job.build_trace(), *job.l1_geometry_keys())
+            assert job.segment_geometry_key() in plane._segment_cache
         finally:
             reset_warm_registry()
 

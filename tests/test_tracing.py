@@ -252,6 +252,13 @@ class TestServedTracePropagation:
                     f"span {span['name']} has an unresolvable parent"
                 )
 
+        # The worker's job span covers building its inputs, as a child.
+        (job,) = [s for s in everything if s["name"].startswith("job:")]
+        (inputs,) = [s for s in everything if s["name"] == "inputs"]
+        assert inputs["parent_id"] == job["span_id"]
+        assert job["ts_us"] <= inputs["ts_us"]
+        assert inputs["ts_us"] + inputs["dur_us"] <= job["ts_us"] + job["dur_us"]
+
         # The Chrome export loads as one timeline over every role.
         path = write_chrome_trace(everything, tmp_path / "trace.json")
         doc = json.loads(path.read_text())
