@@ -50,7 +50,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .analysis.reporting import banner, format_table
@@ -261,6 +261,19 @@ def _positive_seconds(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
     return value
+
+
+def _non_negative(kind: type) -> Callable[[str], float]:
+    """argparse type: a ``kind`` value that must not be negative."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -689,18 +702,18 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "either way)",
     )
     group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
         help="per-job wall-clock budget, building the job's trace and "
         "planes included; a pooled job exceeding it is killed and retried "
         "(default: no timeout)",
     )
     group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_non_negative(int), default=None, metavar="N",
         help="retries per failed job attempt before the error propagates "
         "(default: spec [execution] block, else 1)",
     )
     group.add_argument(
-        "--backoff", type=float, default=None, metavar="SECONDS",
+        "--backoff", type=_non_negative(float), default=None, metavar="SECONDS",
         help="base delay before a retry, doubling per attempt "
         "(default: spec [execution] block, else 0.25)",
     )
@@ -720,7 +733,7 @@ def _add_client_flags(
     group.add_argument("--host", default="127.0.0.1")
     group.add_argument("--port", type=int, default=7421)
     group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
         help=f"per-attempt client timeout (default: {default_timeout:g})",
     )
     group.add_argument(

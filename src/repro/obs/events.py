@@ -260,7 +260,11 @@ class JobRetried(Event):
 
 @dataclass(frozen=True)
 class JobTimedOut(Event):
-    """A pooled job exceeded the policy's per-job ``timeout_s``."""
+    """A job attempt exceeded the policy's per-job ``timeout_s``.
+
+    A pooled attempt is killed with its pool; an in-process one can only
+    be detected after it returned.
+    """
 
     label: str
     index: int
@@ -292,7 +296,8 @@ class ExecutionDegraded(Event):
     """Parallel execution fell back to in-process execution.
 
     ``reason`` is ``"unpicklable"`` (specs cannot cross the process
-    boundary) or ``"pool_unavailable"`` (the pool could not start).
+    boundary) or ``"pool_unavailable"`` (no pool could be leased, at the
+    start or after a kill).
     """
 
     reason: str

@@ -34,7 +34,6 @@ import json
 import logging
 import os
 import pickle
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -44,7 +43,7 @@ from ..engine.simulator import MODEL_VERSION, EpochSimulator
 from ..engine.stats import SimulationResult
 from ..prefetchers.base import Prefetcher
 from ..workloads.commercial import GENERATOR_VERSION, PROFILES
-from ..workloads.registry import make_workload
+from ..workloads.registry import _cached_commercial, make_workload
 from ..workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: resilience.executor imports us
@@ -58,7 +57,6 @@ __all__ = [
     "run_jobs",
     "resolve_jobs",
     "warm_trace_cache",
-    "reset_warm_registry",
 ]
 
 log = logging.getLogger(__name__)
@@ -233,32 +231,6 @@ class JobSpec:
         return ((cfg.l2.size_bytes, cfg.l2.ways, cfg.line_size), cfg.rob_size)
 
 
-#: Process-wide registry of already-warmed content keys.  A working set
-#: may be warmed in several calls (one per shard boot, one per prepared
-#: spec), and the registry is what makes each distinct (trace, L1
-#: geometry, L2/ROB segment) warm, and count as warmed, exactly once.
-_WARM_REGISTRY: set = set()
-_WARM_LOCK = threading.Lock()
-
-
-def reset_warm_registry() -> None:
-    """Forget every recorded warm (tests; cache-eviction escape hatch)."""
-    with _WARM_LOCK:
-        _WARM_REGISTRY.clear()
-
-
-def _input_keys(spec: JobSpec) -> "list[tuple]":
-    """The registry keys of what ``spec.build_inputs()`` builds."""
-    if not spec._builds_inputs():
-        return []
-    trace_key = (spec.workload, spec.records, spec.seed, spec.scale)
-    plane_key = trace_key + spec.l1_geometry_keys()
-    keys = [("trace",) + trace_key, ("plane",) + plane_key]
-    if spec.takes_kernel():
-        keys.append(("segment",) + plane_key + spec.segment_geometry_key())
-    return keys
-
-
 def warm_trace_cache(
     specs: Sequence[JobSpec], bus: "Optional[EventBus]" = None
 ) -> None:
@@ -268,23 +240,26 @@ def warm_trace_cache(
     builds those traces, filter planes and epoch segments before
     reporting ready, so its first real request is answered from warm
     state instead of paying the build under traffic.  Each spec runs
-    :meth:`JobSpec.build_inputs` unless the process-wide
-    :data:`_WARM_REGISTRY` already holds all of its keys.  Emits one
-    :class:`~repro.obs.events.TraceCacheWarmed` event per call that did
-    new work.  Sweeps do not call this: each attempt builds its own
-    job's inputs.
+    :meth:`JobSpec.build_inputs`, and the call counts what that added to
+    the in-process memos: a trace-memo miss, and a filter plane or epoch
+    segmentation the memos did not hold before.  Emits one
+    :class:`~repro.obs.events.TraceCacheWarmed` event per call that
+    added anything.  Sweeps do not call this: each attempt builds its
+    own job's inputs.
     """
     built = {"trace": 0, "plane": 0, "segment": 0}
     for spec in specs:
-        with _WARM_LOCK:
-            new = [key for key in _input_keys(spec) if key not in _WARM_REGISTRY]
-        if not new:
+        if not spec._builds_inputs():
             continue
+        misses = _cached_commercial.cache_info().misses
+        trace = spec.build_trace()
+        built["trace"] += _cached_commercial.cache_info().misses - misses
+        plane = trace._plane_cache.get(spec.l1_geometry_keys())
+        built["plane"] += plane is None
+        built["segment"] += spec.takes_kernel() and (
+            plane is None or spec.segment_geometry_key() not in plane._segment_cache
+        )
         spec.build_inputs()
-        with _WARM_LOCK:
-            _WARM_REGISTRY.update(new)
-        for key in new:
-            built[key[0]] += 1
     if any(built.values()):
         from ..obs.bus import peek_global_bus
         from ..obs.events import TraceCacheWarmed

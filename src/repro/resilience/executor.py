@@ -3,25 +3,38 @@
 :func:`execute` is the single engine behind ``run_jobs`` and both sweep
 runners.  It keeps the contract that made the old primitive trustworthy —
 results in input order, bit-identical between sequential and parallel
-execution — and layers the failure handling an overnight sweep needs:
+execution — and layers the failure handling an overnight sweep needs.
 
-* **bounded retry** with exponential backoff for failing attempts;
-* **per-job timeouts** in pool mode (the pool is killed and rebuilt —
-  a ``ProcessPoolExecutor`` cannot cancel a running task — and the
-  survivor jobs are requeued without spending an attempt);
-* **``BrokenProcessPool`` recovery**: when a worker dies, the jobs that
-  were in flight replay in-process (each spending one attempt) and the
-  pool is rebuilt for the remaining queue; a casualty with no attempt
-  left raises :class:`~repro.resilience.faults.WorkerCrashError`, the
+One call is one :class:`_Batch`, the ledger of its result slots and
+attempt counts.  ``execute`` only picks the transport, in-process
+(:meth:`_Batch.run_inline`) or a process pool (:meth:`_Batch.run_pooled`),
+and every attempt of either follows the ledger's one rule:
+
+* **bounded retry**: an attempt that raises, overruns the timeout or
+  loses its worker spends one of the job's ``retries + 1`` attempts, is
+  logged, announced as ``JobRetried`` and retried after an exponential
+  backoff; once no attempt is left the job fails for good (its error is
+  raised, or kept in its slot with ``return_exceptions``);
+* **per-job timeouts**: in pool mode the overdue job is killed with its
+  pool (a ``ProcessPoolExecutor`` cannot cancel a running task) and
+  fails with ``TimeoutError`` once no attempt is left, while the
+  bystanders are requeued without spending an attempt; in-process an
+  overrun is only detected after the fact, and the late result is kept
+  once no attempt is left;
+* **``BrokenProcessPool`` recovery**: when a worker dies, each job that
+  was in flight spends one attempt and replays in-process, and the pool
+  is rebuilt for the rest of the queue; a casualty with no attempt left
+  fails with :class:`~repro.resilience.faults.WorkerCrashError`, the
   same error an in-process crash raises;
 * **checkpoint resume**: with ``policy.checkpoint_dir`` set, each job is
   looked up there by its identity before it runs and its result is
   stored there as it settles (the result cache's entry format, see
   :mod:`repro.resilience.checkpoint`), so a re-run loads completed jobs
   from disk instead of re-simulating;
-* **observable degradation**: the legacy silent fall-backs (unpicklable
-  specs, a pool that cannot start) now log a warning *and* publish an
-  :class:`~repro.obs.events.ExecutionDegraded` event with the cause.
+* **observable degradation**: specs that do not pickle, or a pool that
+  cannot be leased (at the start or after a kill), send the rest of the
+  batch in-process with a warning *and* an
+  :class:`~repro.obs.events.ExecutionDegraded` event naming the cause.
 
 Every decision is announced on the event bus (``JobRetried``,
 ``JobTimedOut``, ``WorkerCrashed``, ``JobResumed``, ``ExecutionDegraded``)
@@ -43,7 +56,8 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus, peek_global_bus
@@ -85,9 +99,6 @@ def _emit(bus: Optional[EventBus], event: Event) -> None:
 #: snapshot or ``None``).  Everything is picklable, so the same triple
 #: crosses the pool boundary and the in-process fast path.
 _AttemptOutcome = Tuple[SimulationResult, tuple, Optional[dict]]
-
-#: Stores one settled result by its batch index (checkpointed runs).
-_Record = Callable[[int, SimulationResult], object]
 
 #: One batch slot: a result, or the error a job failed with for good.
 _Outcome = Union[SimulationResult, Exception]
@@ -195,10 +206,17 @@ class PersistentPool:
             return 0
 
     def invalidate(self) -> None:
-        """Kill the current pool; the next :meth:`lease` starts fresh."""
-        if self._pool is not None:
-            _kill_pool(self._pool)
-            self._pool = None
+        """Kill the current pool without waiting for its (possibly hung)
+        workers; the next :meth:`lease` starts fresh."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        try:
+            for proc in list(getattr(pool, "_processes", {}).values()):
+                proc.terminate()
+        except Exception:  # pragma: no cover - interpreter-internal layout
+            pass
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
         """Tear the pool down for good (service shutdown)."""
@@ -247,463 +265,302 @@ def execute(
     specs = list(specs)
     if not specs:
         return []
-    collect = telemetry is not None and telemetry.collects_metrics
     recorder = telemetry.recorder if telemetry is not None else None
-    exec_span = None
-    ctx = trace
+    span: "contextlib.AbstractContextManager" = contextlib.nullcontext()
     if recorder is not None and trace is not None:
-        exec_span = recorder.span("execute", parent=trace, jobs=len(specs))
-        exec_span.__enter__()
-        ctx = exec_span.context
-    ctx_wire = ctx.to_wire() if ctx is not None else None
-    faults = policy.faults()
-
-    results: "List[Optional[_Outcome]]" = [None] * len(specs)
-    record: Optional[_Record] = None
-    if policy.checkpoint_dir:
-        record = _resume(specs, policy.checkpoint_dir, results, bus)
-
-    try:
-        pending = [i for i, r in enumerate(results) if r is None]
-        if pending:
-            n_workers = min(policy.resolved_jobs(), len(pending))
-            if (
-                n_workers > 1
-                and (os.cpu_count() or 1) <= 1
-                and os.environ.get("REPRO_FORCE_POOL") != "1"
-            ):
-                log.info(
-                    "single-core machine: running %d job(s) in-process",
-                    len(pending),
-                )
+        span = recorder.span("execute", parent=trace, jobs=len(specs))
+    with span as exec_span:
+        ctx = exec_span.context if exec_span is not None else trace
+        batch = _Batch(specs, policy, bus, telemetry, ctx, return_exceptions)
+        pending = [i for i, result in enumerate(batch.results) if result is None]
+        n_workers = min(policy.resolved_jobs(), len(pending))
+        if (
+            n_workers > 1
+            and (os.cpu_count() or 1) <= 1
+            and os.environ.get("REPRO_FORCE_POOL") != "1"
+        ):
+            log.info("single-core machine: running %d job(s) in-process", len(pending))
+            n_workers = 1
+        if n_workers > 1:
+            try:
+                pickle.dumps([specs[i] for i in pending])
+            except Exception as exc:
+                log.warning("job specs not picklable (%s); running in-process", exc)
+                _emit(bus, ExecutionDegraded(reason="unpicklable", cause=str(exc)))
                 n_workers = 1
-            pooled = False
-            if n_workers > 1:
-                try:
-                    pickle.dumps([specs[i] for i in pending])
-                except Exception as exc:
-                    log.warning(
-                        "job specs not picklable (%s); running in-process", exc
-                    )
-                    _emit(
-                        bus,
-                        ExecutionDegraded(reason="unpicklable", cause=str(exc)),
-                    )
-                else:
-                    with (
-                        PersistentPool(n_workers) if pool is None
-                        else contextlib.nullcontext(pool)
-                    ) as manager:
-                        pooled = _run_pooled(
-                            specs, pending, results, n_workers, policy, faults,
-                            bus, record, return_exceptions, manager,
-                            ctx_wire=ctx_wire, collect=collect,
-                            telemetry=telemetry,
-                        )
-            if not pooled:
-                for i in pending:
-                    if results[i] is None:
-                        results[i] = _run_resilient(
-                            specs[i], i, policy, faults, bus, record,
-                            return_exceptions,
-                            ctx_wire=ctx_wire, collect=collect,
-                            telemetry=telemetry,
-                        )
-    finally:
-        if exec_span is not None:
-            exec_span.__exit__(None)
-    return list(results)  # type: ignore[arg-type]
+        if n_workers > 1:
+            with (
+                PersistentPool(n_workers) if pool is None
+                else contextlib.nullcontext(pool)
+            ) as manager:
+                batch.run_pooled(pending, n_workers, manager)
+        else:
+            for i in pending:
+                batch.run_inline(i)
+    return list(batch.results)  # type: ignore[arg-type]
 
 
-def _resume(
-    specs: "List[JobSpec]",
-    directory: str,
-    results: "List[Optional[_Outcome]]",
-    bus: Optional[EventBus],
-) -> _Record:
-    """Fill ``results`` from the checkpoint entries under ``directory``.
+class _Batch:
+    """The ledger of one :func:`execute` call.
 
-    Returns the callable that stores each newly settled result.  Only a
-    checkpoint needs the versioned identity (a hand-built prefetcher
-    pays a pickle for it).  Equal jobs share one entry.
+    It owns the call's result slots and per-job attempt counts, and the
+    one rule every attempt follows whatever its transport: a result
+    :meth:`settle`\\ s, a failure spends an attempt in :meth:`retry`, and
+    a job with no attempt left :meth:`fail`\\ s.  A pool casualty replays
+    through :meth:`run_inline` on the same counts.
     """
-    paths = [result_path(directory, spec.identity()) for spec in specs]
-    for i, path in enumerate(paths):
-        snapshot = load_result(path)
-        if snapshot is not None:
-            results[i] = SimulationResult.from_snapshot(snapshot)
-            _emit(bus, JobResumed(label=specs[i].label, index=i, key=path.stem))
-    n_resumed = sum(r is not None for r in results)
-    if n_resumed:
-        log.info("resumed %d/%d job(s) from checkpoint %s", n_resumed, len(specs), directory)
 
-    def record(index: int, result: SimulationResult) -> bool:
-        return store_result(paths[index], result.snapshot())
+    def __init__(
+        self,
+        specs: "List[JobSpec]",
+        policy: ExecutionPolicy,
+        bus: Optional[EventBus],
+        telemetry: Optional[TelemetrySink],
+        ctx: Optional[TraceContext],
+        return_exceptions: bool,
+    ) -> None:
+        self.specs = specs
+        self.policy = policy
+        self.bus = bus
+        self.telemetry = telemetry
+        self.return_exceptions = return_exceptions
+        self.faults = policy.faults()
+        self.ctx_wire = ctx.to_wire() if ctx is not None else None
+        self.collect = telemetry is not None and telemetry.collects_metrics
+        self.results: "List[Optional[_Outcome]]" = [None] * len(specs)
+        #: Attempts each job has failed, whichever transport ran them.
+        self.attempts = [0] * len(specs)
+        #: Each job's checkpoint entry (``None``: no checkpoint).
+        self.entries: Optional[List[Path]] = None
+        if policy.checkpoint_dir:
+            self.resume(policy.checkpoint_dir)
 
-    return record
+    def resume(self, directory: str) -> None:
+        """Fill the slots of jobs whose entry is under ``directory``.
 
-
-# ----------------------------------------------------------------------
-# In-process attempts with retry
-# ----------------------------------------------------------------------
-def _run_resilient(
-    spec: "JobSpec",
-    index: int,
-    policy: ExecutionPolicy,
-    faults: FaultSpec,
-    bus: Optional[EventBus],
-    record: Optional[_Record],
-    return_exceptions: bool,
-    failed_attempts: int = 0,
-    ctx_wire: Optional[dict] = None,
-    collect: bool = False,
-    telemetry: Optional[TelemetrySink] = None,
-) -> _Outcome:
-    """Run one job in-process under the retry/timeout budget.
-
-    ``failed_attempts`` pre-charges attempts already spent elsewhere
-    (e.g. in a pool worker that crashed while running this job).  The
-    error of the last attempt is raised, or returned when
-    ``return_exceptions``.
-    """
-    attempts = failed_attempts
-    while True:
-        start = time.monotonic()
-        try:
-            result, spans, snapshot = _attempt(
-                (spec, index, faults, ctx_wire, collect)
+        Only a checkpoint needs the versioned identity (a hand-built
+        prefetcher pays a pickle for it).  Equal jobs share one entry.
+        """
+        self.entries = [result_path(directory, spec.identity()) for spec in self.specs]
+        for i, path in enumerate(self.entries):
+            snapshot = load_result(path)
+            if snapshot is not None:
+                self.results[i] = SimulationResult.from_snapshot(snapshot)
+                _emit(self.bus, JobResumed(label=self.specs[i].label, index=i, key=path.stem))
+        n_resumed = sum(r is not None for r in self.results)
+        if n_resumed:
+            log.info(
+                "resumed %d/%d job(s) from checkpoint %s", n_resumed, len(self.specs), directory
             )
-        except Exception as exc:
-            attempts += 1
-            if attempts > policy.retries:
-                if return_exceptions:
-                    return exc
-                raise
-            log.warning(
-                "job %d (%s) attempt %d failed (%s); retrying",
-                index,
-                spec.label or spec.workload,
-                attempts,
-                exc,
-            )
-            _emit(
-                bus,
-                JobRetried(
-                    label=spec.label, index=index, attempt=attempts, cause=str(exc)
-                ),
-            )
-            time.sleep(policy.backoff_for(attempts))
-            continue
-        elapsed = time.monotonic() - start
-        if policy.timeout_s is not None and elapsed > policy.timeout_s:
-            # A running Python function cannot be preempted safely, so an
-            # in-process overrun is only detected after the fact.
-            _emit(
-                bus,
-                JobTimedOut(
-                    label=spec.label, index=index, timeout_s=policy.timeout_s
-                ),
-            )
-            attempts += 1
-            if attempts > policy.retries:
-                # This attempt *did* produce a result; a late answer beats
-                # no answer once the retry budget is spent.
-                log.warning(
-                    "job %d (%s) exceeded timeout (%.1fs > %.1fs) with no "
-                    "retries left; keeping the late result",
-                    index,
-                    spec.label or spec.workload,
-                    elapsed,
-                    policy.timeout_s,
-                )
-            else:
-                log.warning(
-                    "job %d (%s) exceeded timeout (%.1fs > %.1fs); retrying",
-                    index,
-                    spec.label or spec.workload,
-                    elapsed,
-                    policy.timeout_s,
-                )
-                _emit(
-                    bus,
-                    JobRetried(
-                        label=spec.label,
-                        index=index,
-                        attempt=attempts,
-                        cause="timeout",
-                    ),
-                )
-                time.sleep(policy.backoff_for(attempts))
-                continue
-        if telemetry is not None:
-            # Only the attempt that settles ships telemetry; retried
-            # attempts' spans die with the retry, like pooled casualties.
-            telemetry.absorb(spans, snapshot, label=spec.label or spec.workload)
-        if record is not None:
-            record(index, result)
-        return result
 
+    # ------------------------------------------------------------------
+    # The rule
+    # ------------------------------------------------------------------
+    def _name(self, i: int) -> str:
+        return self.specs[i].label or self.specs[i].workload
 
-# ----------------------------------------------------------------------
-# Pooled execution
-# ----------------------------------------------------------------------
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting for its (possibly hung) workers."""
-    try:
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            proc.terminate()
-    except Exception:  # pragma: no cover - interpreter-internal layout
-        pass
-    pool.shutdown(wait=False, cancel_futures=True)
+    def settle(self, i: int, outcome: _AttemptOutcome) -> None:
+        """Keep job ``i``'s result, absorb its telemetry, checkpoint it.
 
-
-def _run_pooled(
-    specs: "List[JobSpec]",
-    pending: List[int],
-    results: "List[Optional[_Outcome]]",
-    n_workers: int,
-    policy: ExecutionPolicy,
-    faults: FaultSpec,
-    bus: Optional[EventBus],
-    record: Optional[_Record],
-    return_exceptions: bool,
-    manager: PersistentPool,
-    ctx_wire: Optional[dict] = None,
-    collect: bool = False,
-    telemetry: Optional[TelemetrySink] = None,
-) -> bool:
-    """Fan ``pending`` out over a process pool, filling ``results``.
-
-    Returns True when the batch completed under pool management (possibly
-    with in-process replays of crashed jobs); False when the pool could
-    not be started at all — the caller then degrades to in-process
-    execution.  A job error that exhausts the retry budget propagates,
-    or with ``return_exceptions`` settles in the job's slot.
-
-    The pool is leased from ``manager`` and never shut down here; kill
-    paths invalidate the manager so the next lease rebuilds.
-    """
-    queue: "deque[int]" = deque(pending)
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    in_flight: "Dict[Future, Tuple[int, float]]" = {}
-
-    def make_pool() -> Optional[ProcessPoolExecutor]:
-        try:
-            return manager.lease()
-        except (OSError, PermissionError, ValueError) as exc:
-            log.warning("process pool unavailable (%s); running in-process", exc)
-            _emit(
-                bus, ExecutionDegraded(reason="pool_unavailable", cause=str(exc))
-            )
-            return None
-
-    def settle(index: int, outcome: _AttemptOutcome) -> None:
+        Only the attempt that settles ships telemetry; a failed attempt's
+        spans die with it.
+        """
         result, spans, snapshot = outcome
-        results[index] = result
-        if telemetry is not None:
-            telemetry.absorb(
-                spans, snapshot,
-                label=specs[index].label or specs[index].workload,
-            )
-        if record is not None:
-            record(index, result)
+        self.results[i] = result
+        if self.telemetry is not None:
+            self.telemetry.absorb(spans, snapshot, label=self._name(i))
+        if self.entries is not None:
+            store_result(self.entries[i], result.snapshot())
 
-    def fail(index: int, fatal: Exception) -> None:
-        """Settle ``index`` as failed for good: raise ``fatal`` or keep it."""
-        if not return_exceptions:
-            raise fatal
-        results[index] = fatal
+    def fail(self, i: int, exc: Exception) -> None:
+        """Job ``i`` failed for good: raise ``exc``, or keep it in the slot."""
+        if not self.return_exceptions:
+            raise exc
+        self.results[i] = exc
 
-    def charge_failure(index: int, cause: str, fatal: Exception) -> None:
-        """Spend one attempt for ``index``; requeue it or ``fail`` it."""
-        attempts[index] += 1
-        if attempts[index] > policy.retries:
-            fail(index, fatal)
-            return
+    def retry(self, i: int, cause: str) -> bool:
+        """Spend one attempt of job ``i``; False once none is left.
+
+        Otherwise the retry is logged, announced and backed off before
+        the caller runs the next attempt.
+        """
+        self.attempts[i] += 1
+        attempt = self.attempts[i]
+        if attempt > self.policy.retries:
+            return False
         log.warning(
-            "job %d (%s) attempt %d failed (%s); retrying",
-            index,
-            specs[index].label or specs[index].workload,
-            attempts[index],
-            cause,
+            "job %d (%s) attempt %d failed (%s); retrying", i, self._name(i), attempt, cause
         )
         _emit(
-            bus,
-            JobRetried(
-                label=specs[index].label,
-                index=index,
-                attempt=attempts[index],
-                cause=cause,
-            ),
+            self.bus,
+            JobRetried(label=self.specs[i].label, index=i, attempt=attempt, cause=cause),
         )
-        time.sleep(policy.backoff_for(attempts[index]))
-        queue.append(index)
+        time.sleep(self.policy.backoff_for(attempt))
+        return True
 
-    def replay(index: int) -> None:
-        """Finish ``index`` in-process, its spent attempts pre-charged."""
-        results[index] = _run_resilient(
-            specs[index], index, policy, faults, bus, record, return_exceptions,
-            failed_attempts=attempts[index], ctx_wire=ctx_wire,
-            collect=collect, telemetry=telemetry,
+    def timed_out(self, i: int, elapsed: float) -> None:
+        """Announce that an attempt of job ``i`` overran the timeout."""
+        timeout_s = self.policy.timeout_s
+        log.warning(
+            "job %d (%s) exceeded timeout (%.1fs > %.1fs)", i, self._name(i), elapsed, timeout_s
+        )
+        _emit(
+            self.bus,
+            JobTimedOut(label=self.specs[i].label, index=i, timeout_s=timeout_s),
         )
 
-    pool = make_pool()
-    if pool is None:
-        return False
-    while queue or in_flight:
-        if pool is None:
-            pool = make_pool()
-            if pool is None:
-                # Mid-batch restart failed: finish everything
-                # in-process under the same retry budget.
-                queue.extend(index for index, _t0 in in_flight.values())
-                in_flight.clear()
-                while queue:
-                    replay(queue.popleft())
-                return True
-        # Keep at most n_workers jobs in flight so submission time
-        # approximates start time — that is what per-job deadlines
-        # are measured against.
-        while queue and len(in_flight) < n_workers:
-            index = queue.popleft()
+    # ------------------------------------------------------------------
+    # The transports
+    # ------------------------------------------------------------------
+    def _payload(self, i: int) -> tuple:
+        return (self.specs[i], i, self.faults, self.ctx_wire, self.collect)
+
+    def run_inline(self, i: int) -> None:
+        """Run job ``i`` in-process until it settles or fails for good."""
+        timeout_s = self.policy.timeout_s
+        while True:
+            start = time.monotonic()
             try:
-                future = pool.submit(
-                    _attempt, (specs[index], index, faults, ctx_wire, collect)
-                )
-            except BrokenProcessPool:
-                # A worker died since the last wait.  The jobs in
-                # flight carry the breakage to the crash path below;
-                # with none in flight the pool is simply rebuilt.
-                queue.appendleft(index)
-                if not in_flight:
-                    log.warning("process pool broke while idle; rebuilding it")
-                    manager.invalidate()
-                    pool = None
-                break
-            in_flight[future] = (index, time.monotonic())
-        if not in_flight:
-            continue
-
-        tick = _MAX_TICK_S
-        if policy.timeout_s is not None:
-            now = time.monotonic()
-            nearest = min(
-                t0 + policy.timeout_s - now for _i, t0 in in_flight.values()
-            )
-            tick = max(0.01, min(nearest, _MAX_TICK_S))
-        finished, _running = wait(
-            in_flight.keys(), timeout=tick, return_when=FIRST_COMPLETED
-        )
-
-        broken: Optional[BrokenProcessPool] = None
-        casualties: List[int] = []
-        for future in finished:
-            index, _t0 = in_flight.pop(future)
-            try:
-                settle(index, future.result())
-            except BrokenProcessPool as exc:
-                broken = exc
-                casualties.append(index)
+                outcome = _attempt(self._payload(i))
             except Exception as exc:
-                charge_failure(index, str(exc), fatal=exc)
+                if self.retry(i, str(exc)):
+                    continue
+                self.fail(i, exc)
+                return
+            elapsed = time.monotonic() - start
+            if timeout_s is not None and elapsed > timeout_s:
+                # A running Python function cannot be preempted safely, so
+                # an in-process overrun is only detected after the fact.
+                self.timed_out(i, elapsed)
+                if self.retry(i, "timeout"):
+                    continue
+                # This attempt *did* produce a result; a late answer beats
+                # no answer once no attempt is left.
+                log.warning(
+                    "job %d (%s) has no retries left; keeping the late result",
+                    i, self._name(i),
+                )
+            self.settle(i, outcome)
+            return
 
-        if broken is not None:
-            # A worker died and the executor poisoned every in-flight
-            # future.  Harvest any that genuinely completed, then
-            # replay the casualties in-process (the crashed job is
-            # among them; each replay spends the crash's attempt) and
-            # rebuild the pool for the remaining queue.
-            for future, (index, _t0) in list(in_flight.items()):
+    def run_pooled(
+        self, pending: List[int], n_workers: int, manager: PersistentPool
+    ) -> None:
+        """Fan ``pending`` out over ``manager``'s pool, filling the slots.
+
+        The pool is leased from ``manager`` and never shut down here;
+        kill paths invalidate the manager so the next lease rebuilds.
+        When no pool can be leased, at the start or after a kill, the
+        rest of the queue runs in-process.
+        """
+        queue: "deque[int]" = deque(pending)
+        in_flight: "Dict[Future, Tuple[int, float]]" = {}
+        timeout_s = self.policy.timeout_s
+        pool: Optional[ProcessPoolExecutor] = None
+        while queue or in_flight:
+            if pool is None:  # nothing is in flight
                 try:
-                    settle(index, future.result(timeout=0))
-                except Exception:
-                    casualties.append(index)
-            in_flight.clear()
-            log.warning(
-                "process pool broke (%s); replaying %d in-flight job(s) "
-                "in-process",
-                broken,
-                len(casualties),
-            )
-            _emit(
-                bus,
-                WorkerCrashed(
-                    cause=str(broken), jobs_in_flight=len(casualties)
-                ),
-            )
-            manager.invalidate()
-            pool = None
-            for index in casualties:
-                attempts[index] += 1
-                if attempts[index] > policy.retries:
+                    pool = manager.lease()
+                except (OSError, PermissionError, ValueError) as exc:
+                    log.warning("process pool unavailable (%s); running in-process", exc)
+                    _emit(
+                        self.bus,
+                        ExecutionDegraded(reason="pool_unavailable", cause=str(exc)),
+                    )
+                    for i in queue:
+                        self.run_inline(i)
+                    return
+            # Keep at most n_workers jobs in flight so submission time
+            # approximates start time — that is what per-job deadlines
+            # are measured against.
+            while queue and len(in_flight) < n_workers:
+                try:
+                    future = pool.submit(_attempt, self._payload(queue[0]))
+                except BrokenProcessPool:
+                    # A worker died since the last wait.  The jobs in
+                    # flight carry the breakage to the crash path below;
+                    # with none in flight the pool is simply rebuilt.
+                    if not in_flight:
+                        log.warning("process pool broke while idle; rebuilding it")
+                        manager.invalidate()
+                        pool = None
+                    break
+                in_flight[future] = (queue.popleft(), time.monotonic())
+            if not in_flight:
+                continue
+
+            tick = _MAX_TICK_S
+            if timeout_s is not None:
+                oldest = min(t0 for _i, t0 in in_flight.values())
+                tick = max(0.01, min(oldest + timeout_s - time.monotonic(), _MAX_TICK_S))
+            wait(in_flight, timeout=tick, return_when=FIRST_COMPLETED)
+            now = time.monotonic()
+
+            broken: Optional[BrokenProcessPool] = None
+            casualties: List[int] = []
+            for future, (i, _t0) in list(in_flight.items()):
+                if not future.done():
+                    continue
+                del in_flight[future]
+                try:
+                    self.settle(i, future.result())
+                except BrokenProcessPool as exc:
+                    broken = exc
+                    casualties.append(i)
+                except Exception as exc:
+                    if self.retry(i, str(exc)):
+                        queue.append(i)
+                    else:
+                        self.fail(i, exc)
+
+            if broken is not None:
+                # A worker died and the executor poisoned every in-flight
+                # future: each casualty (the crashed job among them)
+                # spends an attempt and replays in-process, and the pool
+                # is rebuilt for the rest of the queue.
+                casualties += [i for i, _t0 in in_flight.values()]
+                in_flight.clear()
+                log.warning(
+                    "process pool broke (%s); replaying %d in-flight job(s) in-process",
+                    broken, len(casualties),
+                )
+                _emit(self.bus, WorkerCrashed(cause=str(broken), jobs_in_flight=len(casualties)))
+                manager.invalidate()
+                pool = None
+                for i in casualties:
+                    if self.retry(i, "worker crash"):
+                        self.run_inline(i)
+                        continue
                     lost = WorkerCrashError(
-                        f"job {specs[index].label or index} lost its worker "
+                        f"job {self.specs[i].label or i} lost its worker "
                         f"with no retries left ({broken})"
                     )
                     lost.__cause__ = broken
-                    fail(index, lost)
-                    continue
-                _emit(
-                    bus,
-                    JobRetried(
-                        label=specs[index].label,
-                        index=index,
-                        attempt=attempts[index],
-                        cause="worker crash",
-                    ),
-                )
-                replay(index)
-            continue
+                    self.fail(i, lost)
+                continue
 
-        if policy.timeout_s is not None and in_flight:
-            now = time.monotonic()
-            overdue = [
-                (future, index)
-                for future, (index, t0) in in_flight.items()
-                if now - t0 > policy.timeout_s and not future.done()
-            ]
+            if timeout_s is None:
+                continue
+            overdue = [(i, now - t0) for i, t0 in in_flight.values() if now - t0 > timeout_s]
             if overdue:
-                # A ProcessPoolExecutor cannot cancel a running task,
-                # so the whole pool goes: settle what finished in the
-                # meantime, charge the overdue jobs one attempt,
-                # requeue the innocent bystanders for free.
-                for future, (index, _t0) in list(in_flight.items()):
-                    if future.done():
-                        del in_flight[future]
-                        try:
-                            settle(index, future.result())
-                        except Exception as exc:
-                            charge_failure(index, str(exc), fatal=exc)
-                for future, index in overdue:
-                    if future not in in_flight:
-                        continue
-                    del in_flight[future]
-                    log.warning(
-                        "job %d (%s) exceeded timeout %.1fs; killing its "
-                        "pool",
-                        index,
-                        specs[index].label or specs[index].workload,
-                        policy.timeout_s,
-                    )
-                    _emit(
-                        bus,
-                        JobTimedOut(
-                            label=specs[index].label,
-                            index=index,
-                            timeout_s=policy.timeout_s,
-                        ),
-                    )
-                    charge_failure(
-                        index,
-                        "timeout",
-                        fatal=TimeoutError(
-                            f"job {index} ({specs[index].label}) exceeded "
-                            f"{policy.timeout_s}s after "
-                            f"{attempts[index] + 1} attempt(s)"
-                        ),
-                    )
-                queue.extend(index for index, _t0 in in_flight.values())
+                # A ProcessPoolExecutor cannot cancel a running task, so
+                # the whole pool goes: each overdue job spends an attempt
+                # and the innocent bystanders are requeued for free.
+                bystanders = [i for i, t0 in in_flight.values() if now - t0 <= timeout_s]
+                log.warning(
+                    "killing the pool: %d job(s) overdue, %d requeued",
+                    len(overdue), len(bystanders),
+                )
                 in_flight.clear()
                 manager.invalidate()
                 pool = None
-    return True
+                for i, elapsed in overdue:
+                    self.timed_out(i, elapsed)
+                    if self.retry(i, "timeout"):
+                        queue.append(i)
+                    else:
+                        self.fail(i, TimeoutError(
+                            f"job {i} ({self.specs[i].label}) exceeded {timeout_s}s "
+                            f"after {self.attempts[i]} attempt(s)"
+                        ))
+                queue.extend(bystanders)

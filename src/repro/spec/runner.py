@@ -152,9 +152,9 @@ def run_spec(
     ``policy`` overrides the spec's ``[execution]`` block wholesale when
     given (the CLI builds it by merging explicit flags over the block);
     otherwise the block's values apply.  Execution goes through
-    :func:`repro.parallel.run_jobs` — pool management, retries,
-    checkpointing and the cross-call trace-warm registry — so results
-    are bit-identical at any worker count.
+    :func:`repro.parallel.run_jobs` — pool management, retries and
+    checkpointing, with each attempt building its own job's inputs — so
+    results are bit-identical at any worker count.
     """
     plan = expand(spec)
     if policy is None:

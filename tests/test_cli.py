@@ -62,6 +62,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 1" in out and "database" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--timeout", "0"],
+            ["--timeout", "-5"],
+            ["--retries", "-1"],
+            ["--backoff", "-1"],
+        ],
+        ids=["timeout_zero", "timeout_negative", "retries_negative", "backoff_negative"],
+    )
+    def test_bad_execution_policy_flags_are_usage_errors(self, flags, capsys):
+        """A policy the executor would refuse is refused by the parser."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "tpcw", "none", "--records", "2000", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
 
 class TestTraceCommand:
     def test_trace_produces_valid_outputs(self, tmp_path, capsys):
@@ -187,6 +204,12 @@ class TestServeCallParser:
     def test_call_admin_flags_are_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["call", "--ping", "--stats"])
+
+    def test_call_timeout_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["call", "--ping", "--timeout", "0"])
+        assert exc.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
 
     def test_call_refused_connection_reports_error(self, capsys):
         # Port 1 is never listening; the client should fail cleanly.

@@ -281,6 +281,27 @@ class TestTimeout:
         [result] = execute([_spec()], policy)
         assert result.stats.to_dict() == clean.stats.to_dict()
 
+    def test_pooled_overrun_is_retried(self, monkeypatch, tmp_path):
+        """In a pool the hung job is killed and retried under the same
+        rule as in-process; its bystander spends no attempt."""
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        specs = [_spec("alpha"), _spec("bravo", None)]
+        clean = [s.run() for s in specs]
+        bus = EventBus()
+        timed_out = _collect(bus, JobTimedOut)
+        retried = _collect(bus, JobRetried)
+        policy = ExecutionPolicy(
+            jobs=2,
+            timeout_s=5,
+            retries=1,
+            backoff_s=0.0,
+            fault_spec=FaultSpec(hang="alpha:1:60", state_dir=str(tmp_path)),
+        )
+        results = execute(specs, policy, bus=bus)
+        assert [r.snapshot() for r in results] == [c.snapshot() for c in clean]
+        assert [(e.label, e.index, e.timeout_s) for e in timed_out] == [("alpha", 0, 5)]
+        assert [(e.label, e.attempt, e.cause) for e in retried] == [("alpha", 1, "timeout")]
+
 
 class TestCheckpoint:
     def test_interrupted_batch_resumes_bit_identically(self, tmp_path):
@@ -542,6 +563,35 @@ class TestPoolRecovery:
         )
         assert [r.snapshot() for r in results] == [clean.snapshot()] * 3
         assert len(submits) == 4
+
+    def test_pool_lost_after_a_crash_finishes_in_process(self, monkeypatch, tmp_path):
+        """A crash kills the pool and no new one can be leased: the
+        casualties replay and the rest of the queue runs in-process."""
+        monkeypatch.setenv("REPRO_FORCE_POOL", "1")
+        builds = []
+
+        class LeasedOnce(executor_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                builds.append(True)
+                if len(builds) > 1:
+                    raise OSError("no second pool")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", LeasedOnce)
+        labels = ("alpha", "bravo", "charlie", "delta")
+        clean = _spec("alpha", None).run()
+        bus = EventBus()
+        seen = _collect(bus, WorkerCrashed, ExecutionDegraded)
+        policy = ExecutionPolicy(
+            jobs=2,
+            backoff_s=0.0,
+            fault_spec=FaultSpec(crash="alpha:1", state_dir=str(tmp_path)),
+        )
+        results = execute([_spec(label, None) for label in labels], policy, bus=bus)
+        assert [r.snapshot() for r in results] == [clean.snapshot()] * 4
+        assert [type(event) for event in seen] == [WorkerCrashed, ExecutionDegraded]
+        assert seen[1].reason == "pool_unavailable"
+        assert "no second pool" in seen[1].cause
 
 
 class TestPolicyThreadsThroughTheStack:

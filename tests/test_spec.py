@@ -23,7 +23,7 @@ from repro.engine.config import ProcessorConfig
 from repro.engine.filter_plane import get_filter_plane
 from repro.obs import EventBus
 from repro.obs.events import TraceCacheWarmed
-from repro.parallel.jobs import JobSpec, reset_warm_registry, warm_trace_cache
+from repro.parallel.jobs import JobSpec, warm_trace_cache
 from repro.resilience.policy import ExecutionPolicy
 from repro.service import BackgroundService, ServiceConfig, ShardedService
 from repro.spec import (
@@ -38,6 +38,7 @@ from repro.spec import (
     run_spec,
     submit_spec,
 )
+from repro.workloads.registry import _cached_commercial
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 POLICY = ExecutionPolicy(jobs=1)
@@ -229,36 +230,43 @@ class TestWarmRegistry:
     def test_sweep_warms_each_geometry_once(self, monkeypatch):
         """Across warm_trace_cache calls, a distinct trace warms exactly once."""
         monkeypatch.delenv("REPRO_KERNEL", raising=False)  # segments counted too
-        reset_warm_registry()
-        try:
-            bus = EventBus()
-            warmed = []
-            bus.subscribe(TraceCacheWarmed, warmed.append)
-            # A commercial trace: synthetic ones are not memoised, so
-            # nothing builds them ahead of their run.
-            spec = spec_of(workloads=["tpcw"])
-            warm_trace_cache(expand(spec).jobs, bus=bus)
-            # The baseline and the candidate share one trace, plane and
-            # segment geometry.
-            assert [(e.traces, e.planes, e.segments) for e in warmed] == [(1, 1, 1)]
-            warmed.clear()
-            # Second warm of the same grid: everything already registered.
-            warm_trace_cache(expand(spec).jobs, bus=bus)
-            assert warmed == []
-        finally:
-            reset_warm_registry()
+        _cached_commercial.cache_clear()
+        bus = EventBus()
+        warmed = []
+        bus.subscribe(TraceCacheWarmed, warmed.append)
+        # A commercial trace: synthetic ones are not memoised, so
+        # nothing builds them ahead of their run.
+        spec = spec_of(workloads=["tpcw"])
+        warm_trace_cache(expand(spec).jobs, bus=bus)
+        # The baseline and the candidate share one trace, plane and
+        # segment geometry.
+        assert [(e.traces, e.planes, e.segments) for e in warmed] == [(1, 1, 1)]
+        warmed.clear()
+        # Second warm of the same grid: the memos already hold everything.
+        warm_trace_cache(expand(spec).jobs, bus=bus)
+        assert warmed == []
+
+    def test_rewarm_after_the_memo_is_cleared_builds_again(self, monkeypatch):
+        """What a warm counts is what the memos hold, not what was once warmed."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        _cached_commercial.cache_clear()
+        bus = EventBus()
+        warmed = []
+        bus.subscribe(TraceCacheWarmed, warmed.append)
+        jobs = expand(spec_of(workloads=["tpcw"])).jobs
+        warm_trace_cache(jobs, bus=bus)
+        _cached_commercial.cache_clear()
+        warm_trace_cache(jobs, bus=bus)
+        assert [(e.traces, e.planes, e.segments) for e in warmed] == [(1, 1, 1)] * 2
+        assert _cached_commercial.cache_info().currsize == 1
 
     def test_warm_builds_segments_for_a_spec_with_no_prefetcher(self, monkeypatch):
         """A prewarmed no-prefetch spec has its kernel's epoch segments."""
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        reset_warm_registry()
-        try:
-            job = JobSpec("tpcw", RECORDS, 4242, ProcessorConfig.scaled())
-            warm_trace_cache([job])
-            plane = get_filter_plane(job.build_trace(), *job.l1_geometry_keys())
-            assert job.segment_geometry_key() in plane._segment_cache
-        finally:
-            reset_warm_registry()
+        job = JobSpec("tpcw", RECORDS, 4242, ProcessorConfig.scaled())
+        warm_trace_cache([job])
+        plane = get_filter_plane(job.build_trace(), *job.l1_geometry_keys())
+        assert job.segment_geometry_key() in plane._segment_cache
 
 
 def service_spec() -> SweepSpec:

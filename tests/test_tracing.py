@@ -188,6 +188,16 @@ class TestExecutorPropagation:
         assert all(s["pid"] != os.getpid() for s in job_spans)
         assert all(s["process"] == "worker" for s in job_spans)
 
+    def test_escaping_error_is_recorded_on_the_execute_span(self):
+        recorder = SpanRecorder("parent")
+        sink = TelemetrySink(recorder=recorder)
+        bad = _spec(1)
+        bad.workload = "no-such-workload"
+        with pytest.raises(KeyError):
+            execute([bad], POLICY.replace(retries=0), trace=TraceContext.new(), telemetry=sink)
+        [exec_span] = [s for s in recorder.spans if s["name"] == "execute"]
+        assert exec_span["args"]["error"] == "KeyError"
+
     def test_worker_metrics_merge_per_label(self):
         sink = TelemetrySink(registry=MetricsRegistry())
         execute([_spec(1, "ebcp"), _spec(2, "none")], POLICY, telemetry=sink)
