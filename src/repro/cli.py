@@ -263,6 +263,14 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: a count that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _non_negative(kind: type) -> Callable[[str], float]:
     """argparse type: a ``kind`` value that must not be negative."""
 
@@ -874,12 +882,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 = ephemeral; default: 7421)")
     p_srv.add_argument(
-        "--queue-size", type=int, default=64, metavar="N",
+        "--queue-size", type=_positive_int, default=64, metavar="N",
         help="request-queue capacity; a full queue answers queue_full "
         "instead of buffering (default: 64)",
     )
     p_srv.add_argument(
-        "--max-batch", type=int, default=8, metavar="N",
+        "--max-batch", type=_positive_int, default=8, metavar="N",
         help="most simulate requests dispatched as one executor batch "
         "(default: 8)",
     )

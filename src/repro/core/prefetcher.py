@@ -90,10 +90,10 @@ class EpochBasedCorrelationPrefetcher(Prefetcher):
 
     name = "ebcp"
     targets_instructions = True
-    #: The epoch-batched execution kernel (``engine/ebcp_kernel.py``) can
-    #: replay this prefetcher's exact semantics from a precomputed epoch
-    #: segmentation.  Subclasses that override the observe hooks must
-    #: clear this flag (the kernel additionally refuses subclasses).
+    #: The epoch-batched execution kernel (``engine/ebcp_kernel.py``)
+    #: replays this prefetcher's exact semantics inline, with its training
+    #: views precomputed from the epoch segmentation.  The replay is exact
+    #: for this class only: the kernel refuses subclasses.
     supports_epoch_batch = True
 
     def __init__(self, config: EBCPConfig | None = None) -> None:

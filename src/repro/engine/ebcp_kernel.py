@@ -1,5 +1,5 @@
 """Epoch-batched execution kernel for the no-prefetch baseline, EBCP and
-its variants.
+every other scheme that sets ``supports_epoch_batch``.
 
 The scalar simulator spends most of a run re-deriving facts that are
 pure functions of the trace and the cache geometry: the L2 outcome of
@@ -28,11 +28,25 @@ by kernel-vs-scalar identity tests across every workload family.
 With no prefetcher the walk leaves out the table, buffer and traffic
 work and keeps epochs, MSHRs, bandwidth and the interval triggers.
 
+Any other flagged scheme (GHB, Solihin, TCP, stream, SMS) runs its own
+``observe_access``, ``observe_offchip_miss`` and ``observe_prefetch_hit``
+at the sites where ``_step_miss`` calls them, in the same order, and its
+requests go through the same buffer shadow, pending transfers and
+epoch-close budget code as EBCP's candidates.  This is sound because the
+:class:`~repro.prefetchers.base.Prefetcher` contract has such hooks read
+only their arguments and their own state, and every scheme stages its
+prefetches in the prefetch buffer, never in the L2: L2 contents, victims
+and interval triggers stay the ones the segment plane precomputed.  A
+scheme that overrides ``observe_access`` sees every L1 miss, so its walk
+also visits the plane's L2 hits (:meth:`EpochSegmentPlane.hook_columns`).
+
 At the end of the run the simulator's objects (L2 contents, prefetch
 buffer, MSHRs, EMAB, epoch tracker, correlation-table stats, bus stats,
 pending transfers) are restored to exactly the state the scalar walk
 would have left, so ``_finish_run`` — and any later scalar run on the
-same simulator — behaves identically.
+same simulator — behaves identically.  A hooked scheme's own state, its
+issued-request count and its traffic meter are live throughout, so only
+the buffer and the pending transfers are restored for it.
 
 Run-fed metrics (``EpochSimulator(metrics=...)``) are reported from the
 kernel's locals at the same points the scalar walk reports them: each
@@ -48,11 +62,14 @@ observability event.
 from __future__ import annotations
 
 import logging
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..core.correlation_table import _HASH_MASK, _HASH_MULT
+from ..core.prefetcher import EpochBasedCorrelationPrefetcher
 from ..memory.prefetch_buffer import BufferEntry
-from ..memory.request import AccessKind, PrefetchRequest, Priority
+from ..memory.request import Access, AccessKind, PrefetchRequest, Priority
+from ..prefetchers.base import Prefetcher
 from .epoch import Epoch
 from .filter_plane import get_epoch_segments, get_filter_plane, kernel_enabled
 
@@ -70,30 +87,33 @@ def kernel_fallback_cause(sim: "EpochSimulator") -> Optional[str]:
     """Why the epoch-batched kernel cannot run this simulation.
 
     Returns ``None`` when the kernel is usable.  The checks mirror the
-    kernel's assumptions: it replays no prefetcher or EBCP's exact
-    semantics (only the unmodified class qualifies), it emits no events
-    (an attached bus wants every one, so ``bus_attached``; run-fed
-    metrics need no bus and keep the kernel), and it precomputes the
-    epoch segmentation from a cold start (a warm simulator takes the
-    scalar path).
+    kernel's assumptions: the scheme sets ``supports_epoch_batch`` and
+    keeps ``on_epoch_boundary`` a no-op, the kernel never calls it
+    (``unsupported_prefetcher``); EBCP's inlined replay is exact for the
+    unmodified class only (``subclassed_prefetcher``); the kernel emits
+    no events (an attached bus wants every one, so ``bus_attached``;
+    run-fed metrics need no bus and keep the kernel); and it precomputes
+    the epoch segmentation, and EBCP's training views, from a cold start
+    (a warm simulator takes the scalar path).
     """
-    from ..core.prefetcher import EpochBasedCorrelationPrefetcher
-
     prefetcher = sim.prefetcher
+    ebcp = None
     if prefetcher is not None:
-        if not getattr(prefetcher, "supports_epoch_batch", False):
+        if not prefetcher.supports_epoch_batch:
             return "unsupported_prefetcher"
-        if type(prefetcher) is not EpochBasedCorrelationPrefetcher:
-            return "subclassed_prefetcher"
+        if isinstance(prefetcher, EpochBasedCorrelationPrefetcher):
+            if type(prefetcher) is not EpochBasedCorrelationPrefetcher:
+                return "subclassed_prefetcher"
+            ebcp = prefetcher
+        elif type(prefetcher).on_epoch_boundary is not Prefetcher.on_epoch_boundary:
+            return "unsupported_prefetcher"
     if not kernel_enabled():
         return "disabled"
     if sim.bus is not None:
         return "bus_attached"
-    if sim._wants_access_stream:
-        return "access_stream"
-    if prefetcher is not None and not prefetcher.is_active:
+    if ebcp is not None and not ebcp.is_active:
         return "prefetcher_inactive"
-    emab = prefetcher.emab if prefetcher is not None else None
+    emab = ebcp.emab if ebcp is not None else None
     if (
         sim.tracker.open_epoch is not None
         or sim.tracker.epoch_count != 0
@@ -117,7 +137,8 @@ def run_epoch_batched(
     """Run the trace through the epoch-batched kernel.
 
     The caller (``EpochSimulator.run``) has validated the preconditions
-    via :func:`kernel_fallback_cause`.
+    via :func:`kernel_fallback_cause`.  The stock EBCP class takes the
+    inlined table walk; any other scheme runs its own hooks.
     """
     hierarchy = sim.hierarchy
     prefetcher = sim.prefetcher
@@ -125,21 +146,38 @@ def run_epoch_batched(
         trace, hierarchy.l1i.geometry_key(), hierarchy.l1d.geometry_key()
     )
     seg = get_epoch_segments(trace, plane, hierarchy.l2.geometry_key(), sim._rob_size)
-    (
-        w_kinds,
-        w_pcs,
-        w_serials,
-        w_insts,
-        w_lines,
-        w_victims,
-        w_vdirty,
-        w_triggers,
-    ) = seg.walk_columns(trace, plane)
+    ebcp = type(prefetcher) is EpochBasedCorrelationPrefetcher
+    hooked = prefetcher is not None and not ebcp
+    # A hooked scheme's overridden hooks; the base no-ops are never called.
+    access_hook = miss_hook = hit_hook = None
+    observes_stores = False
+    if hooked:
+        scheme = type(prefetcher)
+        if scheme.observe_access is not Prefetcher.observe_access:
+            access_hook = prefetcher.observe_access
+        if scheme.observe_offchip_miss is not Prefetcher.observe_offchip_miss:
+            miss_hook = prefetcher.observe_offchip_miss
+        if scheme.observe_prefetch_hit is not Prefetcher.observe_prefetch_hit:
+            hit_hook = prefetcher.observe_prefetch_hit
+        observes_stores = prefetcher.observes_stores and miss_hook is not None
+        line_shift = hierarchy.line_shift
+        store_kind = AccessKind.STORE
+        traffic_drain = prefetcher.traffic.drain
 
     n_misses = plane.n_misses
     n_walk = seg.n_walk
     split = plane.miss_count_before(warmup_records)
-    wsplit = seg.walk_count_before(split)
+    boundary = seg.walk_count_before(split)
+    if hooked:
+        # A scheme that observes every L2 access walks the L2 hits too,
+        # and its warm-up boundary is an L1-miss index.
+        columns, h_addrs, h_tids, l2_hits = seg.hook_columns(
+            trace, plane, access_hook is not None
+        )
+        if access_hook is not None:
+            boundary = split
+    else:
+        columns = seg.walk_columns(trace, plane)
     inst_prefix = plane.inst_prefix
     total_inst = int(inst_prefix[n])
     measure_start_inst = int(inst_prefix[warmup_records])
@@ -204,7 +242,8 @@ def run_epoch_batched(
     bstamp = buffer._stamp
     b_fills = b_hits = b_late = b_evictions = b_evicted_unused = b_drops = 0
 
-    # Pending bus transfers as (issue_epoch, line, table_index) tuples.
+    # Pending bus transfers as (issue_epoch, line, table_index, request)
+    # tuples; the request is a hooked scheme's own, None for EBCP.
     pending: list = []
     pending_append = pending.append
 
@@ -237,15 +276,18 @@ def run_epoch_batched(
     iU = int(Priority.TABLE_UPDATE)
     iW = int(Priority.LRU_WRITEBACK)
 
-    # With no prefetcher there are no training views and no table, and
-    # the table traffic stays zero.
+    # Only EBCP has training views and an inlined table; otherwise these
+    # stay zero (a hooked scheme's own traffic meter is drained live).
     n_lookups = n_lookup_hits = n_touches = 0
     tm_lookup_r = tm_update_r = tm_update_w = tm_lru_w = 0
     tm_total_r = tm_total_w = 0
     tm_reads = tm_writes = 0
     n_issued = n_suppressed = 0
     emab_occupancy = None
-    if prefetcher is not None:
+    # A hooked scheme's requests for the current record (empty otherwise).
+    reqs: list = []
+    l2_hit = False
+    if ebcp:
         cfg = prefetcher.config
         emab_key = (cfg.skip_epochs, cfg.stored_epochs, cfg.emab_capacity_per_epoch)
         views, view_entries, emab_overflow = seg.training_views(trace, plane, *emab_key)
@@ -295,11 +337,8 @@ def run_epoch_batched(
     s_table_w = 0
     term_merged: dict = {}
 
-    walk_iter = zip(
-        w_kinds, w_pcs, w_serials, w_insts, w_lines, w_victims, w_vdirty, w_triggers
-    )
-    for i, (kc, pc, serial, inst, line, victim, vdirty, trig) in enumerate(walk_iter):
-        if i == wsplit and not measuring and warmup_records < n:
+    for i, (kc, pc, serial, inst, line, victim, vdirty, trig) in enumerate(zip(*columns)):
+        if i == boundary and not measuring and warmup_records < n:
             # Warm-up / measurement boundary: the scalar path swaps in
             # fresh stats objects; here the locals reset instead.
             sim._begin_measurement()
@@ -340,10 +379,20 @@ def run_epoch_batched(
         if ep_open and not joins:
             cycle += mem_lat
 
+        if hooked:
+            # The record's Access, as _step_miss builds it; a scheme that
+            # observes every L2 access sees it before the buffer probe.
+            access = Access(_KIND_OBJS[kc], pc, h_addrs[i], serial, inst, h_tids[i])
+            reqs = []
+            if access_hook is not None:
+                reqs += access_hook(access, line, prospective)
+                l2_hit = l2_hits[i]
+
         # Prefetch-buffer probe (PrefetchBuffer.lookup, inlined) and the
-        # L2 install, whose outcome the segment plane precomputed.
+        # L2 install, whose outcome the segment plane precomputed.  An L2
+        # hit probes nothing, and its line is resident with no victim.
         bucket = bsets[line & bmask]
-        hit_entry = bucket.get(line)
+        hit_entry = None if l2_hit else bucket.get(line)
         late = False
         if hit_entry is not None:
             if hit_entry[0] <= cycle:
@@ -360,6 +409,10 @@ def run_epoch_batched(
             res_discard(victim)
             if vdirty:
                 store_write += line_bytes
+                if observes_stores:
+                    # A memory-side scheme sees the dirty writeback.
+                    wb_access = Access(store_kind, 0, victim << line_shift, inst_index=inst)
+                    reqs += miss_hook(wb_access, victim, None, False)
 
         cand = None
         if hit_entry is not None:
@@ -367,7 +420,7 @@ def run_epoch_batched(
             ph_counts[kc] += 1
             if kc != 2:
                 if trig:
-                    if boundary_ordinal:
+                    if ebcp and boundary_ordinal:
                         view = views[boundary_ordinal]
                         if view is not None:
                             # The table mutates its dicts in place; only
@@ -387,41 +440,52 @@ def run_epoch_batched(
                     isealed = False
                 if kc == 0:
                     isealed = True
-                # observe_prefetch_hit: the EMAB record is precomputed;
-                # table.touch refreshes the producing entry's LRU stamp.
-                ti = hit_entry[1]
-                if ti is not None:
-                    n_touches += 1
-                    addrs = tbl_addrs.get(ti)
-                    if addrs is not None and line in addrs:
-                        tbl_stamp += 1
-                        addrs[line] = tbl_stamp
+                if hooked:
+                    if hit_hook is not None:
+                        reqs += hit_hook(access, line, hit_entry[1], prospective, trig)
+                else:
+                    # observe_prefetch_hit: the EMAB record is precomputed;
+                    # table.touch refreshes the producing entry's LRU stamp.
+                    ti = hit_entry[1]
+                    if ti is not None:
+                        n_touches += 1
+                        addrs = tbl_addrs.get(ti)
+                        if addrs is not None and line in addrs:
+                            tbl_stamp += 1
+                            addrs[line] = tbl_stamp
+                            if in_memory:
+                                tm_lru_w += entry_bytes
+                                tm_total_w += entry_bytes
+                                tm_writes += 1
+                    if trig:
+                        # _lookup_and_issue: table.lookup(line), inlined.
                         if in_memory:
-                            tm_lru_w += entry_bytes
-                            tm_total_w += entry_bytes
-                            tm_writes += 1
-                if trig:
-                    # _lookup_and_issue: table.lookup(line), inlined.
-                    if in_memory:
-                        tm_lookup_r += entry_bytes
-                        tm_total_r += entry_bytes
-                        tm_reads += 1
-                    n_lookups += 1
-                    ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
-                    if tbl_tags.get(ti) == line:
-                        n_lookup_hits += 1
-                        addrs = tbl_addrs[ti]
-                        cand = sorted(addrs, key=addrs.__getitem__, reverse=True)
+                            tm_lookup_r += entry_bytes
+                            tm_total_r += entry_bytes
+                            tm_reads += 1
+                        n_lookups += 1
+                        ti = ((line * _HASH_MULT) & _HASH_MASK) % tbl_n
+                        if tbl_tags.get(ti) == line:
+                            n_lookup_hits += 1
+                            addrs = tbl_addrs[ti]
+                            cand = sorted(addrs, key=addrs.__getitem__, reverse=True)
+        elif l2_hit:
+            # An L2 hit (only a walk of every L2 access has them): only
+            # the requests observe_access returned register.
+            pass
+        elif kc == 2:
+            # ---------------- genuine store miss ----------------
+            # Weak consistency: stores only consume bandwidth.
+            of_counts[2] += 1
+            if late:
+                s_late += 1
+            store_read += line_bytes
+            store_write += line_bytes
         else:
             # ---------------- genuine off-chip miss ----------------
             of_counts[kc] += 1
             if late:
                 s_late += 1
-            if kc == 2:
-                # Weak consistency: stores only consume bandwidth.
-                store_read += line_bytes
-                store_write += line_bytes
-                continue
             if joins:
                 if line in ms:
                     n_mshr_merge += 1
@@ -462,10 +526,13 @@ def run_epoch_batched(
                         w_by[iD] = w_by.get(iD, 0) + store_write
                         w_used_total += store_write
                         store_write = 0
-                    # TrafficMeter.drain()
-                    lookup_r, update_r = tm_lookup_r, tm_update_r
-                    update_w, lru_w = tm_update_w, tm_lru_w
-                    tm_lookup_r = tm_update_r = tm_update_w = tm_lru_w = 0
+                    if hooked:
+                        lookup_r, update_r, update_w, lru_w = traffic_drain()
+                    else:
+                        # TrafficMeter.drain()
+                        lookup_r, update_r = tm_lookup_r, tm_update_r
+                        update_w, lru_w = tm_update_w, tm_lru_w
+                        tm_lookup_r = tm_update_r = tm_update_w = tm_lru_w = 0
                     if lookup_r:
                         r_used += lookup_r
                         r_by[iL] = r_by.get(iL, 0) + lookup_r
@@ -579,7 +646,7 @@ def run_epoch_batched(
                     n_mshr_alloc += 1
             # _interval_event + observe_offchip_miss (EMAB precomputed).
             if trig:
-                if prefetcher is not None:
+                if ebcp:
                     if boundary_ordinal:
                         view = views[boundary_ordinal]
                         if view is not None:
@@ -613,42 +680,55 @@ def run_epoch_batched(
                 n_suppressed += 1
             if kc == 0:
                 isealed = True
+            if miss_hook is not None:
+                reqs += miss_hook(access, line, None, trig)
 
+        # make_request + _register_requests, inlined against the buffer
+        # shadow.  Every request of a record registers with the same epoch
+        # index: the prospective epoch (== the new epoch's index when one
+        # was just opened).  EBCP's candidates share one table index and
+        # readiness; a hooked scheme's requests carry their own.
         if cand is not None:
-            # make_request + _register_requests, inlined against the
-            # buffer shadow.  Both call sites register with the same epoch
-            # index: the prospective epoch (== the new epoch's index when
-            # one was just opened).
-            for pline in cand[:degree]:
-                n_issued += 1
-                s_generated += 1
-                if pline in resident:
-                    s_redundant += 1
-                    continue
-                rc = cycle + ready_mul
-                b = bsets[pline & bmask]
-                bstamp += 1
-                existing = b.get(pline)
-                if existing is not None:
-                    # Refresh: earliest readiness wins, LRU stamp updates.
-                    if rc < existing[0]:
-                        existing[0] = rc
-                    existing[2] = bstamp
-                else:
-                    if len(b) >= bways:
-                        vmin = -1
-                        vline = -1
-                        for bl, be in b.items():
-                            lu = be[2]
-                            if vmin < 0 or lu < vmin:
-                                vmin = lu
-                                vline = bl
-                        del b[vline]
-                        b_evictions += 1
-                        b_evicted_unused += 1
-                    b[pline] = [rc, ti, bstamp, prospective]
-                    b_fills += 1
-                pending_append((prospective, pline, ti))
+            cand = cand[:degree]
+            n_issued += len(cand)
+            fills = zip(cand, repeat(cycle + ready_mul), repeat(ti), repeat(None))
+        elif reqs:
+            fills = [
+                (req.line_addr, cycle + req.epochs_until_ready * mem_lat, req.table_index, req)
+                for req in reqs
+            ]
+        else:
+            continue
+        for pline, rc, pti, req in fills:
+            s_generated += 1
+            if pline in resident:
+                s_redundant += 1
+                continue
+            b = bsets[pline & bmask]
+            bstamp += 1
+            existing = b.get(pline)
+            if existing is not None:
+                # Refresh: earliest readiness wins, LRU stamp updates.
+                if rc < existing[0]:
+                    existing[0] = rc
+                existing[2] = bstamp
+            else:
+                if len(b) >= bways:
+                    vmin = -1
+                    vline = -1
+                    for bl, be in b.items():
+                        lu = be[2]
+                        if vmin < 0 or lu < vmin:
+                            vmin = lu
+                            vline = bl
+                    del b[vline]
+                    b_evictions += 1
+                    b_evicted_unused += 1
+                b[pline] = [rc, pti, bstamp, prospective]
+                b_fills += 1
+            if req is not None:
+                req.issue_epoch = prospective
+            pending_append((prospective, pline, pti, req))
 
     if not measuring and warmup_records < n:
         # Boundary past the last walk item: reset for the measured region.
@@ -753,9 +833,9 @@ def run_epoch_batched(
     l2.stats.insertions += n_walk
     l2.stats.evictions += seg.n_evictions
 
-    if prefetcher is not None:
-        # Without a prefetcher the table, traffic meter, EMAB, prefetch
-        # buffer and pending transfers were never touched.
+    if ebcp:
+        # A hooked scheme's own state, issued-request count and traffic
+        # meter were live throughout; EBCP's inlined copies sync here.
         prefetcher.issued_requests += n_issued
         prefetcher.lookups_suppressed += n_suppressed
 
@@ -784,6 +864,28 @@ def run_epoch_batched(
                 [list(entry) for entry in tail], emab.overflow_drops + emab_overflow
             )
 
+        # The requests EBCP's candidates stand for.
+        epochs_until_ready = 2 if in_memory else 1
+        pending = [
+            (
+                tie,
+                tline,
+                tindex,
+                PrefetchRequest(
+                    line_addr=tline,
+                    epochs_until_ready=epochs_until_ready,
+                    priority=Priority.PREFETCH,
+                    table_index=tindex,
+                    source=prefetcher.name,
+                    issue_epoch=tie,
+                ),
+            )
+            for tie, tline, tindex, _ in pending
+        ]
+
+    if prefetcher is not None:
+        # Without a prefetcher the prefetch buffer and the pending
+        # transfers were never touched.
         buffer._stamp = bstamp
         bstats = buffer.stats
         bstats.fills += b_fills
@@ -808,22 +910,7 @@ def run_epoch_batched(
 
         from .simulator import _PendingTransfer
 
-        epochs_until_ready = 2 if in_memory else 1
-        sim._pending = [
-            _PendingTransfer(
-                PrefetchRequest(
-                    line_addr=tline,
-                    epochs_until_ready=epochs_until_ready,
-                    priority=Priority.PREFETCH,
-                    table_index=tindex,
-                    source=pf_name,
-                    issue_epoch=tie,
-                ),
-                tie,
-                tline,
-            )
-            for tie, tline, tindex in pending
-        ]
+        sim._pending = [_PendingTransfer(req, tie, tline) for tie, tline, _, req in pending]
 
     tracker = sim.tracker
     tracker.epoch_count = epoch_count

@@ -595,6 +595,35 @@ class EpochSegmentPlane:
             )
         return self._walk_columns
 
+    def hook_columns(self, trace: "Trace", plane: FilterPlane, every_access: bool) -> tuple:
+        """Columns for a kernel walk that runs a scheme's own hooks.
+
+        Returns ``(columns, addr, tid, l2_hit)``: ``columns`` has the
+        shape of :meth:`walk_columns`, and ``addr``/``tid`` complete each
+        record's ``Access``.  With ``every_access`` the walk covers the
+        whole miss stream, L2 hits included, for a scheme that observes
+        every L2 access: ``l2_hit`` marks the hits, whose ``victim`` is −1
+        and ``trigger`` False.  Otherwise it is the walk stream and
+        ``l2_hit`` is None.
+        """
+        if not every_access:
+            idx = plane.miss_indices[self.walk_sel]
+            columns = self.walk_columns(trace, plane)
+            return columns, trace.addr[idx].tolist(), trace.tid[idx].tolist(), None
+        kinds, pcs, addrs, serials, insts, tids, lines = plane.miss_columns(trace)
+        m = self.l2_hit_mask.size
+        victims = np.full(m, -1, dtype=np.int64)
+        victims[self.walk_sel] = self.victims
+        dirty = np.zeros(m, dtype=bool)
+        dirty[self.walk_sel] = self.victim_dirty
+        trigger = np.zeros(m, dtype=bool)
+        trigger[self.walk_sel] = self.trigger
+        columns = (
+            kinds, pcs, serials, insts, lines,
+            victims.tolist(), dirty.tolist(), trigger.tolist(),
+        )
+        return columns, addrs, tids, self.l2_hit_mask.tolist()
+
     def training_views(
         self, trace: "Trace", plane: FilterPlane, skip: int, stored: int, cap: int
     ) -> tuple:

@@ -166,8 +166,9 @@ class EpochSimulator:
         The L1 hit/miss outcome of every record is resolved ahead of time
         from the trace's filter plane (:mod:`repro.engine.filter_plane`),
         so the walk visits only the L1 misses and folds each run of L1
-        hits into O(1) prefix-sum updates.  Runs with no prefetcher or an
-        EBCP-family one take the epoch-batched kernel
+        hits into O(1) prefix-sum updates.  Runs with no prefetcher or a
+        scheme that sets ``supports_epoch_batch`` (EBCP and every other
+        Figure 9 scheme) take the epoch-batched kernel
         (:mod:`repro.engine.ebcp_kernel`) whenever
         :func:`~repro.engine.ebcp_kernel.kernel_fallback_cause` allows it
         and the filter-plane walk otherwise.  Both are bit-identical to
@@ -194,9 +195,7 @@ class EpochSimulator:
         )
         before = self._lifetime_counts() if self.metrics is not None else None
         result = None
-        if self.prefetcher is None or getattr(
-            self.prefetcher, "supports_epoch_batch", False
-        ):
+        if self.prefetcher is None or self.prefetcher.supports_epoch_batch:
             result = self._try_epoch_kernel(trace, warmup_records, n)
         if result is None:
             result = self._run_compressed(trace, warmup_records, n)

@@ -226,8 +226,8 @@ class BudgetExhausted(Event):
 @dataclass(frozen=True)
 class KernelFallback(Event):
     """A run that could have used the epoch-batched execution kernel —
-    one with no prefetcher or an EBCP-family one — took the scalar path
-    instead.
+    one with no prefetcher or one that sets ``supports_epoch_batch`` —
+    took the scalar path instead.
 
     ``prefetcher`` is the prefetcher's name, ``"none"`` for the
     no-prefetch baseline.  ``cause`` names the reason

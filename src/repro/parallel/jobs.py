@@ -218,11 +218,11 @@ class JobSpec:
 
     def takes_kernel(self) -> bool:
         """Whether this spec's run takes the epoch kernel, and so reads
-        its epoch segments: with the kernel on, for no prefetcher or an
-        EBCP-family one (the kernel's own checks still apply)."""
+        its epoch segments: with the kernel on, for no prefetcher or one
+        that sets ``supports_epoch_batch`` (every Figure 9 scheme; the
+        kernel's own checks still apply)."""
         return kernel_enabled() and (
-            self.prefetcher is None
-            or getattr(self.prefetcher, "supports_epoch_batch", False)
+            self.prefetcher is None or self.prefetcher.supports_epoch_batch
         )
 
     def segment_geometry_key(self) -> "tuple[tuple, int]":

@@ -21,6 +21,23 @@ Callback contract
     Called when an epoch closes (outstanding misses drained).  EBCP does
     its EMAB-driven training here.
 
+Epoch-batched execution
+-----------------------
+A scheme that sets :attr:`Prefetcher.supports_epoch_batch` runs inside
+the epoch kernel (:mod:`repro.engine.ebcp_kernel`), which calls its
+``observe_*`` hooks at the sites and in the order the scalar walk does.
+The flag is a promise that:
+
+* the hooks read only their arguments and the scheme's own state (never
+  the hierarchy: ``bind`` may touch it only to allocate table memory);
+* every request is staged through the engine, so the L2 evolves as a
+  function of the trace alone;
+* the hooks ignore ``epoch``: the kernel passes ``None``, as the scalar
+  walk already does for writebacks;
+* ``on_epoch_boundary`` stays the base no-op.  The kernel never calls
+  it, so a flagged class other than EBCP that overrides it falls back
+  to the scalar walk as ``unsupported_prefetcher``.
+
 Traffic accounting
 ------------------
 Prefetchers whose tables live in main memory report the table reads and
@@ -119,6 +136,9 @@ class Prefetcher(abc.ABC):
     #: (weak consistency, Section 3.4.2); a memory-side engine (Solihin)
     #: sees every request that reaches memory, stores included.
     observes_stores: bool = False
+    #: Whether the epoch kernel may run this scheme (see "Epoch-batched
+    #: execution" above); unflagged schemes take the scalar walk.
+    supports_epoch_batch: bool = False
     #: ``(registry name, canonical overrides)`` when built by
     #: ``build_prefetcher`` (job identities hash it); ``None`` by hand.
     built_as: tuple[str, str] | None = None

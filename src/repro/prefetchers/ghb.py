@@ -37,6 +37,7 @@ class GHBPrefetcher(Prefetcher):
 
     name = "ghb"
     targets_instructions = True
+    supports_epoch_batch = True
 
     #: Maximum chain length walked when reconstructing a PC's history.
     MAX_HISTORY = 64

@@ -45,6 +45,7 @@ class SpatialMemoryStreaming(Prefetcher):
 
     name = "sms"
     targets_instructions = False
+    supports_epoch_batch = True
 
     def __init__(
         self,

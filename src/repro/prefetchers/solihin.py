@@ -55,6 +55,7 @@ class SolihinPrefetcher(Prefetcher):
     # store misses are interleaved into it and dilute the successor
     # correlations — one of the placement penalties Section 3.3.1 argues.
     observes_stores = True
+    supports_epoch_batch = True
 
     def __init__(
         self,

@@ -36,6 +36,7 @@ class StreamPrefetcher(Prefetcher):
 
     name = "stream"
     targets_instructions = False
+    supports_epoch_batch = True
 
     #: A new miss within this many lines of a tracker can retrain it.
     MATCH_WINDOW = 16

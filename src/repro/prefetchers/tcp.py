@@ -36,6 +36,7 @@ class TagCorrelatingPrefetcher(Prefetcher):
 
     name = "tcp"
     targets_instructions = False
+    supports_epoch_batch = True
 
     def __init__(
         self,

@@ -131,6 +131,15 @@ class ServiceConfig:
     #: a shard joining the ring serves warm from its first request.
     preload_disk: bool = False
 
+    def __post_init__(self) -> None:
+        # asyncio.Queue(maxsize=0) is unbounded, so a zero queue would
+        # never answer queue_full; a batch holds at least the request
+        # that opened it.
+        if self.queue_size < 1:
+            raise ValueError(f"queue_size must be >= 1, got {self.queue_size}")
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+
 
 def latency_summary(histogram: Any) -> Dict[str, Any]:
     """The ``latency_ms`` block of a ``stats`` payload (zeros when unset)."""

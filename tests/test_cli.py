@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.filter_plane import kernel_enabled
 from repro.experiments import EXPERIMENTS
 from repro.prefetchers.registry import PREFETCHERS
 
@@ -142,8 +143,13 @@ class TestTraceCommand:
         metrics = json.loads(path.read_text())
         assert metrics["epochs_closed"]["value"] > 0
         assert metrics["epoch_misses"]["type"] == "histogram"
-        # The run feeds the registry itself, so EBCP keeps the kernel.
-        assert metrics["kernel_fallbacks"]["value"] == 0
+        # The run feeds the registry itself, so EBCP keeps the kernel
+        # (REPRO_KERNEL=off still falls back, as "disabled").
+        assert "kernel_fallbacks.bus_attached" not in metrics
+        if kernel_enabled():
+            assert metrics["kernel_fallbacks"]["value"] == 0
+        else:
+            assert metrics["kernel_fallbacks.disabled"]["value"] == 1
 
     def test_run_metrics_out(self, tmp_path, capsys):
         import json
@@ -197,6 +203,15 @@ class TestServeCallParser:
         assert args.queue_size == 16
         assert args.max_batch == 4
         assert args.batch_window_ms == 2.5
+
+    @pytest.mark.parametrize("flag", ["--queue-size", "--max-batch"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_serve_queue_flags_must_be_positive(self, flag, value, capsys):
+        """A zero queue is unbounded to asyncio, so it is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_call_simulate_requires_workload(self, capsys):
         assert main(["call"]) == 2

@@ -42,9 +42,11 @@ from tests.helpers import without_bus_fallback
 
 POLICY = ExecutionPolicy(jobs=1)
 
-_DEGREES = st.sampled_from([1, 2, 4, 8, 16])
+#: Degrees to draw; Figure 9 runs every scheme but SMS at degree 6.
+_DEGREES = st.sampled_from([1, 2, 4, 6, 8, 16])
 
-#: Candidate prefetchers and the constructor overrides each may draw.
+#: Candidate prefetchers (every Figure 9 label) and the constructor
+#: overrides each may draw.
 CANDIDATES = {
     "ebcp": {
         "prefetch_degree": _DEGREES,
@@ -53,11 +55,14 @@ CANDIDATES = {
     },
     "ebcp_minus": {"prefetch_degree": _DEGREES},
     "ebcp_onchip": {"prefetch_degree": _DEGREES},
-    "ghb_small": {},
+    "ghb_large": {"degree": _DEGREES},
+    "ghb_small": {"degree": _DEGREES},
     "sms": {},
-    "solihin_3_2": {},
-    "stream": {},
-    "tcp_small": {},
+    "solihin_3_2": {"degree": _DEGREES},
+    "solihin_6_1": {"degree": _DEGREES},
+    "stream": {"degree": _DEGREES},
+    "tcp_large": {"degree": _DEGREES},
+    "tcp_small": {"degree": _DEGREES},
 }
 
 

@@ -4,23 +4,28 @@ The load-bearing claims verified here:
 
 * the kernel produces field-for-field identical ``SimulationStats`` to
   the scalar reference path (``REPRO_KERNEL=off``) on every workload
-  family, every EBCP variant and the no-prefetch baseline,
+  family, every EBCP variant, every Figure 9 scheme (GHB, TCP, stream,
+  SMS and Solihin through their own hooks) and the no-prefetch baseline,
 * identity holds on *adversarial* randomized miss streams — tiny cache
   geometries that conflict hard, EMAB overflow, correlation-table
-  aliasing, MSHR exhaustion and warm-up boundaries in arbitrary places —
-  and extends to the post-run state of every simulator object (so a
+  aliasing, MSHR exhaustion, dirty writebacks, dropped transfers and
+  warm-up boundaries in arbitrary places — and extends to the post-run
+  state of every simulator object and of the scheme itself (so a
   subsequent scalar run continues identically),
 * the default (goldens) configuration, the no-prefetch baseline and a
   job that collects worker metrics (every served job) actually exercise
   the kernel — a silent fallback would leave the fast path untested, and
 * every fallback is observable: the simulator emits a ``KernelFallback``
-  event naming the cause.
+  event naming the cause, and a scheme outside the kernel's contract is
+  refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,15 +34,24 @@ from hypothesis import strategies as st
 
 from repro.core.prefetcher import EBCPConfig, EpochBasedCorrelationPrefetcher
 from repro.engine.config import CacheConfig, ProcessorConfig
+from repro.engine.ebcp_kernel import kernel_fallback_cause
 from repro.engine.simulator import EpochSimulator
 from repro.obs.bus import EventBus
 from repro.obs.events import KernelFallback
 from repro.obs.metrics import MetricsRegistry, SimulationMetrics
 from repro.obs.tracing import TelemetrySink
 from repro.parallel.jobs import JobSpec
+from repro.prefetchers import (
+    GHBPrefetcher,
+    SolihinPrefetcher,
+    SpatialMemoryStreaming,
+    StreamPrefetcher,
+    TagCorrelatingPrefetcher,
+)
 from repro.prefetchers.registry import build_prefetcher
 from repro.resilience.executor import execute
 from repro.resilience.policy import ExecutionPolicy
+from repro.spec import load_spec
 from repro.workloads.registry import COMMERCIAL_WORKLOADS, make_workload
 from repro.workloads.trace import Trace, TraceMeta
 
@@ -49,6 +63,14 @@ VARIANT_CONFIGS = {
     "ebcp": EBCPConfig(),
     "ebcp_minus": EBCPConfig(skip_epochs=1),
     "ebcp_onchip": EBCPConfig(table_in_memory=False),
+}
+
+#: Figure 9's ten schemes, each with the overrides the figure runs it at.
+FIGURE9 = {
+    entry.effective_label: entry
+    for entry in load_spec(
+        Path(__file__).resolve().parents[1] / "specs" / "figure9.toml"
+    ).prefetchers
 }
 
 
@@ -119,9 +141,9 @@ def state_fingerprint(sim: EpochSimulator) -> dict:
             buf._stamp,
             vars(buf.stats),
         ),
-        "pending": sorted(
-            (p.issue_epoch, p.line, p.request.table_index) for p in sim._pending
-        ),
+        "pending": [
+            (p.issue_epoch, p.line, dataclasses.astuple(p.request)) for p in sim._pending
+        ],
         "bandwidth": (
             sim.bandwidth._ema_read_utilization,
             sim.bandwidth._last_read_utilization,
@@ -130,6 +152,9 @@ def state_fingerprint(sim: EpochSimulator) -> dict:
         ),
     }
     if pf is not None:
+        fingerprint.update(traffic=vars(pf.traffic), issued=pf.issued_requests)
+    if isinstance(pf, EpochBasedCorrelationPrefetcher):
+        # The kernel restores the EMAB by content, not slot for slot.
         fingerprint.update(
             table=(
                 dict(pf.table._tags),
@@ -137,11 +162,12 @@ def state_fingerprint(sim: EpochSimulator) -> dict:
                 pf.table._stamp,
                 vars(pf.table.stats),
             ),
-            emab=(pf.emab.occupancy, pf.emab.overflow_drops, pf.emab.filled_entries),
-            traffic=vars(pf.traffic),
-            issued=pf.issued_requests,
+            emab=(pf.emab.snapshot(), pf.emab.overflow_drops),
             suppressed=pf.lookups_suppressed,
         )
+    elif pf is not None:
+        # A hooked scheme's own state, byte for byte.
+        fingerprint["scheme"] = pickle.dumps(pf)
     return fingerprint
 
 
@@ -157,6 +183,21 @@ class TestKernelIdentity:
         kernel_sim, scalar_sim = run_pair(
             trace, ProcessorConfig.scaled(),
             lambda: EpochBasedCorrelationPrefetcher(cfg),
+        )
+        assert kernel_sim.last_run_path == "epoch_kernel"
+        assert scalar_sim.last_run_path == "compressed"
+        assert kernel_sim.stats.to_dict() == scalar_sim.stats.to_dict()
+        assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
+
+    @pytest.mark.parametrize("workload", COMMERCIAL_WORKLOADS)
+    @pytest.mark.parametrize("label", sorted(FIGURE9))
+    def test_figure9_scheme_identical(self, workload, label):
+        """Every Figure 9 scheme, at the figure's overrides, leaves the
+        scalar walk's stats and state, pending requests and the scheme's
+        own state included."""
+        trace = make_workload(workload, records=8_000, seed=7)
+        kernel_sim, scalar_sim = run_pair(
+            trace, ProcessorConfig.scaled(), FIGURE9[label].build
         )
         assert kernel_sim.last_run_path == "epoch_kernel"
         assert scalar_sim.last_run_path == "compressed"
@@ -218,7 +259,7 @@ class TestKernelIsExercised:
         sim.run(trace)
         assert sim.last_run_path == "epoch_kernel"
 
-    @pytest.mark.parametrize("name", ["ebcp", "none"])
+    @pytest.mark.parametrize("name", ["ebcp", "none", "ghb_small", "tcp_small"])
     def test_job_collecting_worker_metrics_takes_kernel_path(self, name, monkeypatch):
         """A served job collects worker metrics; the run feeds them
         itself, so it keeps the kernel."""
@@ -291,14 +332,45 @@ _LOOPED_RECORDS = st.tuples(
 #: ``_TINY`` on a bus narrow enough to refuse droppable charges.
 _STARVED = dataclasses.replace(_TINY, read_bw_gbps=0.4, write_bw_gbps=0.2)
 
+#: The hooked schemes with tables small enough to alias and evict.
+_TINY_SCHEMES = {
+    "ghb": lambda: GHBPrefetcher(index_entries=4, buffer_entries=16, degree=4),
+    "solihin_2_2": lambda: SolihinPrefetcher(depth=2, width=2, table_entries=37, degree=4),
+    "solihin_4_1": lambda: SolihinPrefetcher(depth=4, width=1, table_entries=37, degree=4),
+    "tcp": lambda: TagCorrelatingPrefetcher(pht_sets=4, pht_ways=2, l1_sets=4, degree=4),
+    "stream": lambda: StreamPrefetcher(n_streams=4, degree=4, ahead=4),
+    "sms": lambda: SpatialMemoryStreaming(
+        region_bytes=4 * LINE, line_bytes=LINE, agt_entries=4, pht_entries=8, pht_ways=2
+    ),
+}
+
+
+#: Loop bodies for the hooked schemes: single records plus strided load
+#: runs (stream, SMS), each from one of four PCs (GHB's per-PC chains),
+#: as (kind, line, serial, gap, pc) records.
+_RUN = st.tuples(
+    st.integers(0, 31), st.integers(-3, 3), st.integers(2, 6), st.integers(0, 3)
+).map(
+    lambda run: [(1, (run[0] + k * run[1]) % 64, False, 1, run[3]) for k in range(run[2])]
+)
+_SINGLE = st.tuples(
+    st.integers(0, 2), st.integers(0, 31), st.booleans(), st.integers(0, 3), st.integers(0, 3)
+).map(lambda record: [record])
+_SCHEME_RECORDS = st.tuples(
+    st.lists(st.one_of(_SINGLE, _RUN), min_size=2, max_size=10),
+    st.integers(2, 6),
+).map(lambda body_repeats: [r for part in body_repeats[0] for r in part] * body_repeats[1])
+
 
 def _trace_of(records) -> Trace:
+    """A trace of (kind, line, serial, gap) records, with an optional
+    fifth field for the PC (else the line picks it)."""
     return Trace(
-        gap=np.array([g for *_, g in records], dtype=np.int64),
-        kind=np.array([k for k, *_ in records], dtype=np.uint8),
-        pc=np.array([(line * 4) for _, line, *_ in records], dtype=np.int64),
-        addr=np.array([line * LINE for _, line, *_ in records], dtype=np.int64),
-        serial=np.array([s for _, _, s, _ in records], dtype=np.uint8),
+        gap=np.array([r[3] for r in records], dtype=np.int64),
+        kind=np.array([r[0] for r in records], dtype=np.uint8),
+        pc=np.array([r[4] if len(r) > 4 else r[1] * 4 for r in records], dtype=np.int64),
+        addr=np.array([r[1] * LINE for r in records], dtype=np.int64),
+        serial=np.array([r[2] for r in records], dtype=np.uint8),
         meta=TraceMeta(name="prop", cpi_perf=1.0, overlap=0.10),
     )
 
@@ -368,6 +440,43 @@ class TestKernelProperty:
                 assert sim.last_run_path == "epoch_kernel"
         assert snapshots[0] == without_bus_fallback(snapshots[1])
 
+    @pytest.mark.parametrize("scheme", sorted(_TINY_SCHEMES))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        records=_SCHEME_RECORDS,
+        starved=st.booleans(),
+        warmup_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    )
+    def test_hooked_schemes_identical(self, scheme, records, starved, warmup_fraction):
+        """GHB, Solihin, TCP, stream and SMS run their own hooks in the
+        kernel: stats and state match the scalar walk's through dirty
+        writebacks, dropped transfers and the warm-up boundary, a second
+        (warm, scalar) run continues identically, and the run-fed
+        metrics equal a bus-driven oracle's."""
+        config = _STARVED if starved else _TINY
+        make = _TINY_SCHEMES[scheme]
+        trace = _trace_of(records)
+        warmup = int(len(records) * warmup_fraction)
+        kernel_sim, scalar_sim = run_pair(trace, config, make, warmup_records=warmup)
+        assert kernel_sim.last_run_path == "epoch_kernel"
+        assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
+        kernel_sim.run(trace, warmup_records=warmup)
+        scalar_sim.run(trace, warmup_records=warmup)
+        assert kernel_sim.last_run_path == "compressed"
+        assert state_fingerprint(kernel_sim) == state_fingerprint(scalar_sim)
+
+        snapshots = []
+        for bus in (None, EventBus()):
+            metrics = SimulationMetrics(bus)
+            sim = EpochSimulator(
+                config, make(),
+                cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
+                bus=bus, metrics=None if bus is not None else metrics,
+            )
+            sim.run(trace, warmup_records=warmup)
+            snapshots.append(metrics.to_dict())
+        assert snapshots[0] == without_bus_fallback(snapshots[1])
+
     @settings(max_examples=25, deadline=None)
     @given(records=_RECORDS, warmup_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     def test_random_streams_identical_without_prefetcher(self, records, warmup_fraction):
@@ -386,6 +495,20 @@ def _collect_fallbacks(bus: EventBus) -> list:
     events: list = []
     bus.subscribe(KernelFallback, events.append)
     return events
+
+
+class _BoundaryGHB(GHBPrefetcher):
+    """A flagged scheme that trains at epoch boundaries."""
+
+    def on_epoch_boundary(self, closed):
+        return []
+
+
+class _SubclassedEBCP(EpochBasedCorrelationPrefetcher):
+    """EBCP with a hook of its own (flag inherited)."""
+
+    def observe_prefetch_hit(self, access, line, table_index, epoch_index, first_in_epoch):
+        return super().observe_prefetch_hit(access, line, table_index, epoch_index, False)
 
 
 class TestKernelFallback:
@@ -429,15 +552,39 @@ class TestKernelFallback:
     def test_unsupported_prefetcher_no_kernel(self):
         trace = make_workload("tpcw", records=2_000, seed=7)
         sim = EpochSimulator(
-            ProcessorConfig.scaled(), build_prefetcher("ghb_small"),
+            ProcessorConfig.scaled(), build_prefetcher("ebcp_cmp"),
             cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
         )
+        assert kernel_fallback_cause(sim) == "unsupported_prefetcher"
         sim.run(trace)
         assert sim.last_run_path == "compressed"
 
-    def test_warm_state_falls_back(self):
-        from repro.engine.ebcp_kernel import kernel_fallback_cause
+    @pytest.mark.parametrize(
+        "scheme, cause",
+        [
+            (_BoundaryGHB, "unsupported_prefetcher"),
+            (_SubclassedEBCP, "subclassed_prefetcher"),
+        ],
+        ids=["boundary_hook", "ebcp_subclass"],
+    )
+    def test_scheme_outside_the_contract_is_refused(self, scheme, cause):
+        """The kernel never calls on_epoch_boundary, and replays EBCP
+        inline for the stock class only: a flagged scheme that overrides
+        the one or subclasses the other takes the scalar walk."""
+        trace = make_workload("tpcw", records=2_000, seed=7)
+        bus = EventBus()
+        events = _collect_fallbacks(bus)
+        sim = EpochSimulator(
+            ProcessorConfig.scaled(), scheme(),
+            cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
+            bus=bus,
+        )
+        assert kernel_fallback_cause(sim) == cause
+        sim.run(trace)
+        assert sim.last_run_path == "compressed"
+        assert [e.cause for e in events] == [cause]
 
+    def test_warm_state_falls_back(self):
         trace = make_workload("tpcw", records=2_000, seed=7)
         sim = EpochSimulator(
             ProcessorConfig.scaled(), EpochBasedCorrelationPrefetcher(),

@@ -240,6 +240,14 @@ class TestMicroBatching:
             snapshots = [s.result.snapshot() for s in served]
             assert snapshots[0] == snapshots[1] == snapshots[2]
 
+    @pytest.mark.parametrize("field", ["queue_size", "max_batch"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_queue_or_batch_is_refused(self, field, value):
+        """A zero-capacity queue is unbounded to asyncio (backpressure
+        would silently turn off), and a batch holds at least one request."""
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(port=0, **{field: value})
+
 
 class TestApiFacade:
     def test_service_names_are_exported(self):

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.engine.config import ProcessorConfig
+from repro.engine.filter_plane import kernel_enabled
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     SpanRecorder,
@@ -319,8 +320,15 @@ class TestServedTracePropagation:
         sim = stats["simulation"]
         assert sim["ebcp.epochs_closed"]["value"] > 0
         assert sim["ebcp.epoch_mlp"]["type"] == "histogram"
-        # Collecting worker metrics no longer costs the served job the kernel.
-        assert sim["ebcp.kernel_fallbacks"]["value"] == 0
+        # Collecting worker metrics no longer costs the served job the
+        # kernel: no run falls back for its bus (REPRO_KERNEL=off still
+        # falls back, as "disabled").
+        assert "ebcp.kernel_fallbacks.bus_attached" not in sim
+        fallbacks = sim["ebcp.kernel_fallbacks"]["value"]
+        if kernel_enabled():
+            assert fallbacks == 0
+        else:
+            assert sim["ebcp.kernel_fallbacks.disabled"]["value"] == fallbacks
         latency = stats["latency_ms"]
         assert latency["count"] >= 1
         assert latency["p99"] >= latency["p50"] >= 0.0
