@@ -106,7 +106,8 @@ class PrefetchRequest:
     Attributes
     ----------
     line_addr:
-        Line-aligned byte address to fetch.
+        Line number to fetch (byte address >> line shift); the prefetch
+        buffer and both walks key on it.
     kind:
         Whether the prefetch targets instruction or data lines; only used
         for statistics (the prefetch buffer is unified).

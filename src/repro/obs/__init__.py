@@ -36,9 +36,6 @@ from .events import (
     PrefetchFilled,
     PrefetchHit,
     PrefetchIssued,
-    QueueSaturated,
-    RequestCompleted,
-    RequestReceived,
     TableRead,
     TableWrite,
     TraceCacheWarmed,
@@ -96,9 +93,6 @@ __all__ = [
     "PrefetchFilled",
     "PrefetchHit",
     "PrefetchIssued",
-    "QueueSaturated",
-    "RequestCompleted",
-    "RequestReceived",
     "ResilienceMetrics",
     "RouterMetrics",
     "RunManifest",

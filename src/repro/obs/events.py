@@ -30,9 +30,7 @@ Event                     Emitted by
 ``JobResumed``            :mod:`repro.resilience.executor`
 ``ExecutionDegraded``     :mod:`repro.resilience.executor`
 ``CacheQuarantined``      :mod:`repro.resilience.integrity`
-``RequestReceived``       :class:`repro.service.server.SimulationService`
-``RequestCompleted``      :class:`repro.service.server.SimulationService`
-``QueueSaturated``        :class:`repro.service.server.SimulationService`
+``TraceCacheWarmed``      :func:`repro.parallel.jobs.warm_trace_cache`
 ========================  ==================================================
 
 The resilience events describe the *execution harness* rather than the
@@ -42,14 +40,14 @@ quarantined cache entries.  They are emitted on the bus passed to the
 executor, or on the process-wide :func:`repro.obs.bus.global_bus` when no
 bus was attached but one exists.
 
-The service events describe the request plane of the resident
-simulation service (:mod:`repro.service`): request admission,
-completion (with end-to-end latency and cache disposition) and
-backpressure (a request bounced off the full queue).  Shard supervision
-in the sharded front-end publishes no events: its surface is log lines,
-the router's restart/resize counters and per-shard uptime gauges, and
-the per-shard ``state``/``restarts``/``uptime_s`` rows of ``ping`` and
-``stats``.
+The resident simulation service (:mod:`repro.service`) publishes no
+request-plane events: its front-end updates
+:class:`~repro.obs.metrics.ServiceMetrics` directly where a request is
+parsed, answered or bounced off the full queue, and the router and
+shard supervision update :class:`~repro.obs.metrics.RouterMetrics`.
+Their surface is those registries (``stats``, ``metrics``), log lines
+and the per-shard ``state``/``restarts``/``uptime_s`` rows of ``ping``
+and ``stats``; a service's bus carries only its executor's events.
 
 Events deliberately carry plain scalars (plus the rich ``Epoch`` /
 ``Access`` objects where subscribers need them); :func:`event_payload`
@@ -86,9 +84,6 @@ __all__ = [
     "JobResumed",
     "ExecutionDegraded",
     "CacheQuarantined",
-    "RequestReceived",
-    "RequestCompleted",
-    "QueueSaturated",
     "TraceCacheWarmed",
     "EVENT_TYPES",
     "event_payload",
@@ -317,48 +312,6 @@ class CacheQuarantined(Event):
     reason: str
 
 
-# ----------------------------------------------------------------------
-# Simulation-service / request-plane events (repro.service)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RequestReceived(Event):
-    """The service admitted one protocol request for processing."""
-
-    request_type: str  # "simulate" | "stats" | "ping" | "shutdown"
-    request_id: str
-
-
-@dataclass(frozen=True)
-class RequestCompleted(Event):
-    """One protocol request finished and its response was produced.
-
-    ``latency_ms`` is the end-to-end server-side latency (admission to
-    response ready); ``cached`` marks a simulate request answered from
-    the identity-keyed result cache without running a job.
-    """
-
-    request_type: str
-    request_id: str
-    ok: bool
-    cached: bool
-    latency_ms: float
-    batch_size: int = 0
-
-
-@dataclass(frozen=True)
-class QueueSaturated(Event):
-    """A simulate request bounced off the full request queue.
-
-    The service answers with a ``queue_full`` error (carrying a
-    ``retry_after_s`` hint) instead of buffering without bound — this
-    event is the observable trace of that backpressure decision.
-    """
-
-    depth: int
-    limit: int
-    request_id: str = ""
-
-
 @dataclass(frozen=True)
 class TraceCacheWarmed(Event):
     """A pre-warm pass generated traces / filter planes / epoch segments.
@@ -394,9 +347,6 @@ EVENT_TYPES: Tuple[type, ...] = (
     JobResumed,
     ExecutionDegraded,
     CacheQuarantined,
-    RequestReceived,
-    RequestCompleted,
-    QueueSaturated,
     TraceCacheWarmed,
 )
 

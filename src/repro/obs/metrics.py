@@ -38,9 +38,6 @@ from .events import (
     PrefetchFilled,
     PrefetchHit,
     PrefetchIssued,
-    QueueSaturated,
-    RequestCompleted,
-    RequestReceived,
     TableRead,
     TableWrite,
     WorkerCrashed,
@@ -637,20 +634,21 @@ BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 class ServiceMetrics:
     """The request-plane instrument set of :mod:`repro.service`.
 
-    Subscribes to the service events (``RequestReceived``,
-    ``RequestCompleted``, ``QueueSaturated``) and exposes the gauges the
-    server updates directly (queue depth), plus the model and generator
-    versions the process serves.  A ``stats`` protocol request is
-    answered with ``registry.to_dict()`` of this registry, so every
-    instrument here is remotely scrapeable.
+    Like :class:`RouterMetrics`, it is updated directly: the service's
+    front-end calls :meth:`request_received`, :meth:`request_completed`
+    and :meth:`queue_saturated` where a request is parsed, answered or
+    bounced, and sets the queue-depth gauge and the batch-size
+    histogram itself.  It also carries the model and generator versions
+    the process serves.  A ``stats`` protocol request is answered with
+    ``registry.to_dict()`` of this registry, so every instrument here is
+    remotely scrapeable.
     """
 
-    def __init__(self, bus: EventBus, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         # Lazy: the simulator and the generators import the obs package.
         from ..engine.simulator import MODEL_VERSION
         from ..workloads.commercial import GENERATOR_VERSION
 
-        self.bus = bus
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
         r.gauge("model_version", "simulation model version served").set(MODEL_VERSION)
@@ -676,32 +674,25 @@ class ServiceMetrics:
         self.batch_size = r.histogram(
             "batch_size", BATCH_SIZE_BUCKETS, "simulate requests per dispatched micro-batch"
         )
-        self._unsubscribe = [
-            bus.subscribe(RequestReceived, self._on_received),
-            bus.subscribe(RequestCompleted, self._on_completed),
-            bus.subscribe(QueueSaturated, self._on_saturated),
-        ]
 
-    # ------------------------------------------------------------------
-    def _on_received(self, event: RequestReceived) -> None:
+    def request_received(self, request_type: str) -> None:
+        """One request parsed (also bumps the ``requests.<type>`` tally)."""
         self.received.inc()
-        self.registry.counter(f"requests.{event.request_type}").inc()
+        self.registry.counter(f"requests.{request_type}").inc()
 
-    def _on_completed(self, event: RequestCompleted) -> None:
-        (self.completed if event.ok else self.failed).inc()
-        self.latency_ms.observe(event.latency_ms)
-        if event.request_type == "simulate" and event.ok:
-            (self.cache_hits if event.cached else self.cache_misses).inc()
+    def request_completed(
+        self, request_type: str, ok: bool, latency_ms: float, cached: bool = False
+    ) -> None:
+        """One request answered; a simulate answered ok is also a result-cache
+        hit (``cached``) or miss."""
+        (self.completed if ok else self.failed).inc()
+        self.latency_ms.observe(latency_ms)
+        if request_type == "simulate" and ok:
+            (self.cache_hits if cached else self.cache_misses).inc()
 
-    def _on_saturated(self, event: QueueSaturated) -> None:
+    def queue_saturated(self) -> None:
+        """One simulate bounced off the full queue with ``queue_full``."""
         self.saturated.inc()
-
-    # ------------------------------------------------------------------
-    def detach(self) -> None:
-        """Stop observing the bus (the registry keeps its numbers)."""
-        for unsubscribe in self._unsubscribe:
-            unsubscribe()
-        self._unsubscribe = []
 
     def to_dict(self) -> dict:
         return self.registry.to_dict()

@@ -16,3 +16,6 @@ class NoPrefetcher(Prefetcher):
 
     name = "none"
     targets_instructions = False
+    #: It has no hooks, so the epoch kernel runs it, with the stats of a
+    #: ``prefetcher=None`` run.
+    supports_epoch_batch = True

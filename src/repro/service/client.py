@@ -7,17 +7,20 @@ Two clients over the same newline-delimited JSON protocol:
 * :class:`AsyncServiceClient` — asyncio, one connection per request so
   concurrent ``simulate`` calls land in the same server micro-batch.
 
-Both derive their per-request behaviour from the same
-:class:`~repro.resilience.policy.ExecutionPolicy` the batch layers use:
-``timeout_s`` bounds each attempt, ``retries`` bounds how many transport
-failures (connect refused, socket timeout, reset) are absorbed, and
-attempts are spaced by capped exponential backoff with full jitter —
-``backoff_s * 2**(attempt-1)``, capped at ``max_backoff_s``, scaled by a
-uniform factor in ``[0.5, 1.0]`` so a fleet of clients reconnecting to a
-restarted (or sharded) service spreads out instead of stampeding in
-lock-step.  ``queue_full`` backpressure responses are also retried,
-honouring the server's ``retry_after_s`` hint — so a saturated service
-slows its clients down instead of failing them.
+Both share one request path (:class:`_ClientBase`): the frame, the
+simulate params and span, and one retry rule, derived from the same
+:class:`~repro.resilience.policy.ExecutionPolicy` the batch layers use.
+``timeout_s`` bounds each attempt, ``retries`` bounds how many failed
+attempts are absorbed, and attempts are spaced by capped exponential
+backoff with full jitter — ``backoff_s * 2**(attempt-1)``, capped at
+``max_backoff_s``, scaled by a uniform factor in ``[0.5, 1.0]`` so a
+fleet of clients reconnecting to a restarted (or sharded) service
+spreads out instead of stampeding in lock-step.  Transport failures
+(connect refused, socket timeout, reset, a garbled frame) wait the
+backoff; ``queue_full`` backpressure responses wait the server's
+``retry_after_s`` hint when it is longer — so a saturated service slows
+its clients down instead of failing them.  Each client keeps only its
+transport: how it sends one frame, how it sleeps, and the sweep stream.
 
 Responses to ``simulate`` carry a lossless
 :meth:`~repro.engine.stats.SimulationResult.snapshot`; the SDK rehydrates
@@ -28,13 +31,14 @@ stats are bit-identical to a local run.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import random
 import socket
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, AsyncIterator, Dict, Iterator, Optional
 
 from ..engine.stats import SimulationResult
 from ..obs.tracing import SpanRecorder, TraceContext
@@ -58,9 +62,11 @@ __all__ = [
     "ServiceBusyError",
 ]
 
-#: Attempt ceiling when the caller passes no policy: one retry, matching
-#: ``ExecutionPolicy()``'s default.
-_DEFAULT_POLICY = ExecutionPolicy()
+#: The failures an attempt may be retried after: ``queue_full``
+#: backpressure, and transport failures — ``OSError`` covers refused
+#: connections, resets, hang-ups and socket timeouts; ``ProtocolError``
+#: a garbled reply; ``asyncio.TimeoutError`` an async attempt's timeout.
+_RETRYABLE = (ServiceBusyError, OSError, ProtocolError, asyncio.TimeoutError)
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,6 @@ class ServedResult:
 
 
 def _decode_served(frame: Dict[str, Any]) -> ServedResult:
-    protocol.raise_for_error(frame)
     shard = frame.get("shard")
     return ServedResult(
         result=SimulationResult.from_snapshot(frame["result"]),
@@ -157,8 +162,29 @@ def _sweep_params(spec: Any, use_cache: bool) -> Dict[str, Any]:
     return {"spec": dump_spec(spec), "use_cache": bool(use_cache)}
 
 
+@dataclass(frozen=True)
+class _Simulation:
+    """One simulate call: its wire params, the trace context its frame
+    carries and, with a recorder, its ``client:simulate`` span."""
+
+    params: Dict[str, Any]
+    trace: Optional[TraceContext]
+    span: Any = None
+
+    def served(self, frame: Dict[str, Any]) -> ServedResult:
+        served = _decode_served(frame)
+        if self.span is not None:
+            self.span.set(cached=served.cached)
+        return served
+
+
 class _ClientBase:
-    """Retry/backoff plumbing shared by the sync and async clients."""
+    """The request path shared by the sync and async clients.
+
+    A subclass supplies the transport: ``_request``, which sends one
+    frame per attempt and sleeps as :meth:`_retry_delay` says, and the
+    sweep stream.
+    """
 
     def __init__(
         self,
@@ -218,12 +244,26 @@ class _ClientBase:
             delay *= 0.5 + 0.5 * self._rng.random()
         return delay
 
+    def _retry_delay(self, exc: BaseException, attempt: int) -> float:
+        """Seconds to wait after failed attempt ``attempt`` (1-based).
+
+        A ``queue_full`` answer waits the server's ``retry_after_s`` or
+        the backoff, whichever is longer; a transport failure waits the
+        backoff.  Once ``retries`` is spent, ``exc`` is raised again.
+        """
+        if attempt > self.retries:
+            raise exc
+        if isinstance(exc, ServiceBusyError):
+            return max(exc.retry_after_s, self._backoff_for(attempt))
+        return self._backoff_for(attempt)
+
     def _frame_for(
         self,
         request_type: str,
         params: Optional[Dict[str, Any]],
         trace: Optional[TraceContext] = None,
     ) -> bytes:
+        """One request frame; every attempt takes a fresh request id."""
         request = Request(
             type=request_type,
             id=self._next_id(),
@@ -231,6 +271,21 @@ class _ClientBase:
             trace=trace.to_wire() if trace is not None else None,
         )
         return protocol.encode_frame(request.to_dict())
+
+    @contextlib.contextmanager
+    def _simulation(self, trace: Optional[TraceContext], *fields: Any) -> Iterator[_Simulation]:
+        """One simulate call: ``SimulateParams(*fields)`` and, with a
+        recorder, a ``client:simulate`` span parented to ``trace`` whose
+        context rides on the frame instead."""
+        params = SimulateParams(*fields).to_dict()
+        if self.recorder is None:
+            yield _Simulation(params, trace)
+            return
+        with self.recorder.span(
+            "client:simulate", parent=trace,
+            workload=params["workload"], prefetcher=params["prefetcher"],
+        ) as span:
+            yield _Simulation(params, span.context, span)
 
 
 class ServiceClient(_ClientBase):
@@ -244,14 +299,13 @@ class ServiceClient(_ClientBase):
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    def _connect(self) -> None:
-        if self._sock is not None:
-            return
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout_s
-        )
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
+    def _send(self, frame: bytes) -> None:
+        """Send ``frame`` on the live socket, connecting first if needed."""
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
+            self._rfile = self._sock.makefile("rb")
+        self._sock.settimeout(self.timeout_s)
+        self._sock.sendall(frame)
 
     def close(self) -> None:
         if self._rfile is not None:
@@ -277,15 +331,20 @@ class ServiceClient(_ClientBase):
     # Request plumbing
     # ------------------------------------------------------------------
     def _roundtrip(self, frame: bytes) -> Dict[str, Any]:
-        """One request/response over the live socket (no retry here)."""
-        self._connect()
-        assert self._sock is not None and self._rfile is not None
-        self._sock.settimeout(self.timeout_s)
-        self._sock.sendall(frame)
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("service closed the connection")
-        return protocol.decode_frame(line)
+        """One request/response over the live socket (no retry here).
+
+        A transport or frame error closes the socket: a half-read
+        stream is unusable, so the next attempt reconnects.
+        """
+        try:
+            self._send(frame)
+            line = self._rfile.readline()
+            if not line:
+                raise ConnectionError("service closed the connection")
+            return protocol.decode_frame(line)
+        except (OSError, ProtocolError):
+            self.close()
+            raise
 
     def _request(
         self,
@@ -293,42 +352,27 @@ class ServiceClient(_ClientBase):
         params: Optional[Dict[str, Any]] = None,
         trace: Optional[TraceContext] = None,
     ) -> Dict[str, Any]:
-        """Send one request with the client's retry/backoff budget.
+        """Send one request under the client's retry rule.
 
-        Transport failures (refused connection, timeout, reset) and
-        ``queue_full`` responses are retried up to ``retries`` times;
-        protocol-level errors raise immediately as
-        :class:`~repro.service.protocol.ServiceError`.
+        Transport failures and ``queue_full`` responses are retried up
+        to ``retries`` times (:meth:`_retry_delay`); other error frames
+        raise at once as :class:`~repro.service.protocol.ServiceError`.
         """
         attempts = 0
         while True:
             frame = self._frame_for(request_type, params, trace=trace)
             try:
-                # raise_for_error turns a queue_full response into
-                # ServiceBusyError *inside* the retry loop; other error
-                # codes raise ServiceError straight through to the caller.
                 return protocol.raise_for_error(self._roundtrip(frame))
-            except ServiceBusyError as exc:
+            except _RETRYABLE as exc:
                 attempts += 1
-                if attempts > self.retries:
-                    raise
-                time.sleep(max(exc.retry_after_s, self._backoff_for(attempts)))
-            except (OSError, ConnectionError, ProtocolError):
-                # OSError covers socket.timeout and refused connections;
-                # a half-read stream is unusable, so always reconnect.
-                self.close()
-                attempts += 1
-                if attempts > self.retries:
-                    raise
-                time.sleep(self._backoff_for(attempts))
+                time.sleep(self._retry_delay(exc, attempts))
 
     # ------------------------------------------------------------------
     # Public surface
     # ------------------------------------------------------------------
     def ping(self) -> Dict[str, Any]:
         """Liveness + version/protocol discovery."""
-        frame = protocol.raise_for_error(self._request("ping"))
-        return frame["result"]
+        return self._request("ping")["result"]
 
     def simulate(
         self,
@@ -347,27 +391,10 @@ class ServiceClient(_ClientBase):
         passing ``trace`` instead (or additionally, as the span's
         parent) joins an existing trace.
         """
-        params = SimulateParams(
-            workload=workload,
-            prefetcher=prefetcher,
-            records=records,
-            seed=seed,
-            warmup_records=warmup_records,
-            use_cache=use_cache,
-        )
-        if self.recorder is not None:
-            with self.recorder.span(
-                "client:simulate",
-                parent=trace,
-                workload=workload,
-                prefetcher=prefetcher,
-            ) as span:
-                served = _decode_served(
-                    self._request("simulate", params.to_dict(), trace=span.context)
-                )
-                span.set(cached=served.cached)
-                return served
-        return _decode_served(self._request("simulate", params.to_dict(), trace=trace))
+        with self._simulation(
+            trace, workload, prefetcher, records, seed, warmup_records, use_cache
+        ) as call:
+            return call.served(self._request("simulate", call.params, trace=call.trace))
 
     def iter_sweep(self, spec: Any, use_cache: bool = True):
         """Submit a :class:`~repro.spec.SweepSpec` and stream its frames.
@@ -382,10 +409,7 @@ class ServiceClient(_ClientBase):
         """
         frame_bytes = self._frame_for("sweep", _sweep_params(spec, use_cache))
         try:
-            self._connect()
-            assert self._sock is not None and self._rfile is not None
-            self._sock.settimeout(self.timeout_s)
-            self._sock.sendall(frame_bytes)
+            self._send(frame_bytes)
             while True:
                 line = self._rfile.readline()
                 if not line:
@@ -407,13 +431,11 @@ class ServiceClient(_ClientBase):
 
     def stats(self) -> Dict[str, Any]:
         """The service's metrics-registry snapshot plus queue/cache state."""
-        frame = protocol.raise_for_error(self._request("stats"))
-        return frame["result"]
+        return self._request("stats")["result"]
 
     def metrics(self) -> str:
         """The merged service registry as Prometheus text exposition."""
-        frame = protocol.raise_for_error(self._request("metrics"))
-        return frame["result"]["text"]
+        return self._request("metrics")["result"]["text"]
 
     def telemetry(self, drain: bool = False) -> Dict[str, Any]:
         """The service's spans and metric registries (v3+).
@@ -421,15 +443,11 @@ class ServiceClient(_ClientBase):
         Against a sharded front-end this is the whole fleet's telemetry;
         ``drain=True`` removes the spans server-side after reading.
         """
-        frame = protocol.raise_for_error(self._request("telemetry", {"drain": drain}))
-        return frame["result"]
+        return self._request("telemetry", {"drain": drain})["result"]
 
     def admin(self, command: str, **arguments: Any) -> Dict[str, Any]:
         """Issue one fleet-control command (protocol v5, sharded only)."""
-        frame = protocol.raise_for_error(
-            self._request("admin", {"command": command, **arguments})
-        )
-        return frame["result"]
+        return self._request("admin", {"command": command, **arguments})["result"]
 
     def resize(self, workers: int) -> Dict[str, Any]:
         """Resize a sharded fleet to ``workers`` shards, live.
@@ -443,8 +461,7 @@ class ServiceClient(_ClientBase):
 
     def shutdown(self) -> Dict[str, Any]:
         """Ask the service to drain and exit (in-flight work completes)."""
-        frame = protocol.raise_for_error(self._request("shutdown"))
-        return frame["result"]
+        return self._request("shutdown")["result"]
 
 
 class AsyncServiceClient(_ClientBase):
@@ -455,23 +472,25 @@ class AsyncServiceClient(_ClientBase):
     micro-batch.
     """
 
-    async def _roundtrip(self, frame: bytes) -> Dict[str, Any]:
+    @contextlib.asynccontextmanager
+    async def _connection(self, frame: bytes) -> AsyncIterator[asyncio.StreamReader]:
+        """A fresh connection with ``frame`` sent on it; closed on exit."""
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.host, self.port, limit=protocol.MAX_FRAME_BYTES
-            ),
+            asyncio.open_connection(self.host, self.port, limit=protocol.MAX_FRAME_BYTES),
             self.timeout_s,
         )
         try:
             writer.write(frame)
             await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), self.timeout_s)
+            yield reader
         finally:
             writer.close()
-            try:
+            with contextlib.suppress(OSError):
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+
+    async def _roundtrip(self, frame: bytes) -> Dict[str, Any]:
+        async with self._connection(frame) as reader:
+            line = await asyncio.wait_for(reader.readline(), self.timeout_s)
         if not line:
             raise ConnectionError("service closed the connection")
         return protocol.decode_frame(line)
@@ -482,26 +501,19 @@ class AsyncServiceClient(_ClientBase):
         params: Optional[Dict[str, Any]] = None,
         trace: Optional[TraceContext] = None,
     ) -> Dict[str, Any]:
+        """Async counterpart of :meth:`ServiceClient._request`."""
         attempts = 0
         while True:
             frame = self._frame_for(request_type, params, trace=trace)
             try:
                 return protocol.raise_for_error(await self._roundtrip(frame))
-            except ServiceBusyError as exc:
+            except _RETRYABLE as exc:
                 attempts += 1
-                if attempts > self.retries:
-                    raise
-                await asyncio.sleep(max(exc.retry_after_s, self._backoff_for(attempts)))
-            except (OSError, ConnectionError, ProtocolError, asyncio.TimeoutError):
-                attempts += 1
-                if attempts > self.retries:
-                    raise
-                await asyncio.sleep(self._backoff_for(attempts))
+                await asyncio.sleep(self._retry_delay(exc, attempts))
 
     # ------------------------------------------------------------------
     async def ping(self) -> Dict[str, Any]:
-        frame = protocol.raise_for_error(await self._request("ping"))
-        return frame["result"]
+        return (await self._request("ping"))["result"]
 
     async def simulate(
         self,
@@ -513,31 +525,12 @@ class AsyncServiceClient(_ClientBase):
         use_cache: bool = True,
         trace: Optional[TraceContext] = None,
     ) -> ServedResult:
-        params = SimulateParams(
-            workload=workload,
-            prefetcher=prefetcher,
-            records=records,
-            seed=seed,
-            warmup_records=warmup_records,
-            use_cache=use_cache,
-        )
-        if self.recorder is not None:
-            with self.recorder.span(
-                "client:simulate",
-                parent=trace,
-                workload=workload,
-                prefetcher=prefetcher,
-            ) as span:
-                served = _decode_served(
-                    await self._request(
-                        "simulate", params.to_dict(), trace=span.context
-                    )
-                )
-                span.set(cached=served.cached)
-                return served
-        return _decode_served(
-            await self._request("simulate", params.to_dict(), trace=trace)
-        )
+        with self._simulation(
+            trace, workload, prefetcher, records, seed, warmup_records, use_cache
+        ) as call:
+            return call.served(
+                await self._request("simulate", call.params, trace=call.trace)
+            )
 
     async def iter_sweep(self, spec: Any, use_cache: bool = True):
         """Async counterpart of :meth:`ServiceClient.iter_sweep`.
@@ -547,15 +540,7 @@ class AsyncServiceClient(_ClientBase):
         frame.  No mid-stream retry.
         """
         frame_bytes = self._frame_for("sweep", _sweep_params(spec, use_cache))
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.host, self.port, limit=protocol.MAX_FRAME_BYTES
-            ),
-            self.timeout_s,
-        )
-        try:
-            writer.write(frame_bytes)
-            await writer.drain()
+        async with self._connection(frame_bytes) as reader:
             while True:
                 line = await asyncio.wait_for(reader.readline(), self.timeout_s)
                 if not line:
@@ -564,12 +549,6 @@ class AsyncServiceClient(_ClientBase):
                 yield parsed
                 if parsed.done:
                     return
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
 
     async def sweep(self, spec: Any, use_cache: bool = True) -> "list[SweepFrame]":
         """Submit a sweep and collect its job frames, ordered by index."""
@@ -579,32 +558,23 @@ class AsyncServiceClient(_ClientBase):
         return sorted(frames, key=lambda f: f.index or 0)
 
     async def stats(self) -> Dict[str, Any]:
-        frame = protocol.raise_for_error(await self._request("stats"))
-        return frame["result"]
+        return (await self._request("stats"))["result"]
 
     async def metrics(self) -> str:
         """The merged service registry as Prometheus text exposition."""
-        frame = protocol.raise_for_error(await self._request("metrics"))
-        return frame["result"]["text"]
+        return (await self._request("metrics"))["result"]["text"]
 
     async def telemetry(self, drain: bool = False) -> Dict[str, Any]:
         """The service's spans and metric registries (v3+)."""
-        frame = protocol.raise_for_error(
-            await self._request("telemetry", {"drain": drain})
-        )
-        return frame["result"]
+        return (await self._request("telemetry", {"drain": drain}))["result"]
 
     async def admin(self, command: str, **arguments: Any) -> Dict[str, Any]:
         """Issue one fleet-control command (protocol v5, sharded only)."""
-        frame = protocol.raise_for_error(
-            await self._request("admin", {"command": command, **arguments})
-        )
-        return frame["result"]
+        return (await self._request("admin", {"command": command, **arguments}))["result"]
 
     async def resize(self, workers: int) -> Dict[str, Any]:
         """Resize a sharded fleet to ``workers`` shards, live."""
         return await self.admin("resize", workers=workers)
 
     async def shutdown(self) -> Dict[str, Any]:
-        frame = protocol.raise_for_error(await self._request("shutdown"))
-        return frame["result"]
+        return (await self._request("shutdown"))["result"]

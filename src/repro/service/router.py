@@ -100,7 +100,7 @@ class ShardedService(FrontEnd):
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        super().__init__(config, policy, None)
+        super().__init__(config, policy)
         #: Fleet size at boot; afterwards the fleet is ``len(shards)``.
         self._boot_workers = workers
         self.shard_start_timeout_s = shard_start_timeout_s

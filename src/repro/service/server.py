@@ -71,7 +71,6 @@ from ..engine.config import ProcessorConfig
 from ..engine.simulator import MODEL_VERSION
 from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus
-from ..obs.events import QueueSaturated, RequestCompleted, RequestReceived
 from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.prometheus import render_prometheus
 from ..obs.tracing import SpanRecorder, TelemetrySink, TraceContext, wall_us
@@ -168,16 +167,17 @@ class FrontEnd:
     #: Span ceiling per telemetry response; keeps the frame under
     #: ``protocol.MAX_FRAME_BYTES`` for long-lived services.
     TELEMETRY_SPAN_CAP = 2000
+    #: The request counters, fed where a request is parsed, answered or
+    #: bounced.  The single-process service sets them (they are its
+    #: ``metrics``); a sharded front-end keeps none, because its shards
+    #: count what they serve and its ``metrics`` are the router's.
+    request_metrics: Optional[ServiceMetrics] = None
 
     def __init__(
-        self,
-        config: Optional[ServiceConfig],
-        policy: Optional[ExecutionPolicy],
-        bus: Optional[EventBus],
+        self, config: Optional[ServiceConfig], policy: Optional[ExecutionPolicy]
     ) -> None:
         self.config = config or ServiceConfig()
         self.policy = policy or ExecutionPolicy()
-        self.bus = bus
         self.address: Optional[Tuple[str, int]] = None
 
         self._server: Optional[asyncio.AbstractServer] = None
@@ -336,11 +336,11 @@ class FrontEnd:
         except ProtocolError as exc:
             request_id = str(exc.details.pop("request_id", ""))
             return self._refuse("invalid", request_id, started, exc)
-        if self.bus is not None and self.bus.wants(RequestReceived):
-            self.bus.emit(RequestReceived(request_type=request.type, request_id=request.id))
+        if self.request_metrics is not None:
+            self.request_metrics.request_received(request.type)
 
         try:
-            # simulate, sweep and admin emit their own completion events.
+            # simulate, sweep and admin count their own completion.
             if request.type == "simulate":
                 params = self._admit_simulate(request)
                 return await self._simulate(request, params, line, started)
@@ -371,36 +371,24 @@ class FrontEnd:
                 payload = {"draining": True}
         except ProtocolError as exc:
             return self._refuse(request.type, request.id, started, exc)
-        self._emit_completed(request.type, request.id, started, ok=True)
+        self._count_completed(request.type, started, ok=True)
         return protocol.encode_frame(protocol.ok_response(request.id, payload))
 
     def _refuse(
         self, request_type: str, request_id: str, started: float, exc: ProtocolError
     ) -> bytes:
         """The typed error frame for a request that was not admitted."""
-        self._emit_completed(request_type, request_id, started, ok=False)
+        self._count_completed(request_type, started, ok=False)
         return protocol.encode_frame(
             protocol.error_response(request_id, exc.code, exc.message, **exc.details)
         )
 
-    def _emit_completed(
-        self,
-        request_type: str,
-        request_id: str,
-        started: float,
-        ok: bool,
-        cached: bool = False,
+    def _count_completed(
+        self, request_type: str, started: float, ok: bool, cached: bool = False
     ) -> None:
-        if self.bus is not None and self.bus.wants(RequestCompleted):
-            self.bus.emit(
-                RequestCompleted(
-                    request_type=request_type,
-                    request_id=request_id,
-                    ok=ok,
-                    cached=cached,
-                    latency_ms=(time.monotonic() - started) * 1000.0,
-                )
-            )
+        if self.request_metrics is not None:
+            latency_ms = (time.monotonic() - started) * 1000.0
+            self.request_metrics.request_completed(request_type, ok, latency_ms, cached)
 
     # ------------------------------------------------------------------
     # Admission
@@ -523,7 +511,7 @@ class FrontEnd:
             writer.write(protocol.encode_frame(frame))
             await writer.drain()
         aborted = len(settling) < len(plan.meta)
-        self._emit_completed("sweep", request.id, started, ok=not errors and not aborted)
+        self._count_completed("sweep", started, ok=not errors and not aborted)
         done = protocol.ok_response(
             request.id,
             {
@@ -545,7 +533,7 @@ class FrontEnd:
     async def _simulate(
         self, request: Request, params: SimulateParams, line: bytes, started: float
     ) -> bytes:  # pragma: no cover - abstract
-        """Serve one admitted simulate; emits its own completion event."""
+        """Serve one admitted simulate; counts its own completion."""
         raise NotImplementedError
 
     async def _admit_sweep_job(
@@ -628,9 +616,11 @@ class SimulationService(FrontEnd):
         bus: Optional[EventBus] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(config, policy, bus if bus is not None else EventBus())
+        super().__init__(config, policy)
+        #: Carries the executor's events (``JobRetried``, ``JobTimedOut``, ...).
+        self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.metrics = ServiceMetrics(self.bus, self.registry)
+        self.metrics = self.request_metrics = ServiceMetrics(self.registry)
         self.cache = ResultCache(
             self.config.cache_entries,
             spill_dir=self.config.cache_dir,
@@ -769,15 +759,8 @@ class SimulationService(FrontEnd):
             self._queue.put_nowait(pending)
         except asyncio.QueueFull:
             retry_after = max(2.0 * self.config.batch_window_s, 0.05)
-            if self.bus.wants(QueueSaturated):
-                self.bus.emit(
-                    QueueSaturated(
-                        depth=self._queue.qsize(),
-                        limit=self.config.queue_size,
-                        request_id=request.id,
-                    )
-                )
-            self._emit_completed("simulate", request.id, started, ok=False)
+            self.metrics.queue_saturated()
+            self._count_completed("simulate", started, ok=False)
             return protocol.error_response(
                 request.id,
                 ErrorCode.QUEUE_FULL,
@@ -790,14 +773,14 @@ class SimulationService(FrontEnd):
             result, cached = await pending.future
         except Exception as exc:
             log.exception("simulate request %s failed", request.id or "<anon>")
-            self._emit_completed("simulate", request.id, started, ok=False)
+            self._count_completed("simulate", started, ok=False)
             return protocol.error_response(
                 request.id, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
             )
         elapsed_ms = (time.monotonic() - started) * 1000.0
         if span is not None:
             span.set(cached=cached)
-        self._emit_completed("simulate", request.id, started, ok=True, cached=cached)
+        self._count_completed("simulate", started, ok=True, cached=cached)
         return protocol.ok_response(
             request.id,
             result.snapshot(),

@@ -35,10 +35,13 @@ def submit_spec(
 ) -> SweepResult:
     """Run ``spec`` on a service and return its :class:`SweepResult`.
 
-    ``policy`` (when given) supplies client-side timeout/retry/backoff
-    defaults, same as ``ServiceClient.from_policy``; explicit keyword
-    values win.  ``client`` injects an existing :class:`ServiceClient`
-    (the caller keeps ownership of its connection).
+    ``policy`` (when given) supplies the client's retries and backoff,
+    and its timeout when it sets one, as ``ServiceClient.from_policy``
+    does — except that a policy without a timeout falls back to this
+    call's ``timeout_s`` (600 s by default, for a whole sweep stream),
+    not to ``from_policy``'s 30 s.  Without a policy the keyword values
+    apply.  ``client`` injects an existing :class:`ServiceClient` (the
+    caller keeps ownership of its connection).
     """
     from ..service.client import ServiceClient  # lazy: spec stays service-free
 

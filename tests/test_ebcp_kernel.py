@@ -259,6 +259,25 @@ class TestKernelIsExercised:
         sim.run(trace)
         assert sim.last_run_path == "epoch_kernel"
 
+    def test_registry_none_prefetcher_takes_kernel_path(self):
+        """The registry's ``none`` instance is the baseline too: it takes
+        the kernel and counts what a ``prefetcher=None`` run counts."""
+        trace = make_workload("tpcw", records=2_000, seed=7)
+        sims, metrics = [], []
+        for prefetcher in (build_prefetcher("none"), None):
+            collected = SimulationMetrics()
+            sim = EpochSimulator(
+                ProcessorConfig.scaled(), prefetcher,
+                cpi_perf=trace.meta.cpi_perf, overlap=trace.meta.overlap,
+                metrics=collected,
+            )
+            sim.run(trace)
+            sims.append(sim)
+            metrics.append(collected.to_dict())
+        assert [sim.last_run_path for sim in sims] == ["epoch_kernel", "epoch_kernel"]
+        assert sims[0].stats.to_dict() == sims[1].stats.to_dict()
+        assert metrics[0] == metrics[1]
+
     @pytest.mark.parametrize("name", ["ebcp", "none", "ghb_small", "tcp_small"])
     def test_job_collecting_worker_metrics_takes_kernel_path(self, name, monkeypatch):
         """A served job collects worker metrics; the run feeds them
